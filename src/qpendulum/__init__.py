@@ -52,6 +52,7 @@ from .symmetry import (
     calibrate_epsilon,
     classify_region,
     find_boundary,
+    level_boundary,
     pair_gap,
     subgroup_invariance_check,
     sweep_characteristics,

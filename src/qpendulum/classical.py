@@ -2,9 +2,9 @@
 
 H = (omega'/2) dI^2 - U cos(phi): Jacobi-elliptic action trajectories,
 the near-separatrix frequency law, and equilibrium classification.
-Elliptic kernels are written out via AGM / descending Landen recursion
-rather than taken from scipy, so the numerics here are self-contained
-and independently testable against library oracles.
+The elliptic kernels are thin wrappers over ``scipy.special.ellipk``
+and ``ellipj``, which take the parameter m = k^2; the wrappers take
+the modulus k and check its domain.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipj, ellipk
 
 from .errors import DomainError, SeparatrixError
-
-AGM_TOL = 1e-15
-_MAX_AGM_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -67,49 +65,18 @@ class ArgConvention(enum.Enum):
 
 
 def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, by AGM.
-
-    K(k) = pi / (2 agm(1, sqrt(1 - k^2))); quadratic convergence.
-    """
+    """Complete elliptic integral of the first kind K(k), 0 <= k < 1."""
     if not 0.0 <= k < 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    a, b = 1.0, float(np.sqrt(1.0 - k * k))
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), float(np.sqrt(a * b))
-    return float(np.pi / (2.0 * a))
+    return float(ellipk(k * k))
 
 
 def jacobi_cn_dn(u: float, k: float) -> tuple[float, float]:
-    """cn(u, k) and dn(u, k) by the descending Landen (AGM) recursion."""
+    """Jacobi cn(u, k) and dn(u, k), 0 <= k <= 1."""
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k}")
-    if k < 1e-12:
-        return float(np.cos(u)), 1.0
-    if k > 1.0 - 1e-12:
-        sech = 1.0 / float(np.cosh(u))
-        return sech, sech
-    a = [1.0]
-    b = [float(np.sqrt(1.0 - k * k))]
-    c = [k]
-    while abs(c[-1]) > AGM_TOL:
-        a_next = 0.5 * (a[-1] + b[-1])
-        b_next = float(np.sqrt(a[-1] * b[-1]))
-        c_next = 0.5 * (a[-1] - b[-1])
-        a.append(a_next)
-        b.append(b_next)
-        c.append(c_next)
-        if len(a) > _MAX_AGM_ITER:
-            break
-    n = len(a) - 1
-    phi = (2.0 ** n) * a[n] * u
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + np.arcsin(np.clip(c[i] / a[i] * np.sin(phi), -1, 1)))
-    sn = float(np.sin(phi))
-    cn = float(np.cos(phi))
-    dn = float(np.sqrt(max(1.0 - (k * sn) ** 2, 0.0)))
-    return cn, dn
+    _, cn, dn, _ = ellipj(u, k * k)
+    return float(cn), float(dn)
 
 
 def trajectory(params: ClassicalParams, t_grid,
@@ -130,15 +97,12 @@ def trajectory(params: ClassicalParams, t_grid,
     if convention is ArgConvention.AS_PRINTED:
         rate = params.omega_prime * amp
     k = params.modulus
-    vals = np.empty_like(t_grid)
     if params.E > params.U:
-        for i, t in enumerate(t_grid):
-            vals[i] = amp * jacobi_cn_dn(rate * t, k)[1]
+        vals = ellipj(rate * t_grid, k * k)[2]  # dn
     else:
         kr = 1.0 / k  # k > 1 on the libration branch, so 1/k is in (0, 1)
-        for i, t in enumerate(t_grid):
-            vals[i] = amp * jacobi_cn_dn(rate * t, kr)[0]
-    return np.column_stack([t_grid, vals])
+        vals = ellipj(rate * t_grid, kr * kr)[1]  # cn
+    return np.column_stack([t_grid, amp * vals])
 
 
 def separatrix_frequency(E: float) -> float:

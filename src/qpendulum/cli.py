@@ -26,18 +26,23 @@ from .errors import (
     SeparatrixError,
 )
 from .mathieu import TRUNCATION_CAP
-from .report import build_bundle, write_bundle, write_csv, _HEADERS
+from .report import (
+    HEADERS,
+    build_bundle,
+    observable_tables,
+    uncertainty_tables,
+    write_bundle,
+    write_csv,
+)
 from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
     GapMeasure,
     PairingKind,
     classify_region,
-    find_boundary,
+    level_boundary,
     sweep_characteristics,
-    well_pair_for_level,
 )
 from .torsion import TorsionRotor, load_preset, torsion_to_mathieu
-from .uncertainty import angular_moments
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,53 +73,58 @@ def cmd_characteristics(args) -> int:
         raise DomainError("steps must be >= 2")
     grid = np.unique(np.linspace(args.l_min, args.l_max, args.steps))
     rows = sweep_characteristics(args.n_max, grid)
-    _emit(args.out, _HEADERS["fig1_characteristics"], rows, args.format)
+    _emit(args.out, HEADERS["fig1_characteristics"], rows, args.format)
     return EXIT_OK
 
 
 def cmd_regions(args) -> int:
+    """Both boundaries of every level up to n_max.
+
+    With the calibrated thresholds, a tabulated row gets the same
+    per-row fallback as the report; ``--epsilon`` searches every row
+    with that one relative threshold.
+    """
     if args.n_max > 12:
         raise DomainError("n_max must be <= 12")
-    eps_rotor = args.epsilon or ref.CALIBRATED_EPS_ROTOR
-    eps_well = args.epsilon or ref.CALIBRATED_EPS_WELL
+    tables = ((PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
+              (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS))
     rows = []
     status = EXIT_OK
     for n in range(1, args.n_max + 1):
-        for pairing, eps in ((PairingKind.ROTOR, eps_rotor),
-                             (PairingKind.WELL, eps_well)):
-            idx = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
+        for pairing, eps, table in tables:
+            target = table.get(n)
+            if args.epsilon is not None:
+                eps, target = args.epsilon, None
             try:
-                l_c = find_boundary(idx, pairing, eps, GapMeasure.RELATIVE).l_c
+                b = level_boundary(n, pairing, eps, target)
             except BoundaryNotFoundError:
-                rows.append((n, pairing.value, "not-found", eps))
+                rows.append((n, pairing.value, "not-found", eps,
+                             GapMeasure.RELATIVE.value))
                 status = EXIT_GATE
                 continue
-            rows.append((n, pairing.value, l_c, eps))
-    _emit(args.out, ["n", "pairing", "l_c", "epsilon"], rows, args.format)
+            rows.append((n, pairing.value, b.l_c, b.gap_threshold,
+                         b.measure.value))
+    _emit(args.out, ["n", "pairing", "l_c", "epsilon", "measure"], rows,
+          args.format)
     return status
 
 
 def cmd_observables(args) -> int:
-    from .report import _observable_tables
-
-    points = dict(ref.OBSERVABLE_EVAL_POINTS)
-    t3, t4, fluct = _observable_tables(points)
+    t3, t4, fluct = observable_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
     base = Path(args.out) if args.out else Path(".")
     base.mkdir(parents=True, exist_ok=True)
-    write_csv(base / "table3.csv", _HEADERS["table3"], t3)
-    write_csv(base / "table4.csv", _HEADERS["table4"], t4)
-    write_csv(base / "fluctuations.csv", _HEADERS["fluctuations"], fluct)
+    write_csv(base / "table3.csv", HEADERS["table3"], t3)
+    write_csv(base / "table4.csv", HEADERS["table4"], t4)
+    write_csv(base / "fluctuations.csv", HEADERS["fluctuations"], fluct)
     return EXIT_OK
 
 
 def cmd_uncertainty(args) -> int:
-    from .report import _uncertainty_tables
-
-    t5, t6 = _uncertainty_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
+    t5, t6 = uncertainty_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
     base = Path(args.out) if args.out else Path(".")
     base.mkdir(parents=True, exist_ok=True)
-    write_csv(base / "table5.csv", _HEADERS["table5"], t5)
-    write_csv(base / "table6.csv", _HEADERS["table6"], t6)
+    write_csv(base / "table5.csv", HEADERS["table5"], t5)
+    write_csv(base / "table6.csv", HEADERS["table6"], t6)
     return EXIT_OK
 
 
@@ -176,10 +186,6 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.truncation_cap != TRUNCATION_CAP:
-        raise DomainError(
-            f"report runs every solve at the default truncation cap "
-            f"{TRUNCATION_CAP}; got --truncation-cap {args.truncation_cap}")
     bundle = build_bundle()
     out_dir = Path(args.out or "report")
     write_bundle(bundle, out_dir)
@@ -197,45 +203,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "velocity-jump observables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, func, summary, fmt=False):
+        """Subcommand with --out; fmt adds --format for :func:`_emit`."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--truncation-cap", type=int, default=TRUNCATION_CAP)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if fmt:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+        return p
 
-    p = sub.add_parser("characteristics", help="characteristic-value sweep")
-    common(p)
+    p = add("characteristics", cmd_characteristics,
+            "characteristic-value sweep", fmt=True)
     p.add_argument("--n-max", dest="n_max", type=int, default=8)
     p.add_argument("--l-min", dest="l_min", type=float, default=0.0)
     p.add_argument("--l-max", dest="l_max", type=float, default=55.0)
     p.add_argument("--steps", type=int, default=111)
-    p.set_defaults(func=cmd_characteristics)
 
-    p = sub.add_parser("regions", help="splitting/merging boundaries")
-    common(p)
+    p = add("regions", cmd_regions, "splitting/merging boundaries", fmt=True)
     p.add_argument("--n-max", dest="n_max", type=int, default=8)
     p.add_argument("--epsilon", type=float, default=None,
-                   help="override the calibrated gap thresholds")
-    p.set_defaults(func=cmd_regions)
+                   help="one relative gap threshold for every row, "
+                        "without the per-row fallback")
 
-    p = sub.add_parser("observables", help="velocity-jump tables")
-    common(p)
-    p.set_defaults(func=cmd_observables)
+    add("observables", cmd_observables, "velocity-jump tables")
+    add("uncertainty", cmd_uncertainty, "angular uncertainty tables")
 
-    p = sub.add_parser("uncertainty", help="angular uncertainty tables")
-    common(p)
-    p.set_defaults(func=cmd_uncertainty)
-
-    p = sub.add_parser("density", help="probability density of one state")
-    common(p)
+    p = add("density", cmd_density, "probability density of one state",
+            fmt=True)
+    p.add_argument("--truncation-cap", type=int, default=TRUNCATION_CAP)
     p.add_argument("--family", required=True,
                    choices=[f.value for f in StateFamily])
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", type=float, required=True)
     p.add_argument("--points", type=int, default=256)
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("classical", help="Jacobi-elliptic trajectory")
-    common(p)
+    p = add("classical", cmd_classical, "Jacobi-elliptic trajectory", fmt=True)
     p.add_argument("--E", type=float, required=True)
     p.add_argument("--U", type=float, required=True)
     p.add_argument("--omega-prime", dest="omega_prime", type=float, default=1.0)
@@ -244,20 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arg-convention", dest="arg_convention",
                    choices=[c.value for c in ArgConvention],
                    default=ArgConvention.AS_PRINTED.value)
-    p.set_defaults(func=cmd_classical)
 
-    p = sub.add_parser("torsion", help="molecular torsion mapping")
-    common(p)
+    p = add("torsion", cmd_torsion, "molecular torsion mapping")
     p.add_argument("--preset", default=None, help="molecule preset name")
     p.add_argument("--I1", type=float, default=None)
     p.add_argument("--I2", type=float, default=None)
     p.add_argument("--V0", type=float, default=None)
     p.add_argument("--n-fold", dest="n_fold", type=int, default=None)
-    p.set_defaults(func=cmd_torsion)
 
-    p = sub.add_parser("report", help="regenerate all tables and figures")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    add("report", cmd_report, "regenerate all tables and figures")
 
     return parser
 

@@ -93,6 +93,7 @@ LEVELS = tuple(range(1, 9))
 # The merging table's n=2 row is the one row no single threshold fits:
 # the pair mean crosses zero near that boundary, so the relative gap is
 # non-monotone there. Its documented fallback is the absolute-gap
-# threshold pinned by the tabulated boundary itself.
+# threshold pinned by the tabulated boundary itself, applied by
+# symmetry.level_boundary for the report, `regions` and calibration.
 CALIBRATED_EPS_ROTOR = 4.989e-3
 CALIBRATED_EPS_WELL = 9.95e-3

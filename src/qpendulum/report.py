@@ -20,12 +20,10 @@ from .errors import BoundaryNotFoundError
 from .mathieu import TRUNCATION_CAP
 from .states import StateFamily, StateSpec, build_state, density, jump_at_boundary
 from .symmetry import (
-    GapMeasure,
+    ROW_TOLERANCE,
     PairingKind,
-    find_boundary,
-    pair_gap,
+    level_boundary,
     sweep_characteristics,
-    well_pair_for_level,
 )
 from .uncertainty import angular_moments
 
@@ -73,25 +71,22 @@ def _boundary_table(pairing: PairingKind, reference_table: dict,
                     epsilon: float) -> list:
     rows = []
     for n in ref.LEVELS:
-        idx = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
-        try:
-            l_c = find_boundary(idx, pairing, epsilon,
-                                GapMeasure.RELATIVE).l_c
-        except BoundaryNotFoundError:
-            rows.append((n, "not-found", reference_table[n], "not-found"))
-            continue
         target = reference_table[n]
-        if abs(l_c - target) > 0.1:
-            # documented per-row fallback: absolute-gap threshold pinned
-            # by the tabulated boundary (the absolute gap is monotone)
-            eps_abs = pair_gap(idx, pairing, target, GapMeasure.ABSOLUTE)
-            l_c = find_boundary(idx, pairing, eps_abs,
-                                GapMeasure.ABSOLUTE).l_c
+        try:
+            l_c = level_boundary(n, pairing, epsilon, target).l_c
+        except BoundaryNotFoundError:
+            rows.append((n, "not-found", target, "not-found"))
+            continue
         rows.append((n, l_c, target, abs(l_c - target)))
     return rows
 
 
-def _observable_tables(points: dict) -> tuple[list, list, list]:
+def observable_tables(points: dict) -> tuple[list, list, list]:
+    """Tables 3 and 4 plus the fluctuation rows at the given barriers.
+
+    Table cells read (from - to), the orientation of the reference
+    columns; :class:`ObservableJump` itself keeps (to - from).
+    """
     t3, t4, fluct = [], [], []
     for n in ref.LEVELS:
         l_c = points[n]
@@ -99,12 +94,13 @@ def _observable_tables(points: dict) -> tuple[list, list, list]:
         for fam, tag in ((StateFamily.PHI_PLUS, "p"), (StateFamily.PHI_MINUS, "m")):
             for to, totag in ((StateFamily.XI, "xi"), (StateFamily.ETA, "eta")):
                 jumps[tag + totag] = jump_at_boundary(n, fam, to, l_c)
-        dv = [jumps[k].delta_v for k in ("pxi", "peta", "mxi", "meta")]
-        dv2 = [jumps[k].delta_v2 for k in ("pxi", "peta", "mxi", "meta")]
+        cols = ("pxi", "peta", "mxi", "meta")
+        dv = [-jumps[k].delta_v for k in cols]
+        dv2 = [-jumps[k].delta_v2 for k in cols]
         rv = ref.DELTA_V[n]
         rv2 = ref.DELTA_V2[n]
-        res_v = max(abs(abs(c) - abs(r)) for c, r in zip(dv, rv))
-        res_v2 = max(abs(abs(c) - abs(r)) for c, r in zip(dv2, rv2))
+        res_v = max(abs(c - r) for c, r in zip(dv, rv))
+        res_v2 = max(abs(c - r) for c, r in zip(dv2, rv2))
         t3.append((n, l_c, *dv, *rv, res_v))
         t4.append((n, l_c, *dv2, *rv2, res_v2))
         j = jumps["pxi"]
@@ -118,7 +114,8 @@ def _ur_residual(computed: float, target: float) -> float:
     return abs(computed - target) / scale
 
 
-def _uncertainty_tables(points: dict) -> tuple[list, list]:
+def uncertainty_tables(points: dict) -> tuple[list, list]:
+    """Tables 5 and 6 (ur_a, ur_b) at the given barriers."""
     t5, t6 = [], []
     fams = (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS,
             StateFamily.XI, StateFamily.ETA)
@@ -152,11 +149,11 @@ def build_bundle(eval_points: dict | None = None,
         PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR)
     bundle.tables["table2"] = _boundary_table(
         PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)
-    t3, t4, fluct = _observable_tables(points)
+    t3, t4, fluct = observable_tables(points)
     bundle.tables["table3"] = t3
     bundle.tables["table4"] = t4
     bundle.tables["fluctuations"] = fluct
-    t5, t6 = _uncertainty_tables(points)
+    t5, t6 = uncertainty_tables(points)
     bundle.tables["table5"] = t5
     bundle.tables["table6"] = t6
 
@@ -199,14 +196,14 @@ def build_bundle(eval_points: dict | None = None,
         "gap_measure": "relative",
         "boundary_fallback": "per-row absolute threshold pinned by the "
                              "reference boundary when the global fit "
-                             "misses by more than 0.1",
+                             f"misses by more than {ROW_TOLERANCE:g}",
         "evaluation_points": {str(n): points[n] for n in ref.LEVELS},
         "gates": GATES,
     }
     return bundle
 
 
-_HEADERS = {
+HEADERS = {
     "table1": ["n", "l_split", "reference", "residual"],
     "table2": ["n", "l_merge", "reference", "residual"],
     "table3": ["n", "l_c", "dv_pxi", "dv_peta", "dv_mxi", "dv_meta",
@@ -232,7 +229,7 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     paths = []
     for name, rows in {**bundle.tables, **bundle.figures}.items():
         p = out_dir / f"{name}.csv"
-        write_csv(p, _HEADERS[name], rows)
+        write_csv(p, HEADERS[name], rows)
         if p.name in DATA_FILES:
             paths.append(p)
     (out_dir / "metadata.json").write_text(

@@ -162,41 +162,40 @@ def density(state: QuantumState, grid) -> np.ndarray:
     return np.column_stack([grid, vals])
 
 
-def density_maxima(state: QuantumState, grid_points: int = 4096,
-                   flat_tol: float = 1e-12) -> list[float]:
-    """Local maxima of |psi|^2 on [0, 2pi), parabolic refinement.
+def density_extrema(state: QuantumState, grid_points: int = 4096,
+                    flat_tol: float = 1e-12) -> tuple[list[float], list[float]]:
+    """Local (maxima, minima) of |psi|^2 on [0, 2pi), parabolic refinement.
 
-    A flat density (plane-wave-like state) has no strict maxima and
-    yields an empty list.
+    One density evaluation serves both lists. A flat density
+    (plane-wave-like state) has no strict extrema and yields two empty
+    lists.
     """
     phi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
     rho = density(state, phi)[:, 1]
     if rho.max() - rho.min() < flat_tol:
-        return []
-    out = []
+        return [], []
+    left, right = np.roll(rho, 1), np.roll(rho, -1)
     h = 2.0 * np.pi / grid_points
-    for i in range(grid_points):
-        left, mid, right = rho[i - 1], rho[i], rho[(i + 1) % grid_points]
-        if mid > left and mid > right:
-            denom = left - 2.0 * mid + right
-            shift = 0.5 * (left - right) / denom if denom != 0 else 0.0
-            out.append((phi[i] + shift * h) % (2.0 * np.pi))
-    return sorted(out)
+
+    def refined(hit: np.ndarray) -> list[float]:
+        lft, mid, rgt = left[hit], rho[hit], right[hit]
+        denom = lft - 2.0 * mid + rgt
+        shift = np.zeros_like(denom)
+        nz = denom != 0
+        shift[nz] = 0.5 * (lft - rgt)[nz] / denom[nz]
+        return np.sort(np.mod(phi[hit] + shift * h, 2.0 * np.pi)).tolist()
+
+    return (refined((rho > left) & (rho > right)),
+            refined((rho < left) & (rho < right)))
+
+
+def density_maxima(state: QuantumState, grid_points: int = 4096,
+                   flat_tol: float = 1e-12) -> list[float]:
+    """Local maxima of |psi|^2; see :func:`density_extrema`."""
+    return density_extrema(state, grid_points, flat_tol)[0]
 
 
 def density_minima(state: QuantumState, grid_points: int = 4096,
                    flat_tol: float = 1e-12) -> list[float]:
-    """Local minima of |psi|^2, same scheme as :func:`density_maxima`."""
-    phi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    rho = density(state, phi)[:, 1]
-    if rho.max() - rho.min() < flat_tol:
-        return []
-    out = []
-    h = 2.0 * np.pi / grid_points
-    for i in range(grid_points):
-        left, mid, right = rho[i - 1], rho[i], rho[(i + 1) % grid_points]
-        if mid < left and mid < right:
-            denom = left - 2.0 * mid + right
-            shift = 0.5 * (left - right) / denom if denom != 0 else 0.0
-            out.append((phi[i] + shift * h) % (2.0 * np.pi))
-    return sorted(out)
+    """Local minima of |psi|^2; see :func:`density_extrema`."""
+    return density_extrema(state, grid_points, flat_tol)[1]

@@ -17,6 +17,8 @@ measure reproduces them with a single threshold near 0.5 percent, and
 the merging points with a single threshold near 1 percent when the
 merging pair for table row n is taken as (ce_{n-1}, se_n), i.e. the
 well doublet of index n-1. See :func:`calibrate_epsilon`.
+:func:`level_boundary` is the one place that maps a table row to its
+pair, searches it, and applies the per-row fallback.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .series import TrigSeries, inner_product
 SEARCH_CEILING = 200.0
 BISECTION_TOL = 1e-4
 PROBE_DELTA = 1e-6
+# A table row whose relative-threshold boundary misses the tabulated
+# value by more than this falls back to a per-row absolute threshold.
+ROW_TOLERANCE = 0.1
+CALIBRATION_LOG10_BOUNDS = (-4.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +168,6 @@ class RegionBoundary:
     measure: GapMeasure = GapMeasure.RELATIVE
 
 
-@dataclass(frozen=True)
-class SymmetryRegion:
-    tag: Subgroup
-    n: int
-    l_range: tuple[float, float]
-
-
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
     """Characteristic values for every class/order up to n_max on a grid.
 
@@ -286,6 +285,26 @@ def well_pair_for_level(n: int) -> int:
     return n - 1
 
 
+def level_boundary(n: int, pairing: PairingKind, epsilon: float,
+                   reference: float | None = None) -> RegionBoundary:
+    """Splitting (ROTOR) or merging (WELL) boundary of level n.
+
+    ROTOR searches the pair (ce_n, se_n), WELL the pair
+    :func:`well_pair_for_level` (n), both under the relative gap
+    threshold ``epsilon``. Given a tabulated ``reference`` that this
+    misses by more than ``ROW_TOLERANCE``, the row falls back to the
+    absolute-gap threshold pinned by the reference (the absolute gap is
+    monotone through each boundary); the result then carries
+    ``GapMeasure.ABSOLUTE`` and that threshold.
+    """
+    pair = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
+    boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
+    if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
+        return boundary
+    eps_abs = pair_gap(pair, pairing, reference, GapMeasure.ABSOLUTE)
+    return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
+
+
 def classify_region(
     n: int,
     l: float,
@@ -323,10 +342,10 @@ def classify_region(
 class CalibrationResult:
     """Outcome of fitting a single threshold to a reference boundary table.
 
-    ``per_row_epsilon`` holds, for rows the global threshold misses by
-    more than ``row_tolerance``, the absolute-gap threshold that
-    reproduces the row exactly (the absolute gap is monotone through
-    each boundary, so the row value pins the threshold).
+    ``computed`` and ``residuals`` come from the fitted relative
+    threshold alone. ``per_row_epsilon`` holds, for rows it misses by
+    more than ``row_tolerance``, the absolute-gap threshold of the
+    :func:`level_boundary` fallback, which reproduces the row exactly.
     """
 
     pairing: PairingKind
@@ -338,24 +357,12 @@ class CalibrationResult:
     row_tolerance: float
 
 
-def _boundary_for_table_row(n: int, pairing: PairingKind, epsilon: float,
-                            measure: GapMeasure) -> float:
-    if pairing is PairingKind.ROTOR:
-        return find_boundary(n, pairing, epsilon, measure).l_c
-    return find_boundary(well_pair_for_level(n), pairing, epsilon, measure).l_c
+def calibrate_epsilon(reference: dict[int, float],
+                      pairing: PairingKind) -> CalibrationResult:
+    """Least-squares fit of one relative gap threshold to a boundary table.
 
-
-def calibrate_epsilon(
-    reference: dict[int, float],
-    pairing: PairingKind,
-    measure: GapMeasure = GapMeasure.RELATIVE,
-    log10_bounds: tuple[float, float] = (-4.0, 0.0),
-    row_tolerance: float = 0.1,
-) -> CalibrationResult:
-    """Least-squares fit of one gap threshold to a boundary table.
-
-    Rows the global fit misses by more than ``row_tolerance`` get a
-    documented per-row absolute threshold as fallback.
+    Rows the global fit misses by more than ``ROW_TOLERANCE`` get the
+    per-row absolute threshold of the :func:`level_boundary` fallback.
     """
 
     def objective(log_eps: float) -> float:
@@ -363,24 +370,19 @@ def calibrate_epsilon(
         total = 0.0
         for n, target in reference.items():
             try:
-                total += (_boundary_for_table_row(n, pairing, eps, measure)
-                          - target) ** 2
+                total += (level_boundary(n, pairing, eps).l_c - target) ** 2
             except BoundaryNotFoundError:
                 total += SEARCH_CEILING ** 2
         return total
 
-    fit = minimize_scalar(objective, bounds=log10_bounds, method="bounded",
-                          options={"xatol": 1e-5})
+    fit = minimize_scalar(objective, bounds=CALIBRATION_LOG10_BOUNDS,
+                          method="bounded", options={"xatol": 1e-5})
     epsilon = float(10.0 ** fit.x)
-    computed = {
-        n: _boundary_for_table_row(n, pairing, epsilon, measure)
-        for n in reference
-    }
+    computed = {n: level_boundary(n, pairing, epsilon).l_c for n in reference}
     residuals = {n: computed[n] - reference[n] for n in reference}
-    per_row: dict[int, float] = {}
-    for n, target in reference.items():
-        if abs(residuals[n]) > row_tolerance:
-            row_n = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
-            per_row[n] = pair_gap(row_n, pairing, target, GapMeasure.ABSOLUTE)
-    return CalibrationResult(pairing, measure, epsilon, computed, residuals,
-                             per_row, row_tolerance)
+    per_row = {
+        n: level_boundary(n, pairing, epsilon, reference[n]).gap_threshold
+        for n in reference if abs(residuals[n]) > ROW_TOLERANCE
+    }
+    return CalibrationResult(pairing, GapMeasure.RELATIVE, epsilon, computed,
+                             residuals, per_row, ROW_TOLERANCE)

@@ -18,7 +18,7 @@ from .series import (
     multiply_by_sin,
     series_derivative,
 )
-from .states import QuantumState, StateSpec, density, density_minima
+from .states import QuantumState, StateSpec, density, density_extrema
 
 _SIN2_IDENTITY_TOL = 1e-12
 
@@ -113,12 +113,9 @@ def local_variance_inequality(state: QuantumState) -> list[LocalInequality]:
     exist the window falls back to +-pi/(2n). lhs = dLz * <phi^2>,
     rhs = (1 - <phi^2>/2)/4.
     """
-    from .states import density_maxima  # local import avoids cycle noise
-
-    maxima = density_maxima(state)
+    maxima, minima = density_extrema(state)
     if not maxima:
         raise DomainError("state has no strict density maxima")
-    minima = density_minima(state)
     n = max(state.spec.n, 1)
     dlz = float(np.sqrt(max(angular_moments(state).var_Lz, 0.0)))
     out = []

@@ -43,8 +43,25 @@ def test_regions(tmp_path):
     code = main(["regions", "--n-max", "2", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,pairing,l_c,epsilon"
+    assert lines[0] == "n,pairing,l_c,epsilon,measure"
     assert len(lines) == 5  # header + 2 levels x 2 pairings
+
+
+def test_regions_match_report_boundary_tables(tmp_path):
+    # regions and the report share one boundary function, so every
+    # tabulated row agrees, the n=2 merging fallback row included
+    regions = tmp_path / "regions.csv"
+    report = tmp_path / "rep"
+    assert main(["regions", "--n-max", "8", "--out", str(regions)]) == EXIT_OK
+    assert main(["report", "--out", str(report)]) == EXIT_OK
+    rows = [line.split(",") for line in regions.read_text().splitlines()[1:]]
+    for pairing, table in (("rotor", "table1.csv"), ("well", "table2.csv")):
+        mine = {int(r[0]): float(r[2]) for r in rows if r[1] == pairing}
+        theirs = {int(r[0]): float(r[1]) for r in (
+            line.split(",")
+            for line in (report / table).read_text().splitlines()[1:])}
+        assert mine == theirs
+    assert [r[4] for r in rows if r[:2] == ["2", "well"]] == ["absolute"]
 
 
 def test_density_flat(tmp_path):
@@ -56,6 +73,12 @@ def test_density_flat(tmp_path):
     vals = [float(line.split(",")[1]) for line in lines[1:-1]]
     np.testing.assert_allclose(vals, 1.0 / (2 * np.pi), atol=1e-12)
     assert lines[-1].startswith("# integral")
+
+
+def test_density_truncation_cap_exit_code():
+    code = main(["density", "--family", "xi", "-n", "8", "-l", "55",
+                 "--truncation-cap", "48"])
+    assert code == EXIT_CONVERGENCE
 
 
 def test_density_validation():
@@ -110,8 +133,7 @@ def test_torsion_missing_params():
 
 def test_convergence_exit_code():
     code = main(["characteristics", "--n-max", "1", "--l-min", "1e5",
-                 "--l-max", "1e5", "--steps", "2",
-                 "--truncation-cap", "48"])
+                 "--l-max", "1e5", "--steps", "2"])
     assert code == EXIT_CONVERGENCE
 
 
@@ -140,9 +162,10 @@ def test_report_metadata_complete(tmp_path):
 
 
 def test_report_rejects_unused_truncation_cap(tmp_path):
-    # The report's solves all run at the default cap; a different cap
-    # would only be recorded, never used, so it is refused up front.
+    # The report's solves all run at the default cap, so report has no
+    # --truncation-cap flag and argparse refuses it before any work.
     out = tmp_path / "rep"
-    code = main(["report", "--truncation-cap", "48", "--out", str(out)])
-    assert code == EXIT_VALIDATION
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--truncation-cap", "48", "--out", str(out)])
+    assert exc.value.code == EXIT_VALIDATION
     assert not out.exists()
