@@ -18,6 +18,7 @@ from .mathieu import (
     b_value,
     ce_series,
     characteristic_value,
+    characteristic_values,
     fourier_coefficients,
     se_series,
     spectral_level,

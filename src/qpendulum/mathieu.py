@@ -1,27 +1,56 @@
 """Mathieu eigenproblem on [0, 2pi): -psi'' + 2 l cos(2 phi) psi = E psi.
 
 Each parity family reduces to a symmetric tridiagonal matrix over its
-harmonic ladder; characteristic values and Fourier coefficients come from
-an adaptive-truncation eigensolve. The returned coefficient vectors live
-directly on the orthonormal basis of :mod:`qpendulum.series`, so states
-built here have unit L2 norm over one period by construction.
+harmonic ladder. One engine, :func:`_converge`, serves every entry
+point: it solves one family at one barrier for a range of orders,
+values only, doubling the matrix size until the values settle. The
+returned coefficient vectors live directly on the orthonormal basis of
+:mod:`qpendulum.series`, so states built here have unit L2 norm over one
+period by construction.
+
+Convergence rule
+----------------
+The first size is :func:`initial_truncation` of the highest order,
+clamped to the cap; when it already is the cap, it is compared with half
+the cap instead. Each step doubles the size (at most to the cap) and
+accepts once every value of the range moved by less than
+``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``, where
+||T|| = max|diag| + 2 max|off| bounds the norm of the larger matrix:
+below that floor the LAPACK bisection itself jitters. A range still moving at the cap raises
+:class:`ConvergenceError` with the worst order's last two iterates.
+
+Caches
+------
+Two caches of 16,384 entries each: :func:`characteristic_values` keeps
+the values of one (family, order range, l, cap), :func:`spectral_level`
+the eigenpair of one (family, order, l, cap). Eigenvectors come from
+one extra solve at the engine's converged size, and only on request.
+Inputs are validated inside the cached functions, so a hit is a single
+lookup; the caches are typed, so ``True`` or ``2.0`` never hit an entry
+made for ``1`` or ``2`` and always meet the validation.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
 from .series import TrigSeries
 
-EIGENVALUE_TOL = 1e-11  # relative; LAPACK bisection jitter sits near 1e-12
+EIGENVALUE_TOL = 1e-11  # relative
+# Multiple of eps * ||T|| below which a change in value is LAPACK jitter;
+# measured jitter between converged sizes stays below 0.6 of eps * ||T||.
+JITTER_FACTOR = 4.0
 TRUNCATION_CAP = 512
-TAIL_TOL = 1e-14
+CACHE_SIZE = 16384
+_EPS = np.finfo(float).eps
 
 
 class MathieuClass(enum.Enum):
@@ -37,7 +66,7 @@ class MathieuClass(enum.Enum):
         return self in (MathieuClass.CE_EVEN, MathieuClass.CE_ODD)
 
     def validate_order(self, n: int) -> None:
-        if n < 0 or not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise DomainError(f"order must be a nonnegative integer, got {n!r}")
         even = n % 2 == 0
         if self is MathieuClass.CE_EVEN and not even:
@@ -123,84 +152,124 @@ def initial_truncation(n: int, l: float) -> int:
     return max(32, n + 8 * int(np.ceil(np.sqrt(max(l, 0.0)))))
 
 
-@functools.lru_cache(maxsize=16384)
-def _solve(mathieu_class: MathieuClass, n: int, l: float, cap: int):
-    """Adaptive-truncation eigensolve; cached on exact arguments.
+def _barrier(l) -> float:
+    """``l`` as a float; raises DomainError unless finite and nonnegative."""
+    value = math.nan
+    if isinstance(l, numbers.Real) and not isinstance(l, bool):
+        try:
+            value = float(l)
+        except OverflowError:
+            value = math.inf
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"barrier l must be finite and nonnegative, got {l!r}")
+    return value
 
-    Doubles the matrix size until the eigenvalue moves by less than
-    EIGENVALUE_TOL, then extracts the eigenvector at the final size.
+
+def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
+              cap: int):
+    """Values of orders n_lo, n_lo + 2, ..., n_hi at a converged size.
+
+    Validates every input. Returns the values and the matrix bands of
+    the accepted size; see the module docstring for the rule.
     """
-    mathieu_class.validate_order(n)
-    if l < 0:
-        raise DomainError(f"barrier l must be nonnegative, got {l}")
-    k = mathieu_class.eigen_index(n)
-    size = max(initial_truncation(n, l), k + 2)
+    k_lo = mathieu_class.eigen_index(n_lo)
+    k_hi = mathieu_class.eigen_index(n_hi)
+    if k_hi < k_lo:
+        raise DomainError(f"empty order range {n_lo}..{n_hi}")
+    l = _barrier(l)
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise DomainError(f"truncation cap must be a positive integer, got {cap!r}")
+    size = min(max(initial_truncation(n_hi, l), k_hi + 2), cap)
+    if size == cap:
+        size = max(cap // 2, k_hi + 2)
+        if size >= cap:
+            raise ConvergenceError(
+                f"truncation cap {cap} leaves no smaller size to compare with "
+                f"for ({mathieu_class.value}, n={n_lo}..{n_hi}, l={l})")
     prev = None
     while True:
         diag, off = _tridiagonal(mathieu_class, l, size)
-        value = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(k, k)
-        )[0]
-        if prev is not None and abs(value - prev) < EIGENVALUE_TOL * max(
-            1.0, abs(value)
-        ):
-            break
-        if size >= cap:
-            raise ConvergenceError(
-                f"eigenvalue not converged at truncation cap {cap} for "
-                f"({mathieu_class.value}, n={n}, l={l})",
-                last_iterates=(prev, value),
-            )
-        prev = value
+        values = eigvalsh_tridiagonal(diag, off, select="i",
+                                      select_range=(k_lo, k_hi),
+                                      check_finite=False)
+        if prev is not None:
+            norm = np.abs(diag).max() + 2.0 * np.abs(off).max()
+            tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(values)),
+                             JITTER_FACTOR * _EPS * norm)
+            excess = np.abs(values - prev) / tol
+            if excess.max() < 1.0:
+                return values, diag, off
+            if size >= cap:
+                worst = int(excess.argmax())
+                raise ConvergenceError(
+                    f"eigenvalue not converged at truncation cap {cap} for "
+                    f"({mathieu_class.value}, n={n_lo + 2 * worst}, l={l})",
+                    last_iterates=(float(prev[worst]), float(values[worst])),
+                )
+        prev = values
         size = min(2 * size, cap)
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
-    vec = vecs[:, 0]
-    # sign convention: weight of the order-matching harmonic positive
-    match = np.flatnonzero(mathieu_class.harmonics(size) == n)[0]
-    if vec[match] < 0:
-        vec = -vec
-    vec = vec.copy()
-    vec.setflags(write=False)
-    return float(value), vec, size
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
+                          l: float, cap: int = TRUNCATION_CAP) -> tuple[float, ...]:
+    """Characteristic values of orders n_lo, n_lo + 2, ..., n_hi in one solve.
+
+    Both orders must belong to the family. The values cache holds one
+    tuple per exact argument list.
+    """
+    values, _, _ = _converge(mathieu_class, n_lo, n_hi, l, cap)
+    return tuple(values.tolist())
 
 
 def characteristic_value(
     mathieu_class: MathieuClass, n: int, l: float, cap: int = TRUNCATION_CAP
 ) -> float:
     """Characteristic value E_n(l) of the given parity family."""
-    return _solve(mathieu_class, int(n), float(l), int(cap))[0]
+    return characteristic_values(mathieu_class, n, n, l, cap)[0]
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def spectral_level(
+    mathieu_class: MathieuClass, n: int, l: float, cap: int = TRUNCATION_CAP
+) -> SpectralLevel:
+    """Eigenpair of order n, order-matching harmonic positive; cached."""
+    values, diag, off = _converge(mathieu_class, n, n, l, cap)
+    k = mathieu_class.eigen_index(n)
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k),
+                               check_finite=False)
+    vec = vecs[:, 0]
+    size = len(diag)
+    # sign convention: weight of the order-matching harmonic positive
+    match = np.flatnonzero(mathieu_class.harmonics(size) == n)[0]
+    if vec[match] < 0:
+        vec = -vec
+    return SpectralLevel(mathieu_class, int(n), float(l), float(values[0]), vec,
+                         size)
 
 
 def fourier_coefficients(
     mathieu_class: MathieuClass, n: int, l: float, cap: int = TRUNCATION_CAP
 ) -> np.ndarray:
     """Unit-norm orthonormal-basis weights, order-matching slot positive."""
-    return _solve(mathieu_class, int(n), float(l), int(cap))[1]
-
-
-def spectral_level(
-    mathieu_class: MathieuClass, n: int, l: float, cap: int = TRUNCATION_CAP
-) -> SpectralLevel:
-    value, vec, size = _solve(mathieu_class, int(n), float(l), int(cap))
-    return SpectralLevel(mathieu_class, int(n), float(l), value, vec, size)
+    return spectral_level(mathieu_class, n, l, cap).coeffs
 
 
 def build_series(level: SpectralLevel) -> TrigSeries:
     """Place the level's coefficients on their orthonormal basis slots."""
     harm = level.mathieu_class.harmonics(len(level.coeffs))
+    coeffs = level.coeffs
     kmax = int(harm[-1])
     cos_k = np.zeros(kmax, dtype=np.complex128)
     sin_k = np.zeros(kmax, dtype=np.complex128)
     c0 = 0.0
-    if level.mathieu_class.is_cosine:
-        for k, w in zip(harm, level.coeffs):
-            if k == 0:
-                c0 = w
-            else:
-                cos_k[k - 1] = w
+    if not level.mathieu_class.is_cosine:
+        sin_k[harm - 1] = coeffs
+    elif harm[0] == 0:
+        c0 = coeffs[0]
+        cos_k[harm[1:] - 1] = coeffs[1:]
     else:
-        for k, w in zip(harm, level.coeffs):
-            sin_k[k - 1] = w
+        cos_k[harm - 1] = coeffs
     return TrigSeries(c0, cos_k, sin_k)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import AmbiguityError, BoundaryNotFoundError, DomainError
-from .mathieu import a_value, b_value, ce_class, se_class, characteristic_value
+from .mathieu import a_value, b_value, ce_class, characteristic_values, se_class
 from .series import TrigSeries, inner_product
 
 SEARCH_CEILING = 200.0
@@ -172,6 +172,7 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     """Characteristic values for every class/order up to n_max on a grid.
 
     Rows are ordered by (l, class, n); class labels are the enum values.
+    Each family costs one :func:`characteristic_values` solve per l.
     """
     l_grid = [float(l) for l in l_grid]
     if not l_grid:
@@ -180,15 +181,16 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
         b <= a for a, b in zip(l_grid, l_grid[1:])
     ):
         raise DomainError("l_grid must be nonnegative and strictly ascending")
+    order = [(ce_class(n), n) for n in range(0, n_max + 1)]
+    order += [(se_class(n), n) for n in range(1, n_max + 1)]
+    ranges = {}  # family -> [lowest, highest] order; orders ascend
+    for cls, n in order:
+        ranges.setdefault(cls, [n, n])[1] = n
     rows = []
     for l in l_grid:
-        for cls_name, orders in (
-            ("ce", range(0, n_max + 1)),
-            ("se", range(1, n_max + 1)),
-        ):
-            for n in orders:
-                cls = ce_class(n) if cls_name == "ce" else se_class(n)
-                rows.append((cls.value, n, l, characteristic_value(cls, n, l)))
+        values = {cls: iter(characteristic_values(cls, lo, hi, l))
+                  for cls, (lo, hi) in ranges.items()}
+        rows.extend((cls.value, n, l, next(values[cls])) for cls, n in order)
     return rows
 
 

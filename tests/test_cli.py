@@ -76,7 +76,8 @@ def test_density_flat(tmp_path):
 
 
 def test_density_truncation_cap_exit_code():
-    code = main(["density", "--family", "xi", "-n", "8", "-l", "55",
+    # at l = 1e5 sizes 24 and 48 still disagree (l = 55 converges at 48)
+    code = main(["density", "--family", "xi", "-n", "8", "-l", "1e5",
                  "--truncation-cap", "48"])
     assert code == EXIT_CONVERGENCE
 
@@ -132,9 +133,19 @@ def test_torsion_missing_params():
 
 
 def test_convergence_exit_code():
-    code = main(["characteristics", "--n-max", "1", "--l-min", "1e5",
-                 "--l-max", "1e5", "--steps", "2"])
+    # at l = 1e11 the size-512 value is still 2.2e-6 (relative) off the
+    # size-2048 one; l = 1e5 converges at size 128
+    code = main(["characteristics", "--n-max", "1", "--l-min", "1e11",
+                 "--l-max", "1e11", "--steps", "2"])
     assert code == EXIT_CONVERGENCE
+
+
+@pytest.mark.parametrize("argv", [
+    ["characteristics", "--l-min", "0", "--l-max", "nan", "--steps", "3"],
+    ["density", "--family", "xi", "-n", "2", "-l", "inf"],
+])
+def test_nonfinite_barrier_exit_code(argv):
+    assert main(argv) == EXIT_VALIDATION
 
 
 def test_report_determinism(tmp_path):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import mathieu_a, mathieu_b
 
 from qpendulum.errors import ConvergenceError, DomainError
 from qpendulum.mathieu import (
@@ -10,6 +13,7 @@ from qpendulum.mathieu import (
     ce_class,
     ce_series,
     characteristic_value,
+    characteristic_values,
     se_class,
     se_series,
     spectral_level,
@@ -19,13 +23,17 @@ from qpendulum.series import eval_series, inner_product, multiply_by_cos2phi, se
 GRID = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
 
 
-def dense_oracle(mathieu_class, n, l, size=96):
+def dense_spectrum(mathieu_class, l, size):
     """Independent eigensolve of the same family via a dense matrix."""
     from qpendulum.mathieu import _tridiagonal
 
     diag, off = _tridiagonal(mathieu_class, l, size)
     m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return np.sort(np.linalg.eigvalsh(m))[mathieu_class.eigen_index(n)]
+    return np.sort(np.linalg.eigvalsh(m))
+
+
+def dense_oracle(mathieu_class, n, l, size=96):
+    return dense_spectrum(mathieu_class, l, size)[mathieu_class.eigen_index(n)]
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -119,9 +127,77 @@ def test_order_validation():
         a_value(2, -1.0)
     with pytest.raises(DomainError):
         se_class(0)
+    with pytest.raises(DomainError):
+        characteristic_values(MathieuClass.CE_ODD, 5, 1, 1.0)
 
 
 def test_convergence_error_reports_iterates():
     with pytest.raises(ConvergenceError) as err:
         characteristic_value(MathieuClass.CE_EVEN, 0, 1e5, cap=48)
     assert err.value.last_iterates is not None
+
+
+# Covers LAPACK jitter above the 1e-11 relative tolerance (a_8 and b_9
+# at l = 247.5) and first truncations at or above the default cap
+# (l >= 4000).
+ORACLE_GRID = (0.0, 0.5, 10.0, 100.0, 247.5, 1e3, 4e3, 1e4)
+
+
+@pytest.mark.parametrize("l", ORACLE_GRID)
+def test_grid_converges_and_matches_oracles(l):
+    """Orders up to 20 converge; scipy.special is the oracle up to l = 55,
+    dense eigvalsh at size 1024 beyond."""
+    dense = ({cls: dense_spectrum(cls, l, 1024) for cls in MathieuClass}
+             if l > 55 else None)
+    for n in range(21):
+        for cls, special in ((ce_class(n), mathieu_a),) + (
+                ((se_class(n), mathieu_b),) if n else ()):
+            value = characteristic_value(cls, n, l)
+            ref = special(n, l) if dense is None else dense[cls][cls.eigen_index(n)]
+            assert abs(value - ref) <= 1e-10 * max(1.0, abs(value)), (cls, n, l)
+
+
+@pytest.mark.parametrize("n,l", [(2, math.nan), (2, math.inf), (True, 1.0),
+                                 (2.0, 1.0), (2, True), (2, "1.0")])
+def test_rejects_nonfinite_barriers_and_non_integer_orders(n, l):
+    # cached entries for the equal keys 1, 2 and 1.0 must not answer these
+    a_value(1, 1.0), a_value(2, 1.0)
+    with pytest.raises(DomainError):
+        a_value(n, l)
+    with pytest.raises(DomainError):
+        ce_series(n, l)
+
+
+def test_numpy_scalars_accepted_and_values_are_floats():
+    value = a_value(2, 1.0)
+    assert type(value) is float
+    assert a_value(np.int64(2), np.float64(1.0)) == value
+    assert type(spectral_level(MathieuClass.CE_EVEN, np.int64(2), 1.0).n) is int
+
+
+def _placed_by_loop(level):
+    """Coefficient placement as one loop per coefficient."""
+    harm = level.mathieu_class.harmonics(len(level.coeffs))
+    cos_k = np.zeros(int(harm[-1]), dtype=np.complex128)
+    sin_k = np.zeros(int(harm[-1]), dtype=np.complex128)
+    c0 = 0.0
+    for k, w in zip(harm, level.coeffs):
+        if not level.mathieu_class.is_cosine:
+            sin_k[k - 1] = w
+        elif k == 0:
+            c0 = w
+        else:
+            cos_k[k - 1] = w
+    return c0, cos_k, sin_k
+
+
+@pytest.mark.parametrize("cls,n", [(MathieuClass.CE_EVEN, 0), (MathieuClass.CE_EVEN, 4),
+                                   (MathieuClass.CE_ODD, 3), (MathieuClass.SE_ODD, 1),
+                                   (MathieuClass.SE_EVEN, 2)])
+def test_build_series_bit_identical_to_loop(cls, n):
+    level = spectral_level(cls, n, 11.1)
+    series = build_series(level)
+    c0, cos_k, sin_k = _placed_by_loop(level)
+    assert series.c0 == complex(c0)
+    assert np.array_equal(series.cos_k, cos_k)
+    assert np.array_equal(series.sin_k, sin_k)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpendulum.errors import BoundaryNotFoundError, DomainError
-from qpendulum.mathieu import ce_series, se_series
+from qpendulum.mathieu import MathieuClass, ce_series, characteristic_value, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum.symmetry import (
     GapMeasure,
@@ -107,6 +107,14 @@ def test_sweep_characteristics_shape_and_order():
     assert rows[0][2] == 0.0 and rows[-1][2] == 1.0
     free = sorted(r[3] for r in rows[:5])
     np.testing.assert_allclose(free, [0, 1, 1, 4, 4], atol=1e-12)
+
+
+def test_batched_sweep_matches_per_order_values():
+    # one solve per (family, l) gives what a solve per order gives
+    rows = sweep_characteristics(8, [0.0, 0.7, 3.42, 11.1, 28.0, 55.0])
+    assert len(rows) == 6 * 17
+    for label, n, l, value in rows:
+        assert abs(value - characteristic_value(MathieuClass(label), n, l)) <= 1e-10
 
 
 def test_sweep_validates_grid():
