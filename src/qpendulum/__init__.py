@@ -19,7 +19,6 @@ from .mathieu import (
     ce_series,
     characteristic_value,
     characteristic_values,
-    fourier_coefficients,
     se_series,
     spectral_level,
 )

@@ -27,6 +27,8 @@ class ClassicalParams:
     E: float
 
     def __post_init__(self):
+        if not np.isfinite((self.omega_prime, self.U, self.E)).all():
+            raise DomainError(f"parameters must be finite, got {self}")
         if self.U <= 0:
             raise DomainError(f"barrier U must be positive, got {self.U}")
         if self.omega_prime <= 0:
@@ -88,6 +90,8 @@ def trajectory(params: ClassicalParams, t_grid,
     in (0, 1) because k > 1 on that branch. Returns rows (t, dI).
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise DomainError("time grid must be finite")
     amp = float(np.sqrt((params.E + params.U) * params.omega_prime))
     if params.E == params.U:
         raise SeparatrixError(

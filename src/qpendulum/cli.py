@@ -29,6 +29,7 @@ from .mathieu import TRUNCATION_CAP
 from .report import (
     HEADERS,
     build_bundle,
+    format_csv,
     observable_tables,
     uncertainty_tables,
     write_bundle,
@@ -52,20 +53,14 @@ EXIT_GATE = 4
 
 def _emit(path: str | None, header, rows, fmt: str) -> None:
     if fmt == "json":
-        payload = json.dumps(
+        text = json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2) + "\n"
-        if path:
-            Path(path).write_text(payload)
-        else:
-            sys.stdout.write(payload)
-        return
-    if path:
-        write_csv(Path(path), list(header), rows)
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(repr(c) if isinstance(c, float)
-                                      else str(c) for c in row) + "\n")
+        text = format_csv(header, rows)
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_characteristics(args) -> int:
@@ -144,6 +139,8 @@ def cmd_density(args) -> int:
 
 def cmd_classical(args) -> int:
     params = ClassicalParams(args.omega_prime, args.U, args.E)
+    if not np.isfinite(args.t_max):
+        raise DomainError(f"t_max must be finite, got {args.t_max}")
     t_grid = np.linspace(0.0, args.t_max, args.steps)
     convention = ArgConvention(args.arg_convention)
     rows = [(float(t), float(v))

@@ -133,10 +133,9 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
     symmetric; it is consistent with the orthonormal basis, so the
     eigenvector needs no undo before use as series coefficients.
     """
-    off = np.full(size - 1, q)
+    off = np.full(size - 1, q, dtype=float)
     if mathieu_class is MathieuClass.CE_EVEN:
         diag = (2.0 * np.arange(size)) ** 2
-        off = off.copy()
         off[0] = np.sqrt(2.0) * q
     elif mathieu_class is MathieuClass.CE_ODD:
         diag = (2.0 * np.arange(size) + 1.0) ** 2
@@ -246,13 +245,6 @@ def spectral_level(
         vec = -vec
     return SpectralLevel(mathieu_class, int(n), float(l), float(values[0]), vec,
                          size)
-
-
-def fourier_coefficients(
-    mathieu_class: MathieuClass, n: int, l: float, cap: int = TRUNCATION_CAP
-) -> np.ndarray:
-    """Unit-norm orthonormal-basis weights, order-matching slot positive."""
-    return spectral_level(mathieu_class, n, l, cap).coeffs
 
 
 def build_series(level: SpectralLevel) -> TrigSeries:

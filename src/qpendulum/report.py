@@ -55,16 +55,16 @@ class ReportBundle:
     gate_failures: list = field(default_factory=list)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def format_csv(header, rows) -> str:
+    """CSV text with a header line; floats as repr, other cells as str."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(c) for c in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_csv(header, rows))
 
 
 def _boundary_table(pairing: PairingKind, reference_table: dict,
@@ -133,16 +133,14 @@ def uncertainty_tables(points: dict) -> tuple[list, list]:
     return t5, t6
 
 
-def build_bundle(eval_points: dict | None = None,
-                 characteristics_l_max: float = 55.0,
-                 characteristics_steps: int = 111,
-                 density_points: int = 256) -> ReportBundle:
+def build_bundle() -> ReportBundle:
     """Compute every table and figure dataset in memory.
 
+    Tables 3-6 and fig2-fig4 are taken at ``OBSERVABLE_EVAL_POINTS``.
     Every solve runs at the default truncation cap, which the metadata
     records.
     """
-    points = dict(eval_points or ref.OBSERVABLE_EVAL_POINTS)
+    points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()
 
     bundle.tables["table1"] = _boundary_table(
@@ -157,7 +155,7 @@ def build_bundle(eval_points: dict | None = None,
     bundle.tables["table5"] = t5
     bundle.tables["table6"] = t6
 
-    l_grid = np.linspace(0.0, characteristics_l_max, characteristics_steps)
+    l_grid = np.linspace(0.0, 55.0, 111)
     bundle.figures["fig1_characteristics"] = sweep_characteristics(8, l_grid)
     bundle.figures["fig2_delta_v"] = [
         (n, points[n], row[2], row[3]) for n, row in zip(ref.LEVELS, t3)
@@ -166,7 +164,7 @@ def build_bundle(eval_points: dict | None = None,
         (n, points[n], row[2], row[3]) for n, row in zip(ref.LEVELS, t4)
     ]
     dens_rows = []
-    phi = np.linspace(0.0, 2.0 * np.pi, density_points, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     for n in ref.LEVELS:
         state = build_state(StateSpec(StateFamily.PHI_PLUS, n, points[n]))
         for p, d in density(state, phi):

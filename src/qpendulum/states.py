@@ -27,6 +27,8 @@ from .series import (
 )
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+EXTREMA_GRID_POINTS = 4096  # angles searched for density extrema
+FLAT_TOL = 1e-12  # a density whose range is below this is flat
 
 
 class StateFamily(enum.Enum):
@@ -124,19 +126,12 @@ _WELL_TRANSITIONS = {
 }
 
 
-def jump_at_boundary(
-    n: int,
-    from_family: StateFamily,
-    to_family: StateFamily,
-    l_c: float,
-    delta_l: float = 0.0,
-) -> ObservableJump:
+def jump_at_boundary(n: int, from_family: StateFamily,
+                     to_family: StateFamily, l_c: float) -> ObservableJump:
     """Velocity and squared-velocity jump across a symmetry switch.
 
     Mathieu coefficients are smooth in l, so both one-sided limits are
-    evaluated at l_c itself by default; delta_l > 0 enables the probe
-    mode with the from-state at l_c - delta_l and the to-state at
-    l_c + delta_l.
+    evaluated at l_c itself.
     """
     if l_c < 0:
         raise DomainError("l_c must be nonnegative")
@@ -144,10 +139,8 @@ def jump_at_boundary(
     if pair not in _ROTOR_TRANSITIONS and pair not in _WELL_TRANSITIONS:
         raise DomainError(
             f"invalid symmetry-switch transition {from_family} -> {to_family}")
-    l_from = max(l_c - delta_l, 0.0)
-    l_to = l_c + delta_l
-    src = build_state(StateSpec(from_family, n, l_from))
-    dst = build_state(StateSpec(to_family, n, l_to))
+    src = build_state(StateSpec(from_family, n, l_c))
+    dst = build_state(StateSpec(to_family, n, l_c))
     delta_v = velocity_expect(dst) - velocity_expect(src)
     delta_v2 = velocity_sq_expect(dst) - velocity_sq_expect(src)
     radicand = delta_v2 - delta_v ** 2
@@ -162,20 +155,19 @@ def density(state: QuantumState, grid) -> np.ndarray:
     return np.column_stack([grid, vals])
 
 
-def density_extrema(state: QuantumState, grid_points: int = 4096,
-                    flat_tol: float = 1e-12) -> tuple[list[float], list[float]]:
+def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:
     """Local (maxima, minima) of |psi|^2 on [0, 2pi), parabolic refinement.
 
     One density evaluation serves both lists. A flat density
     (plane-wave-like state) has no strict extrema and yields two empty
     lists.
     """
-    phi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * np.pi, EXTREMA_GRID_POINTS, endpoint=False)
     rho = density(state, phi)[:, 1]
-    if rho.max() - rho.min() < flat_tol:
+    if rho.max() - rho.min() < FLAT_TOL:
         return [], []
     left, right = np.roll(rho, 1), np.roll(rho, -1)
-    h = 2.0 * np.pi / grid_points
+    h = 2.0 * np.pi / EXTREMA_GRID_POINTS
 
     def refined(hit: np.ndarray) -> list[float]:
         lft, mid, rgt = left[hit], rho[hit], right[hit]
@@ -189,13 +181,11 @@ def density_extrema(state: QuantumState, grid_points: int = 4096,
             refined((rho < left) & (rho < right)))
 
 
-def density_maxima(state: QuantumState, grid_points: int = 4096,
-                   flat_tol: float = 1e-12) -> list[float]:
+def density_maxima(state: QuantumState) -> list[float]:
     """Local maxima of |psi|^2; see :func:`density_extrema`."""
-    return density_extrema(state, grid_points, flat_tol)[0]
+    return density_extrema(state)[0]
 
 
-def density_minima(state: QuantumState, grid_points: int = 4096,
-                   flat_tol: float = 1e-12) -> list[float]:
+def density_minima(state: QuantumState) -> list[float]:
     """Local minima of |psi|^2; see :func:`density_extrema`."""
-    return density_extrema(state, grid_points, flat_tol)[1]
+    return density_extrema(state)[1]

@@ -4,6 +4,23 @@ Covers the Klein four-group of angle maps acting on trig series, the
 characteristic-curve sweep E_n(l), and the splitting / merging points
 that bound the three symmetry regions of each level.
 
+Klein four-group
+----------------
+The group is Z2 x Z2, generated by the reflection a: phi -> -phi and
+the half-turn c: phi -> phi + pi, with b = ac: phi -> pi - phi. Each
+element carries its two generator bits (reflect, half_turn); composing
+adds them mod 2. On coefficients the reflection negates the sine slots
+and the half-turn multiplies harmonic k by (-1)^k.
+
+Boundary search
+---------------
+A ROTOR pair is degenerate below its boundary, a WELL pair above it.
+The ROTOR scan doubles its step outward from l = 0; the WELL scan keeps
+a fixed ``WELL_STEP``, because the relative gap can spike where the
+pair mean crosses zero. Both hand their bracket to one bisection that
+keeps gap(inside) < eps <= gap(outside) until the bracket is narrower
+than ``BISECTION_TOL``; l_c is its midpoint.
+
 Degeneracy criterion
 --------------------
 The reference tables were produced with an unstated criterion. Two gap
@@ -37,6 +54,8 @@ from .series import TrigSeries, inner_product
 SEARCH_CEILING = 200.0
 BISECTION_TOL = 1e-4
 PROBE_DELTA = 1e-6
+WELL_STEP = 0.25
+INVARIANCE_TOL = 1e-10
 # A table row whose relative-threshold boundary misses the tabulated
 # value by more than this falls back to a per-row absolute threshold.
 ROW_TOLERANCE = 0.1
@@ -48,74 +67,56 @@ CALIBRATION_LOG10_BOUNDS = (-4.0, 0.0)
 # ---------------------------------------------------------------------------
 
 class GroupElement(enum.Enum):
-    E = "e"  # identity
-    A = "a"  # phi -> -phi
-    B = "b"  # phi -> pi - phi
-    C = "c"  # phi -> pi + phi
+    """An angle map, valued by its generator bits (reflect, half_turn)."""
 
-
-_KLEIN_TABLE = {
-    (GroupElement.E, GroupElement.E): GroupElement.E,
-    (GroupElement.A, GroupElement.A): GroupElement.E,
-    (GroupElement.B, GroupElement.B): GroupElement.E,
-    (GroupElement.C, GroupElement.C): GroupElement.E,
-    (GroupElement.A, GroupElement.B): GroupElement.C,
-    (GroupElement.B, GroupElement.C): GroupElement.A,
-    (GroupElement.C, GroupElement.A): GroupElement.B,
-}
+    E = (0, 0)  # identity
+    A = (1, 0)  # phi -> -phi
+    B = (1, 1)  # phi -> pi - phi
+    C = (0, 1)  # phi -> pi + phi
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    if g1 is GroupElement.E:
-        return g2
-    if g2 is GroupElement.E:
-        return g1
-    if (g1, g2) in _KLEIN_TABLE:
-        return _KLEIN_TABLE[(g1, g2)]
-    return _KLEIN_TABLE[(g2, g1)]  # the group is abelian
+    """Product in Z2 x Z2: the generator bits add mod 2."""
+    (r1, h1), (r2, h2) = g1.value, g2.value
+    return GroupElement((r1 ^ r2, h1 ^ h2))
 
 
 def apply_group_element(s: TrigSeries, g: GroupElement) -> TrigSeries:
-    """Exact coefficient-space action of the angle substitution."""
-    k = np.arange(1, s.n_harmonics + 1)
-    alt = np.asarray((-1.0) ** k)[: len(s.cos_k)]
-    alt_s = np.asarray((-1.0) ** k)[: len(s.sin_k)]
-    if g is GroupElement.E:
-        return s
-    if g is GroupElement.A:  # cos even, sin odd
-        return TrigSeries(s.c0, s.cos_k, -s.sin_k)
-    if g is GroupElement.B:  # cos(k(pi-phi)) = (-1)^k cos k phi, etc.
-        return TrigSeries(s.c0, alt * s.cos_k, -alt_s * s.sin_k)
-    return TrigSeries(s.c0, alt * s.cos_k, alt_s * s.sin_k)  # C
+    """Exact coefficient-space action: two commuting sign masks."""
+    reflect, half_turn = g.value
+
+    def turn(coeffs: np.ndarray) -> np.ndarray:
+        return (-1.0) ** (half_turn * np.arange(1, len(coeffs) + 1)) * coeffs
+
+    return TrigSeries(s.c0, turn(s.cos_k), (-1.0) ** reflect * turn(s.sin_k))
 
 
 class Subgroup(enum.Enum):
     """Two-element invariant subgroups labelling the symmetry regions.
 
     phi+- states are eigenstates of c, psi+- states of b, and the
-    non-degenerate ce/se states of a; hence the assignment below.
+    non-degenerate ce/se states of a; hence the generators below.
     """
 
-    G_MINUS = "G-"  # {e, c}
-    G_ZERO = "G0"   # {e, a}
-    G_PLUS = "G+"   # {e, b}
+    G_MINUS = "G-"  # <c>
+    G_ZERO = "G0"   # <a>
+    G_PLUS = "G+"   # <b>
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
-        return {
-            Subgroup.G_MINUS: (GroupElement.E, GroupElement.C),
-            Subgroup.G_ZERO: (GroupElement.E, GroupElement.A),
-            Subgroup.G_PLUS: (GroupElement.E, GroupElement.B),
-        }[self]
+        """{e, g}: every element of Z2 x Z2 is its own inverse."""
+        g = {Subgroup.G_MINUS: GroupElement.C, Subgroup.G_ZERO: GroupElement.A,
+             Subgroup.G_PLUS: GroupElement.B}[self]
+        return GroupElement.E, g
 
 
 def subgroup_invariance_check(
-    series: TrigSeries, subgroup: Subgroup, tol: float = 1e-10
+    series: TrigSeries, subgroup: Subgroup
 ) -> tuple[bool, dict[GroupElement, complex]]:
     """Whether each subgroup element maps the state to itself up to phase.
 
-    Returns the verdict and the fitted phase per element; the phase is
-    meaningful only where the verdict holds.
+    Returns the verdict (within ``INVARIANCE_TOL``) and the fitted phase
+    per element; the phase is meaningful only where the verdict holds.
     """
     nrm2 = inner_product(series, series).real
     phases: dict[GroupElement, complex] = {}
@@ -125,7 +126,7 @@ def subgroup_invariance_check(
         lam = inner_product(series, mapped) / nrm2
         residual = (mapped - series * lam).norm()
         phases[g] = complex(lam)
-        if residual > tol or abs(abs(lam) - 1.0) > tol:
+        if residual > INVARIANCE_TOL or abs(abs(lam) - 1.0) > INVARIANCE_TOL:
             ok = False
     return ok, phases
 
@@ -165,7 +166,7 @@ class RegionBoundary:
     l_c: float
     gap_threshold: float
     bracket: tuple[float, float]
-    measure: GapMeasure = GapMeasure.RELATIVE
+    measure: GapMeasure
 
 
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
@@ -215,6 +216,13 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
     return gap / mean if mean > 0 else math.inf
 
 
+def _check_threshold(epsilon: float) -> None:
+    """Raise DomainError unless 0 < epsilon < inf (NaN fails too)."""
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(
+            f"gap threshold must be finite and positive, got {epsilon!r}")
+
+
 def find_boundary(
     n: int,
     pairing: PairingKind,
@@ -224,60 +232,46 @@ def find_boundary(
 ) -> RegionBoundary:
     """Locate the barrier value where the pair's degeneracy switches.
 
-    ROTOR: largest l with gap < eps (gap grows with l from exact
-    degeneracy at l = 0); returns l_c = 0 when the gap already exceeds
-    eps at the probe point. WELL: smallest l with gap < eps (tunneling
-    doublet forms as the barrier grows). Bisection to 1e-4 in l.
+    ROTOR: largest l with gap < eps, or l_c = 0 when the gap already
+    exceeds eps at the probe point. WELL: smallest l with gap < eps
+    (the tunneling doublet forms as the barrier grows). The module
+    docstring describes the scans and the bisection.
     """
-    if epsilon <= 0:
-        raise DomainError("gap threshold must be positive")
+    _check_threshold(epsilon)
     pairing.validate(n)
     gap = lambda l: pair_gap(n, pairing, l, measure)
 
+    def boundary(l_c: float, bracket: tuple[float, float]) -> RegionBoundary:
+        return RegionBoundary(n, pairing, l_c, epsilon, bracket, measure)
+
     if pairing is PairingKind.ROTOR:
         if gap(PROBE_DELTA) >= epsilon:
-            return RegionBoundary(n, pairing, 0.0, epsilon,
-                                  (0.0, PROBE_DELTA), measure)
-        lo, hi = PROBE_DELTA, 0.01
-        while gap(hi) < epsilon:
-            lo, hi = hi, 2.0 * hi
-            if hi > ceiling:
+            return boundary(0.0, (0.0, PROBE_DELTA))
+        inside, outside = PROBE_DELTA, 0.01
+        while gap(outside) < epsilon:
+            inside, outside = outside, 2.0 * outside
+            if outside > ceiling:
                 raise BoundaryNotFoundError(
                     f"rotor gap for n={n} never reaches eps={epsilon} "
                     f"below l={ceiling}")
-        below, above = lo, hi  # gap(below) < eps <= gap(above)
-        while above - below > BISECTION_TOL:
-            mid = 0.5 * (below + above)
-            if gap(mid) < epsilon:
-                below = mid
-            else:
-                above = mid
-        return RegionBoundary(n, pairing, 0.5 * (below + above), epsilon,
-                              (below, above), measure)
-
-    # WELL: coarse upward scan, then bisect the bracketing step. The
-    # scan is deliberately not a plain bisection: the relative gap can
-    # spike where the pair mean crosses zero.
-    lo = PROBE_DELTA
-    if gap(lo) < epsilon:
-        return RegionBoundary(n, pairing, lo, epsilon, (0.0, lo), measure)
-    step = 0.25
-    hi = lo
-    while gap(hi) >= epsilon:
-        lo, hi = hi, hi + step
-        if hi > ceiling:
-            raise BoundaryNotFoundError(
-                f"well gap for n={n} never drops below eps={epsilon} "
-                f"below l={ceiling}")
-    above, below = lo, hi  # gap(above) >= eps > gap(below)
-    while below - above > BISECTION_TOL:
-        mid = 0.5 * (above + below)
-        if gap(mid) >= epsilon:
-            above = mid
+    else:
+        if gap(PROBE_DELTA) < epsilon:
+            return boundary(PROBE_DELTA, (0.0, PROBE_DELTA))
+        outside, inside = PROBE_DELTA, PROBE_DELTA + WELL_STEP
+        while gap(inside) >= epsilon:
+            outside, inside = inside, inside + WELL_STEP
+            if inside > ceiling:
+                raise BoundaryNotFoundError(
+                    f"well gap for n={n} never drops below eps={epsilon} "
+                    f"below l={ceiling}")
+    while abs(outside - inside) > BISECTION_TOL:
+        mid = 0.5 * (inside + outside)
+        if gap(mid) < epsilon:
+            inside = mid
         else:
-            below = mid
-    return RegionBoundary(n, pairing, 0.5 * (above + below), epsilon,
-                          (above, below), measure)
+            outside = mid
+    return boundary(0.5 * (inside + outside),
+                    (min(inside, outside), max(inside, outside)))
 
 
 def well_pair_for_level(n: int) -> int:
@@ -307,23 +301,19 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
 
 
-def classify_region(
-    n: int,
-    l: float,
-    epsilon_rotor: float,
-    epsilon_well: float | None = None,
-    measure: GapMeasure = GapMeasure.RELATIVE,
-) -> Subgroup:
-    """Symmetry region of level n at barrier l.
+def classify_region(n: int, l: float, epsilon_rotor: float,
+                    epsilon_well: float) -> Subgroup:
+    """Symmetry region of level n at barrier l, by relative gaps.
 
     G- while the rotor pair (ce_n, se_n) is degenerate, G+ once the
     well pair (ce_{n-1}, se_n) is, G0 in between. Raises if both gaps
     are simultaneously below threshold.
     """
-    if epsilon_well is None:
-        epsilon_well = epsilon_rotor
-    rotor = pair_gap(n, PairingKind.ROTOR, l, measure) < epsilon_rotor
-    well = pair_gap(well_pair_for_level(n), PairingKind.WELL, l, measure) < epsilon_well
+    _check_threshold(epsilon_rotor)
+    _check_threshold(epsilon_well)
+    rotor = pair_gap(n, PairingKind.ROTOR, l, GapMeasure.RELATIVE) < epsilon_rotor
+    well = pair_gap(well_pair_for_level(n), PairingKind.WELL, l,
+                    GapMeasure.RELATIVE) < epsilon_well
     if rotor and well:
         raise AmbiguityError(
             f"level n={n} at l={l} looks degenerate in both pairings",
@@ -351,7 +341,6 @@ class CalibrationResult:
     """
 
     pairing: PairingKind
-    measure: GapMeasure
     epsilon: float
     computed: dict[int, float]
     residuals: dict[int, float]
@@ -386,5 +375,5 @@ def calibrate_epsilon(reference: dict[int, float],
         n: level_boundary(n, pairing, epsilon, reference[n]).gap_threshold
         for n in reference if abs(residuals[n]) > ROW_TOLERANCE
     }
-    return CalibrationResult(pairing, GapMeasure.RELATIVE, epsilon, computed,
-                             residuals, per_row, ROW_TOLERANCE)
+    return CalibrationResult(pairing, epsilon, computed, residuals, per_row,
+                             ROW_TOLERANCE)

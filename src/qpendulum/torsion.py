@@ -87,13 +87,12 @@ def torsion_to_mathieu(rotor: TorsionRotor) -> UniversalParams:
 
 
 def lorentz_to_universal(m: float, omega0: float, mu: float,
-                         V0: float, I0: float,
-                         hbar: float = 1.0) -> UniversalParams:
+                         V0: float, I0: float) -> UniversalParams:
     """Driven anharmonic-oscillator reduction to the universal pendulum.
 
     omega' = 3 pi mu / (2 m omega0^2), U = V0 sqrt(I0 / (m omega0)),
-    l = 8 U / (hbar^2 omega'). Defaults to rescaled hbar = 1 units
-    since the oscillator parameters are typically dimensionless there.
+    l = 8 U / (hbar^2 omega'), in rescaled hbar = 1 units since the
+    oscillator parameters are dimensionless there.
     """
     if m <= 0 or omega0 <= 0:
         raise DomainError("m and omega0 must be positive")
@@ -103,10 +102,9 @@ def lorentz_to_universal(m: float, omega0: float, mu: float,
         raise DomainError("I0 must be nonnegative")
     omega_prime = 3.0 * np.pi * mu / (2.0 * m * omega0 ** 2)
     U = V0 * np.sqrt(I0 / (m * omega0))
-    l = 8.0 * U / (hbar ** 2 * omega_prime)
+    l = 8.0 * U / omega_prime
     return UniversalParams(omega_prime=float(omega_prime), U=float(U),
-                           l=float(l),
-                           energy_scale=hbar ** 2 * omega_prime / 8.0)
+                           l=float(l), energy_scale=omega_prime / 8.0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .series import (
 )
 from .states import QuantumState, StateSpec, density, density_extrema
 
-_SIN2_IDENTITY_TOL = 1e-12
+_WINDOW_POINTS = 2048  # trapezoid nodes of the local second moment
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class LocalInequality:
 
 
 def _local_second_moment(state: QuantumState, phi_m: float,
-                         lo: float, hi: float, points: int = 2048) -> float:
+                         lo: float, hi: float) -> float:
     """<(phi - phi_m)^2> of |psi|^2 restricted to (lo, hi), renormalized."""
-    phi = np.linspace(lo, hi, points)
+    phi = np.linspace(lo, hi, _WINDOW_POINTS)
     rho = density(state, np.mod(phi, 2.0 * np.pi))[:, 1]
     weight = np.trapezoid(rho, phi)
     if weight <= 0:

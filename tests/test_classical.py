@@ -125,6 +125,12 @@ def test_trajectory_separatrix_error():
         trajectory(ClassicalParams(1.0, 1.0, 1.0), [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trajectory_rejects_nonfinite_times(bad):
+    with pytest.raises(DomainError):
+        trajectory(ClassicalParams(1.0, 1.0, 3.0), [0.0, bad])
+
+
 def test_separatrix_frequency_values():
     assert separatrix_frequency(0.0) == pytest.approx(np.pi / np.log(32), abs=1e-12)
     e_unit = 1.0 - 32.0 * np.exp(-np.pi)
@@ -159,5 +165,9 @@ def test_params_validation():
         ClassicalParams(1.0, -1.0, 0.5)
     with pytest.raises(DomainError):
         ClassicalParams(0.0, 1.0, 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
+            with pytest.raises(DomainError):
+                ClassicalParams(*args)
     assert ClassicalParams(1.0, 1.0, 3.0).modulus == pytest.approx(
         np.sqrt(0.5), abs=1e-14)

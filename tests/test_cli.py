@@ -6,6 +6,7 @@ import pytest
 import qpendulum
 from qpendulum.cli import (
     EXIT_CONVERGENCE,
+    EXIT_GATE,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -146,6 +147,39 @@ def test_convergence_exit_code():
 ])
 def test_nonfinite_barrier_exit_code(argv):
     assert main(argv) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_regions_rejects_bad_epsilon(value, capsys):
+    assert main(["regions", "--n-max", "2", f"--epsilon={value}"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--E", "nan", "--U", "1.0"],
+    ["--E", "2.0", "--U", "nan"],
+    ["--E", "2.0", "--U", "1.0", "--omega-prime", "nan"],
+    ["--E", "inf", "--U", "1.0"],
+    ["--E", "2.0", "--U", "1.0", "--t-max", "nan"],
+    ["--E", "2.0", "--U", "1.0", "--t-max", "inf"],
+])
+def test_classical_rejects_nonfinite_inputs(flags, capsys):
+    assert main(["classical", *flags]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["characteristics", "--n-max", "2", "--l-max", "3", "--steps", "4"],
+    ["regions", "--n-max", "2"],
+    ["classical", "--E", "3.0", "--U", "1.0", "--t-max", "1", "--steps", "5"],
+    ["density", "--family", "phi+", "-n", "2", "-l", "1.5", "--points", "16"],
+])
+def test_csv_stdout_matches_file(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) in (EXIT_OK, EXIT_GATE)
+    capsys.readouterr()
+    main(argv)
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_report_determinism(tmp_path):

@@ -201,3 +201,15 @@ def test_build_series_bit_identical_to_loop(cls, n):
     assert series.c0 == complex(c0)
     assert np.array_equal(series.cos_k, cos_k)
     assert np.array_equal(series.sin_k, sin_k)
+
+
+def test_integer_barrier_gives_float_bands():
+    # an integer q once made an integer band, truncating sqrt(2) q
+    from qpendulum.mathieu import _tridiagonal
+
+    for cls in MathieuClass:
+        diag, off = _tridiagonal(cls, 100, 8)
+        ref_diag, ref_off = _tridiagonal(cls, 100.0, 8)
+        assert off.dtype == np.float64
+        assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off)
+    assert _tridiagonal(MathieuClass.CE_EVEN, 100, 8)[1][0] == np.sqrt(2.0) * 100.0

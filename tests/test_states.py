@@ -82,13 +82,6 @@ def test_jump_xi_eta_opposition():
     assert j_xi.delta_v2 * j_eta.delta_v2 < 0
 
 
-def test_jump_probe_mode_consistent():
-    sharp = jump_at_boundary(2, StateFamily.PHI_PLUS, StateFamily.XI, 0.3)
-    probed = jump_at_boundary(2, StateFamily.PHI_PLUS, StateFamily.XI, 0.3,
-                              delta_l=1e-6)
-    assert sharp.delta_v == pytest.approx(probed.delta_v, abs=1e-4)
-
-
 def test_jump_validation():
     with pytest.raises(DomainError):
         jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.PSI_PLUS, 0.0)

@@ -4,7 +4,11 @@ import pytest
 from qpendulum.errors import BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_value, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
+from qpendulum import reference as ref
 from qpendulum.symmetry import (
+    BISECTION_TOL,
+    PROBE_DELTA,
+    SEARCH_CEILING,
     GapMeasure,
     GroupElement,
     PairingKind,
@@ -13,6 +17,7 @@ from qpendulum.symmetry import (
     classify_region,
     compose,
     find_boundary,
+    level_boundary,
     pair_gap,
     subgroup_invariance_check,
     sweep_characteristics,
@@ -67,6 +72,17 @@ def test_klein_group_axioms():
         assert compose(GroupElement.E, g) is g
     assert compose(GroupElement.A, GroupElement.B) is GroupElement.C
     assert compose(GroupElement.C, GroupElement.B) is GroupElement.A
+
+
+def test_subgroups_are_closed_and_cover_the_group():
+    generators = set()
+    for sub in Subgroup:
+        e, g = sub.elements
+        assert e is GroupElement.E and g is not GroupElement.E
+        assert {compose(x, y) for x in sub.elements for y in sub.elements} \
+            == set(sub.elements)
+        generators.add(g)
+    assert generators == set(GroupElement) - {GroupElement.E}
 
 
 @pytest.mark.parametrize("l", [0.0, 3.42, 23.93])
@@ -154,6 +170,82 @@ def test_well_boundary_monotone_in_pair_index():
 def test_boundary_not_found():
     with pytest.raises(BoundaryNotFoundError):
         find_boundary(1, PairingKind.WELL, 1e-2, ceiling=0.5)
+
+
+def reference_find_boundary(n, pairing, epsilon, measure):
+    """The two-loop search that preceded the shared bisection: (l_c, bracket)."""
+    gap = lambda l: pair_gap(n, pairing, l, measure)
+
+    if pairing is PairingKind.ROTOR:
+        if gap(PROBE_DELTA) >= epsilon:
+            return 0.0, (0.0, PROBE_DELTA)
+        lo, hi = PROBE_DELTA, 0.01
+        while gap(hi) < epsilon:
+            lo, hi = hi, 2.0 * hi
+            if hi > SEARCH_CEILING:
+                raise BoundaryNotFoundError(f"rotor n={n}")
+        below, above = lo, hi  # gap(below) < eps <= gap(above)
+        while above - below > BISECTION_TOL:
+            mid = 0.5 * (below + above)
+            if gap(mid) < epsilon:
+                below = mid
+            else:
+                above = mid
+        return 0.5 * (below + above), (below, above)
+
+    lo = PROBE_DELTA
+    if gap(lo) < epsilon:
+        return lo, (0.0, lo)
+    step = 0.25
+    hi = lo
+    while gap(hi) >= epsilon:
+        lo, hi = hi, hi + step
+        if hi > SEARCH_CEILING:
+            raise BoundaryNotFoundError(f"well n={n}")
+    above, below = lo, hi  # gap(above) >= eps > gap(below)
+    while below - above > BISECTION_TOL:
+        mid = 0.5 * (above + below)
+        if gap(mid) >= epsilon:
+            above = mid
+        else:
+            below = mid
+    return 0.5 * (above + below), (above, below)
+
+
+@pytest.mark.parametrize("epsilon", [ref.CALIBRATED_EPS_ROTOR,
+                                     ref.CALIBRATED_EPS_WELL])
+@pytest.mark.parametrize("pairing", list(PairingKind))
+def test_shared_bisection_bit_identical_to_two_loops(pairing, epsilon):
+    first = 1 if pairing is PairingKind.ROTOR else 0
+    for pair in range(first, 13):
+        b = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
+        l_c, bracket = reference_find_boundary(pair, pairing, epsilon,
+                                               GapMeasure.RELATIVE)
+        assert (b.l_c, b.bracket) == (l_c, bracket), pair
+
+
+def test_shared_bisection_bit_identical_on_absolute_fallback():
+    # merging row n=2 falls back to the absolute gap pinned at 7.51
+    b = level_boundary(2, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                       ref.MERGING_POINTS[2])
+    assert b.measure is GapMeasure.ABSOLUTE
+    l_c, bracket = reference_find_boundary(
+        well_pair_for_level(2), PairingKind.WELL, b.gap_threshold,
+        GapMeasure.ABSOLUTE)
+    assert (b.l_c, b.bracket) == (l_c, bracket)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_thresholds_must_be_finite_and_positive(bad):
+    for pairing in PairingKind:
+        with pytest.raises(DomainError):
+            find_boundary(3, pairing, bad)
+        with pytest.raises(DomainError):
+            level_boundary(3, pairing, bad, 5.0)
+    with pytest.raises(DomainError):
+        classify_region(2, 3.0, bad, 9.95e-3)
+    with pytest.raises(DomainError):
+        classify_region(2, 3.0, 4.989e-3, bad)
 
 
 def test_classify_region_progression():
