@@ -128,8 +128,9 @@ def classify_equilibria(U_amplitude: float) -> list[EquilibriumPoint]:
     The stationary angles are phi = 0 and phi = pi; which one is the
     unstable saddle follows the sign of the curvature U cos(phi).
     """
-    if U_amplitude == 0:
-        raise DomainError("U = 0 leaves the rotor free; no isolated equilibria")
+    if not 0 < abs(U_amplitude) < np.inf:
+        raise DomainError(f"U must be finite and nonzero, got {U_amplitude}; "
+                          "U = 0 leaves the rotor free")
     if U_amplitude > 0:
         return [
             EquilibriumPoint(0.0, EquilibriumKind.HYPERBOLIC),

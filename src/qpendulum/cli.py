@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     SeparatrixError,
 )
-from .mathieu import TRUNCATION_CAP
 from .report import (
     HEADERS,
     build_bundle,
@@ -51,16 +50,35 @@ EXIT_CONVERGENCE = 3
 EXIT_GATE = 4
 
 
-def _emit(path: str | None, header, rows, fmt: str) -> None:
+def _resolve_out(path: str | None, directory: bool) -> Path | None:
+    """``--out`` checked before any work: a directory (made here) or a file."""
+    if path is None:
+        return None
+    out = Path(path)
+    if directory:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"--out {path}: not a directory ({exc})") from None
+    elif out.is_dir() or not out.parent.is_dir():
+        raise DomainError(f"--out {path}: not a file in an existing directory")
+    return out
+
+
+def _write(out: Path | None, text: str) -> None:
+    if out:
+        out.write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(out: Path | None, header, rows, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2) + "\n"
     else:
         text = format_csv(header, rows)
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, text)
 
 
 def cmd_characteristics(args) -> int:
@@ -79,8 +97,8 @@ def cmd_regions(args) -> int:
     per-row fallback as the report; ``--epsilon`` searches every row
     with that one relative threshold.
     """
-    if args.n_max > 12:
-        raise DomainError("n_max must be <= 12")
+    if not 1 <= args.n_max <= 12:
+        raise DomainError(f"n_max must be in 1..12, got {args.n_max}")
     tables = ((PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
               (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS))
     rows = []
@@ -106,20 +124,16 @@ def cmd_regions(args) -> int:
 
 def cmd_observables(args) -> int:
     t3, t4, fluct = observable_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
-    base = Path(args.out) if args.out else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    write_csv(base / "table3.csv", HEADERS["table3"], t3)
-    write_csv(base / "table4.csv", HEADERS["table4"], t4)
-    write_csv(base / "fluctuations.csv", HEADERS["fluctuations"], fluct)
+    write_csv(args.out / "table3.csv", HEADERS["table3"], t3)
+    write_csv(args.out / "table4.csv", HEADERS["table4"], t4)
+    write_csv(args.out / "fluctuations.csv", HEADERS["fluctuations"], fluct)
     return EXIT_OK
 
 
 def cmd_uncertainty(args) -> int:
     t5, t6 = uncertainty_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
-    base = Path(args.out) if args.out else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    write_csv(base / "table5.csv", HEADERS["table5"], t5)
-    write_csv(base / "table6.csv", HEADERS["table6"], t6)
+    write_csv(args.out / "table5.csv", HEADERS["table5"], t5)
+    write_csv(args.out / "table6.csv", HEADERS["table6"], t6)
     return EXIT_OK
 
 
@@ -127,7 +141,7 @@ def cmd_density(args) -> int:
     if args.points < 16:
         raise DomainError("points must be >= 16")
     family = StateFamily(args.family)
-    state = build_state(StateSpec(family, args.n, args.l), args.truncation_cap)
+    state = build_state(StateSpec(family, args.n, args.l))
     phi = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     rows = [(float(p), float(d)) for p, d in density(state, phi)]
     total = float(np.trapezoid([d for _, d in rows] + [rows[0][1]],
@@ -139,8 +153,9 @@ def cmd_density(args) -> int:
 
 def cmd_classical(args) -> int:
     params = ClassicalParams(args.omega_prime, args.U, args.E)
-    if not np.isfinite(args.t_max):
-        raise DomainError(f"t_max must be finite, got {args.t_max}")
+    if not np.isfinite(args.t_max) or args.steps < 2:
+        raise DomainError(f"need a finite t_max and steps >= 2, got "
+                          f"t_max={args.t_max}, steps={args.steps}")
     t_grid = np.linspace(0.0, args.t_max, args.steps)
     convention = ArgConvention(args.arg_convention)
     rows = [(float(t), float(v))
@@ -174,18 +189,13 @@ def cmd_torsion(args) -> int:
         "metadata": params.metadata,
         "regions": regions,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     bundle = build_bundle()
-    out_dir = Path(args.out or "report")
-    write_bundle(bundle, out_dir)
+    write_bundle(bundle, args.out)
     if bundle.gate_failures:
         for msg in bundle.gate_failures:
             print(f"gate failure: {msg}", file=sys.stderr)
@@ -200,11 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "velocity-jump observables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, fmt=False):
-        """Subcommand with --out; fmt adds --format for :func:`_emit`."""
+    def add(name, func, summary, fmt=False, out_dir=None):
+        """Subcommand with --out, a directory if it has a default ``out_dir``
+        and a file otherwise; fmt adds --format for :func:`_emit`."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        p.add_argument("--out", default=None, help="output file or directory")
+        p.set_defaults(func=func, out_is_dir=out_dir is not None)
+        p.add_argument("--out", default=out_dir,
+                       help=f"output {'directory' if out_dir else 'file'}")
         if fmt:
             p.add_argument("--format", choices=["csv", "json"], default="csv")
         return p
@@ -222,12 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one relative gap threshold for every row, "
                         "without the per-row fallback")
 
-    add("observables", cmd_observables, "velocity-jump tables")
-    add("uncertainty", cmd_uncertainty, "angular uncertainty tables")
+    add("observables", cmd_observables, "velocity-jump tables", out_dir=".")
+    add("uncertainty", cmd_uncertainty, "angular uncertainty tables", out_dir=".")
 
     p = add("density", cmd_density, "probability density of one state",
             fmt=True)
-    p.add_argument("--truncation-cap", type=int, default=TRUNCATION_CAP)
     p.add_argument("--family", required=True,
                    choices=[f.value for f in StateFamily])
     p.add_argument("-n", type=int, required=True)
@@ -251,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V0", type=float, default=None)
     p.add_argument("--n-fold", dest="n_fold", type=int, default=None)
 
-    add("report", cmd_report, "regenerate all tables and figures")
+    add("report", cmd_report, "regenerate all tables and figures",
+        out_dir="report")
 
     return parser
 
@@ -260,6 +272,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.out = _resolve_out(args.out, args.out_is_dir)
         return args.func(args)
     except (DomainError, SeparatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mathieu import TRUNCATION_CAP, ce_series, se_series
+from .mathieu import ce_series, se_series
 from .series import (
     TrigSeries,
     eval_series,
@@ -77,23 +77,19 @@ class ObservableJump:
         return float(np.sqrt(self.fluct_radicand)) if self.fluct_defined else None
 
 
-def build_state(spec: StateSpec, cap: int = TRUNCATION_CAP) -> QuantumState:
+def build_state(spec: StateSpec) -> QuantumState:
     """Assemble the family's superposition from Mathieu eigenseries."""
     fam, n, l = spec.family, spec.n, spec.l
     if fam is StateFamily.XI:
-        s = ce_series(n, l, cap)
+        s = ce_series(n, l)
     elif fam is StateFamily.ETA:
-        if n < 1:
-            raise DomainError("eta requires n >= 1")
-        s = se_series(n, l, cap)
+        s = se_series(n, l)
     elif fam in (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS):
-        if n < 1:
-            raise DomainError("phi states require n >= 1")
         sign = 1.0 if fam is StateFamily.PHI_PLUS else -1.0
-        s = (ce_series(n, l, cap) + sign * 1j * se_series(n, l, cap)) * _INV_SQRT2
+        s = (ce_series(n, l) + sign * 1j * se_series(n, l)) * _INV_SQRT2
     else:
         sign = 1.0 if fam is StateFamily.PSI_PLUS else -1.0
-        s = (ce_series(n, l, cap) + sign * 1j * se_series(n + 1, l, cap)) * _INV_SQRT2
+        s = (ce_series(n, l) + sign * 1j * se_series(n + 1, l)) * _INV_SQRT2
     norm_check = abs(inner_product(s, s).real - 1.0)
     return QuantumState(spec, s, norm_check)
 

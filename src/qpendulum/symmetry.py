@@ -175,6 +175,8 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     Rows are ordered by (l, class, n); class labels are the enum values.
     Each family costs one :func:`characteristic_values` solve per l.
     """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     l_grid = [float(l) for l in l_grid]
     if not l_grid:
         raise DomainError("l_grid must be nonempty")
@@ -228,7 +230,6 @@ def find_boundary(
     pairing: PairingKind,
     epsilon: float,
     measure: GapMeasure = GapMeasure.RELATIVE,
-    ceiling: float = SEARCH_CEILING,
 ) -> RegionBoundary:
     """Locate the barrier value where the pair's degeneracy switches.
 
@@ -250,20 +251,20 @@ def find_boundary(
         inside, outside = PROBE_DELTA, 0.01
         while gap(outside) < epsilon:
             inside, outside = outside, 2.0 * outside
-            if outside > ceiling:
+            if outside > SEARCH_CEILING:
                 raise BoundaryNotFoundError(
                     f"rotor gap for n={n} never reaches eps={epsilon} "
-                    f"below l={ceiling}")
+                    f"below l={SEARCH_CEILING}")
     else:
         if gap(PROBE_DELTA) < epsilon:
             return boundary(PROBE_DELTA, (0.0, PROBE_DELTA))
         outside, inside = PROBE_DELTA, PROBE_DELTA + WELL_STEP
         while gap(inside) >= epsilon:
             outside, inside = inside, inside + WELL_STEP
-            if inside > ceiling:
+            if inside > SEARCH_CEILING:
                 raise BoundaryNotFoundError(
                     f"well gap for n={n} never drops below eps={epsilon} "
-                    f"below l={ceiling}")
+                    f"below l={SEARCH_CEILING}")
     while abs(outside - inside) > BISECTION_TOL:
         mid = 0.5 * (inside + outside)
         if gap(mid) < epsilon:

@@ -22,8 +22,8 @@ HBAR_SI = 1.054571817e-34  # J s
 
 def reduced_inertia(I1: float, I2: float) -> float:
     """I = I1 I2 / (I1 + I2) for two coaxial rigid parts."""
-    if I1 <= 0 or I2 <= 0:
-        raise DomainError("moments of inertia must be positive")
+    if not (0 < I1 < np.inf and 0 < I2 < np.inf):
+        raise DomainError("moments of inertia must be positive and finite")
     return I1 * I2 / (I1 + I2)
 
 
@@ -43,9 +43,11 @@ class TorsionRotor:
     hbar: float = HBAR_SI
 
     def __post_init__(self):
-        if self.I1 <= 0 or self.I2 <= 0 or self.V0 < 0:
-            raise DomainError("inertias must be positive and V0 nonnegative")
-        if self.n_fold < 1:
+        if not (0 < self.I1 < np.inf and 0 < self.I2 < np.inf
+                and 0 <= self.V0 < np.inf and 0 < self.hbar < np.inf):
+            raise DomainError("inertias and hbar must be positive and V0 "
+                              f"nonnegative, all finite, got {self}")
+        if not 1 <= self.n_fold < np.inf:
             raise DomainError(f"n_fold must be >= 1, got {self.n_fold}")
 
     @property
@@ -94,12 +96,12 @@ def lorentz_to_universal(m: float, omega0: float, mu: float,
     l = 8 U / (hbar^2 omega'), in rescaled hbar = 1 units since the
     oscillator parameters are dimensionless there.
     """
-    if m <= 0 or omega0 <= 0:
-        raise DomainError("m and omega0 must be positive")
-    if mu == 0:
-        raise DomainError("mu = 0 gives zero nonlinearity; l is undefined")
-    if I0 < 0:
-        raise DomainError("I0 must be nonnegative")
+    if not (0 < m < np.inf and 0 < omega0 < np.inf):
+        raise DomainError("m and omega0 must be positive and finite")
+    if not 0 < abs(mu) < np.inf:
+        raise DomainError("mu must be finite and nonzero (mu = 0: l undefined)")
+    if not (0 <= I0 < np.inf and np.isfinite(V0)):
+        raise DomainError("I0 must be nonnegative and I0, V0 finite")
     omega_prime = 3.0 * np.pi * mu / (2.0 * m * omega0 ** 2)
     U = V0 * np.sqrt(I0 / (m * omega0))
     l = 8.0 * U / omega_prime

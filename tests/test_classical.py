@@ -171,3 +171,9 @@ def test_params_validation():
                 ClassicalParams(*args)
     assert ClassicalParams(1.0, 1.0, 3.0).modulus == pytest.approx(
         np.sqrt(0.5), abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_equilibria_rejects_nonfinite(bad):
+    with pytest.raises(DomainError):
+        classify_equilibria(bad)

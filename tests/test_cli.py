@@ -77,10 +77,16 @@ def test_density_flat(tmp_path):
 
 
 def test_density_truncation_cap_exit_code():
-    # at l = 1e5 sizes 24 and 48 still disagree (l = 55 converges at 48)
-    code = main(["density", "--family", "xi", "-n", "8", "-l", "1e5",
-                 "--truncation-cap", "48"])
+    # at l = 1e11 sizes 256 and 512, the fixed cap, still disagree
+    code = main(["density", "--family", "xi", "-n", "8", "-l", "1e11"])
     assert code == EXIT_CONVERGENCE
+
+
+def test_truncation_cap_is_not_an_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--family", "xi", "-n", "8", "-l", "55",
+              "--truncation-cap", "48"])
+    assert exc.value.code == EXIT_VALIDATION
 
 
 def test_density_validation():
@@ -182,6 +188,47 @@ def test_csv_stdout_matches_file(argv, tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical", "--E", "3", "--U", "1", "--steps", "-1"],
+    ["classical", "--E", "3", "--U", "1", "--steps", "0"],
+    ["characteristics", "--n-max", "-1"],
+    ["regions", "--n-max", "0"],
+    ["regions", "--n-max", "-3"],
+    ["regions", "--n-max", "13"],
+])
+def test_counts_out_of_range_exit_code(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["observables"], "file"),
+    (["uncertainty"], "file"),
+    (["report"], "file"),
+    (["characteristics", "--n-max", "1", "--steps", "2"], "dir"),
+    (["torsion", "--preset", "ethane"], "dir"),
+    (["characteristics", "--n-max", "1", "--steps", "2"], "orphan"),
+])
+def test_out_of_the_wrong_kind_exit_code(argv, kind, tmp_path, capsys,
+                                        monkeypatch):
+    import qpendulum.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for name in ("build_bundle", "observable_tables", "uncertainty_tables",
+                 "sweep_characteristics", "torsion_to_mathieu"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = {"file": tmp_path / "taken.csv", "dir": tmp_path,
+           "orphan": tmp_path / "missing" / "out.csv"}[kind]
+    if kind == "file":
+        out.write_text("keep\n")
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+    if kind == "file":
+        assert out.read_text() == "keep\n"
+
+
 def test_report_determinism(tmp_path):
     from qpendulum.report import DATA_FILES
 
@@ -207,7 +254,7 @@ def test_report_metadata_complete(tmp_path):
 
 
 def test_report_rejects_unused_truncation_cap(tmp_path):
-    # The report's solves all run at the default cap, so report has no
+    # The solver has one fixed cap, so report has no
     # --truncation-cap flag and argparse refuses it before any work.
     out = tmp_path / "rep"
     with pytest.raises(SystemExit) as exc:

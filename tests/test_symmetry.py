@@ -140,6 +140,8 @@ def test_sweep_validates_grid():
         sweep_characteristics(2, [1.0, 0.5])
     with pytest.raises(DomainError):
         sweep_characteristics(2, [-1.0, 0.5])
+    with pytest.raises(DomainError):
+        sweep_characteristics(-1, [0.0, 0.5])
 
 
 def test_pair_gap_measures():
@@ -168,8 +170,12 @@ def test_well_boundary_monotone_in_pair_index():
 
 
 def test_boundary_not_found():
+    # the rotor doubling scan passes SEARCH_CEILING with the gap below 1e6
     with pytest.raises(BoundaryNotFoundError):
-        find_boundary(1, PairingKind.WELL, 1e-2, ceiling=0.5)
+        find_boundary(1, PairingKind.ROTOR, 1e6, GapMeasure.ABSOLUTE)
+    # the well scan reaches SEARCH_CEILING before the gap drops below 1e-12
+    with pytest.raises(BoundaryNotFoundError):
+        find_boundary(12, PairingKind.WELL, 1e-12, GapMeasure.RELATIVE)
 
 
 def reference_find_boundary(n, pairing, epsilon, measure):

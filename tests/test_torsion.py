@@ -130,3 +130,19 @@ def test_rotor_validation():
         TorsionRotor(-1.0, 1.0, 1.0, 3)
     with pytest.raises(DomainError):
         TorsionRotor(1.0, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_physical_inputs_rejected(bad):
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(DomainError):
+            reduced_inertia(*args)
+    for args in ((bad, 1.0, 1.0, 3), (1.0, bad, 1.0, 3), (1.0, 1.0, bad, 3),
+                 (1.0, 1.0, 1.0, 3, bad)):
+        with pytest.raises(DomainError):
+            TorsionRotor(*args)
+    for i in range(5):
+        args = [1.0] * 5
+        args[i] = bad
+        with pytest.raises(DomainError):
+            lorentz_to_universal(*args)
