@@ -51,6 +51,7 @@ from .symmetry import (
     apply_group_element,
     calibrate_epsilon,
     classify_region,
+    classify_regions,
     find_boundary,
     level_boundary,
     pair_gap,

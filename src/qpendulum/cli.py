@@ -38,7 +38,7 @@ from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
     GapMeasure,
     PairingKind,
-    classify_region,
+    classify_regions,
     level_boundary,
     sweep_characteristics,
 )
@@ -176,18 +176,15 @@ def cmd_torsion(args) -> int:
                 f"(missing: {', '.join(missing)})")
         rotor = TorsionRotor(args.I1, args.I2, args.V0, args.n_fold)
     params = torsion_to_mathieu(rotor)
-    regions = {
-        str(n): classify_region(n, params.l, ref.CALIBRATED_EPS_ROTOR,
-                                ref.CALIBRATED_EPS_WELL).value
-        for n in range(1, 9)
-    }
+    regions = classify_regions(range(1, 9), params.l, ref.CALIBRATED_EPS_ROTOR,
+                               ref.CALIBRATED_EPS_WELL)
     payload = {
         "l": params.l,
         "U": params.U,
         "omega_prime": params.omega_prime,
         "energy_scale_J": params.energy_scale,
         "metadata": params.metadata,
-        "regions": regions,
+        "regions": {str(n): g.value for n, g in regions.items()},
     }
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -5,11 +5,11 @@ The four parity families are the characters of Klein's four-group
 phi -> -phi, and its lowest harmonic p, whose parity is that under
 phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
-engine, :func:`_converge`, serves every entry point: it solves one
-family at one barrier for a range of orders, values only, doubling the
-matrix size until the values settle. The returned coefficient vectors
-live directly on the orthonormal basis of :mod:`qpendulum.series`, so
-states built here have unit L2 norm over one period by construction.
+engine, :func:`_converge`, serves every entry point: it solves one family
+at one barrier for a range of orders, values only, by direct LAPACK
+``dstebz`` calls, doubling the matrix size until the values settle. The
+coefficient vectors live directly on the orthonormal basis of
+:mod:`qpendulum.series`: states have unit L2 norm by construction.
 
 Convergence rule
 ----------------
@@ -21,17 +21,17 @@ than ``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
 where ||T|| = max|diag| + 2 max|off| bounds the norm of the larger
 matrix: below that floor the LAPACK bisection itself jitters. A range
 still moving at the cap raises :class:`ConvergenceError` with the worst
-order's last two iterates.
+order's last two iterates, a ``dstebz`` failure status without them.
 
 Caches
 ------
 Two caches of 16,384 entries each: :func:`characteristic_values` keeps
 the values of one (family, order range, l), :func:`spectral_level` the
 eigenpair of one (family, order, l). Eigenvectors come from one extra
-solve at the engine's converged size, and only on request. Inputs are
-validated inside the cached functions, so a hit is a single lookup; the
-caches are typed, so ``True`` or ``2.0`` never hit an entry made for
-``1`` or ``2`` and always meet the validation.
+scipy ``eigh_tridiagonal`` solve at the converged size, on request only.
+Inputs are validated inside the cached functions, so a hit is a single
+lookup; the caches are typed, so ``True`` or ``2.0`` never hit an entry
+made for ``1`` or ``2`` and always meet the validation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import ConvergenceError, DomainError
 from .series import TrigSeries
@@ -77,8 +78,8 @@ class MathieuClass(enum.Enum):
 
     def eigen_index(self, n: int) -> int:
         """Position (n - p)/2 of order n in its family's ascending spectrum."""
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or n < self.lowest or (n - self.lowest) % 2):
+        check_count(n, self.lowest, "order")
+        if (n - self.lowest) % 2:
             raise DomainError(f"{self.value} admits orders {self.lowest}, "
                               f"{self.lowest + 2}, ..., got {n!r}")
         return (n - self.lowest) // 2
@@ -137,6 +138,12 @@ def initial_truncation(n: int, l: float) -> int:
     return max(32, n + 8 * int(np.ceil(np.sqrt(max(l, 0.0)))))
 
 
+def check_count(n, lowest: int, name: str) -> None:
+    """Raise DomainError unless n is an integer (not a bool) >= lowest."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < lowest:
+        raise DomainError(f"{name} must be an integer >= {lowest}, got {n!r}")
+
+
 def _barrier(l) -> float:
     """``l`` as a float; raises DomainError unless finite and nonnegative."""
     value = math.nan
@@ -171,9 +178,12 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     prev = None
     while True:
         diag, off = _tridiagonal(mathieu_class, l, size)
-        values = eigvalsh_tridiagonal(diag, off, select="i",
-                                      select_range=(k_lo, k_hi),
-                                      check_finite=False)
+        found, values, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, k_lo + 1,
+                                           k_hi + 1, 0.0, "E")
+        if info or found < k_hi - k_lo + 1:
+            raise ConvergenceError(f"dstebz info={info}, {found} values at size "
+                                   f"{size} for ({mathieu_class.value}, l={l})")
+        values = values[:found]
         if prev is not None:
             norm = np.abs(diag).max() + 2.0 * np.abs(off).max()
             tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(values)),

@@ -2,7 +2,8 @@
 
 Covers the Klein four-group of angle maps acting on trig series, the
 characteristic-curve sweep E_n(l), and the splitting / merging points
-that bound the three symmetry regions of each level.
+that bound the three symmetry regions of each level; sweep rows and
+region labels take one batched solve per parity family and barrier.
 
 Klein four-group
 ----------------
@@ -48,7 +49,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import AmbiguityError, BoundaryNotFoundError, DomainError
-from .mathieu import a_value, b_value, ce_class, characteristic_values, se_class
+from .mathieu import (MathieuClass, a_value, b_value, ce_class,
+                      characteristic_values, check_count, se_class)
 from .series import TrigSeries, inner_product
 
 SEARCH_CEILING = 200.0
@@ -148,10 +150,7 @@ class PairingKind(enum.Enum):
     WELL = "well"
 
     def validate(self, n: int) -> None:
-        if self is PairingKind.ROTOR and n < 1:
-            raise DomainError(f"rotor pairing requires n >= 1, got {n}")
-        if self is PairingKind.WELL and n < 0:
-            raise DomainError(f"well pairing requires n >= 0, got {n}")
+        check_count(n, int(self is PairingKind.ROTOR), "pair index")
 
 
 class GapMeasure(enum.Enum):
@@ -169,14 +168,24 @@ class RegionBoundary:
     measure: GapMeasure
 
 
+def _spectrum(n_max: int, l: float) -> tuple[list[float], list[float]]:
+    """[a_0..a_{n_max}] and [nan, b_1..b_{n_max}] at l: one solve per family."""
+    ce, se = [math.nan] * (n_max + 1), [math.nan] * (n_max + 1)
+    for cls in MathieuClass:
+        if cls.lowest <= n_max:
+            top = n_max - (n_max - cls.lowest) % 2
+            (ce if cls.is_cosine else se)[cls.lowest:top + 1:2] = (
+                characteristic_values(cls, cls.lowest, top, l))
+    return ce, se
+
+
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
     """Characteristic values for every class/order up to n_max on a grid.
 
     Rows are ordered by (l, class, n); class labels are the enum values.
     Each family costs one :func:`characteristic_values` solve per l.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_count(n_max, 0, "n_max")
     l_grid = [float(l) for l in l_grid]
     if not l_grid:
         raise DomainError("l_grid must be nonempty")
@@ -184,24 +193,14 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
         b <= a for a, b in zip(l_grid, l_grid[1:])
     ):
         raise DomainError("l_grid must be nonnegative and strictly ascending")
-    order = [(ce_class(n), n) for n in range(0, n_max + 1)]
-    order += [(se_class(n), n) for n in range(1, n_max + 1)]
-    ranges = {}  # family -> [lowest, highest] order; orders ascend
-    for cls, n in order:
-        ranges.setdefault(cls, [n, n])[1] = n
+    order = [(ce_class(n).value, n) for n in range(0, n_max + 1)]
+    order += [(se_class(n).value, n) for n in range(1, n_max + 1)]
     rows = []
     for l in l_grid:
-        values = {cls: iter(characteristic_values(cls, lo, hi, l))
-                  for cls, (lo, hi) in ranges.items()}
-        rows.extend((cls.value, n, l, next(values[cls])) for cls, n in order)
+        ce, se = _spectrum(n_max, l)
+        rows.extend((label, n, l, value)
+                    for (label, n), value in zip(order, ce + se[1:]))
     return rows
-
-
-def _pair_values(n: int, pairing: PairingKind, l: float) -> tuple[float, float]:
-    pairing.validate(n)
-    if pairing is PairingKind.ROTOR:
-        return a_value(n, l), b_value(n, l)
-    return a_value(n, l), b_value(n + 1, l)
 
 
 def pair_gap(n: int, pairing: PairingKind, l: float,
@@ -210,12 +209,17 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
 
     The relative measure is +inf where the pair mean vanishes.
     """
-    ea, eb = _pair_values(n, pairing, l)
-    gap = abs(ea - eb)
+    pairing.validate(n)
+    ea, eb = a_value(n, l), b_value(n + (pairing is PairingKind.WELL), l)
     if measure is GapMeasure.ABSOLUTE:
-        return gap
+        return abs(ea - eb)
+    return _relative_gap(ea, eb)
+
+
+def _relative_gap(ea: float, eb: float) -> float:
+    """|ea - eb| over |(ea + eb)/2|; +inf where the pair mean vanishes."""
     mean = abs(0.5 * (ea + eb))
-    return gap / mean if mean > 0 else math.inf
+    return abs(ea - eb) / mean if mean > 0 else math.inf
 
 
 def _check_threshold(epsilon: float) -> None:
@@ -277,8 +281,7 @@ def find_boundary(
 
 def well_pair_for_level(n: int) -> int:
     """Well-pair index whose merging bounds level n: pair (ce_{n-1}, se_n)."""
-    if n < 1:
-        raise DomainError(f"level must be >= 1, got {n}")
+    check_count(n, 1, "level")
     return n - 1
 
 
@@ -302,29 +305,39 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
 
 
-def classify_region(n: int, l: float, epsilon_rotor: float,
-                    epsilon_well: float) -> Subgroup:
-    """Symmetry region of level n at barrier l, by relative gaps.
+def classify_regions(levels, l: float, epsilon_rotor: float,
+                     epsilon_well: float) -> dict[int, Subgroup]:
+    """Symmetry region of each level at barrier l, by relative gaps.
 
-    G- while the rotor pair (ce_n, se_n) is degenerate, G+ once the
-    well pair (ce_{n-1}, se_n) is, G0 in between. Raises if both gaps
-    are simultaneously below threshold.
+    Level n is G- while the rotor pair (ce_n, se_n) is degenerate, G+ once
+    the well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
+    Every level is checked, then all share one solve per parity family.
     """
+    levels = list(levels)
+    if not levels:
+        raise DomainError("at least one level is required")
+    for n in levels:
+        check_count(n, 1, "level")
     _check_threshold(epsilon_rotor)
     _check_threshold(epsilon_well)
-    rotor = pair_gap(n, PairingKind.ROTOR, l, GapMeasure.RELATIVE) < epsilon_rotor
-    well = pair_gap(well_pair_for_level(n), PairingKind.WELL, l,
-                    GapMeasure.RELATIVE) < epsilon_well
-    if rotor and well:
-        raise AmbiguityError(
-            f"level n={n} at l={l} looks degenerate in both pairings",
-            samples={"l": l, "eps_rotor": epsilon_rotor, "eps_well": epsilon_well},
-        )
-    if rotor:
-        return Subgroup.G_MINUS
-    if well:
-        return Subgroup.G_PLUS
-    return Subgroup.G_ZERO
+    ce, se = _spectrum(max(levels), l)
+    regions = {}
+    for n in levels:
+        rotor = _relative_gap(ce[n], se[n]) < epsilon_rotor
+        well = _relative_gap(ce[n - 1], se[n]) < epsilon_well
+        if rotor and well:
+            raise AmbiguityError(
+                f"level n={n} at l={l} looks degenerate in both pairings",
+                samples=dict(l=l, eps_rotor=epsilon_rotor, eps_well=epsilon_well))
+        regions[n] = (Subgroup.G_MINUS if rotor else
+                      Subgroup.G_PLUS if well else Subgroup.G_ZERO)
+    return regions
+
+
+def classify_region(n: int, l: float, epsilon_rotor: float,
+                    epsilon_well: float) -> Subgroup:
+    """Symmetry region of level n alone; see :func:`classify_regions`."""
+    return classify_regions([n], l, epsilon_rotor, epsilon_well)[n]
 
 
 # ---------------------------------------------------------------------------

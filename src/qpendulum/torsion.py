@@ -4,7 +4,8 @@ Two physical front ends feed the Mathieu machinery: hindered internal
 rotation of a symmetric-top molecule (reduced inertia + n-fold cosine
 barrier) and the driven Lorentz-model nonlinear oscillator. Both
 produce a barrier strength l and an energy scale converting Mathieu
-characteristic values back to physical energies.
+characteristic values back to physical energies. Schedule region labels
+take one batched solve per parity family and barrier value.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .symmetry import classify_region
+from .mathieu import check_count
+from .symmetry import classify_regions
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -47,8 +49,7 @@ class TorsionRotor:
                 and 0 <= self.V0 < np.inf and 0 < self.hbar < np.inf):
             raise DomainError("inertias and hbar must be positive and V0 "
                               f"nonnegative, all finite, got {self}")
-        if not 1 <= self.n_fold < np.inf:
-            raise DomainError(f"n_fold must be >= 1, got {self.n_fold}")
+        check_count(self.n_fold, 1, "n_fold")
 
     @property
     def reduced(self) -> float:
@@ -135,8 +136,7 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     prev: dict | None = None
     for t in t_grid:
         l_t = max(l_c + delta_l * np.cos(omega * t), 0.0)
-        regions = {n: classify_region(n, l_t, eps_rotor, eps_well)
-                   for n in levels}
+        regions = classify_regions(levels, l_t, eps_rotor, eps_well)
         crossing = prev is not None and regions != prev
         out.append(SchedulePoint(float(t), float(l_t), regions, crossing))
         prev = regions

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +265,14 @@ def test_report_rejects_unused_truncation_cap(tmp_path):
         main(["report", "--truncation-cap", "48", "--out", str(out)])
     assert exc.value.code == EXIT_VALIDATION
     assert not out.exists()
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpendulum", "regions", "--n-max", "2"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n,pairing,l_c,epsilon,measure"
+    assert len(proc.stdout.splitlines()) == 5

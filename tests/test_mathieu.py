@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
+from qpendulum import mathieu
+from qpendulum.cli import EXIT_CONVERGENCE, main
 from qpendulum.errors import ConvergenceError, DomainError
 from qpendulum.mathieu import (
+    TRUNCATION_CAP,
     MathieuClass,
     a_value,
     b_value,
@@ -129,6 +133,56 @@ def test_convergence_error_reports_iterates():
     with pytest.raises(ConvergenceError) as err:
         characteristic_value(MathieuClass.CE_EVEN, 0, 1e11)
     assert err.value.last_iterates is not None
+
+
+@pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
+@pytest.mark.parametrize("start,width", [(0, 1), (0, 5), (3, 1), (3, 5)])
+@pytest.mark.parametrize("cls", list(MathieuClass))
+def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
+                                                         monkeypatch):
+    """Each direct LAPACK call returns exactly what scipy's
+    eigvalsh_tridiagonal gives for the same bands and index range, and
+    the converged values are the last of them. At l = 1e4 the first
+    size is the cap, so half the cap is solved first."""
+    calls = []
+    real = mathieu.dstebz
+
+    def spy(diag, off, *args):
+        found, w, iblock, isplit, info = real(diag, off, *args)
+        calls.append((diag.copy(), off.copy(), w[:found].copy()))
+        return found, w, iblock, isplit, info
+
+    monkeypatch.setattr(mathieu, "dstebz", spy)
+    characteristic_values.cache_clear()
+    n_lo = cls.lowest + 2 * start
+    n_hi = n_lo + 2 * (width - 1)
+    values = characteristic_values(cls, n_lo, n_hi, l)
+    for diag, off, got in calls:
+        ref = eigvalsh_tridiagonal(diag, off, select="i",
+                                   select_range=(start, start + width - 1),
+                                   check_finite=False)
+        assert len(got) == width and (got == ref).all()
+    assert values == tuple(ref.tolist())
+    if l == 1e4:
+        assert mathieu.initial_truncation(n_hi, l) > TRUNCATION_CAP
+        assert [len(c[0]) for c in calls] == [TRUNCATION_CAP // 2, TRUNCATION_CAP]
+
+
+@pytest.mark.parametrize("fail", ["info", "count"])
+def test_lapack_failure_raises_convergence_error(fail, monkeypatch):
+    real = mathieu.dstebz
+
+    def failing(*args):
+        found, w, iblock, isplit, info = real(*args)
+        return (found, w, iblock, isplit, 1) if fail == "info" else (
+            found - 1, w, iblock, isplit, info)
+
+    monkeypatch.setattr(mathieu, "dstebz", failing)
+    characteristic_values.cache_clear()
+    with pytest.raises(ConvergenceError):
+        characteristic_values(MathieuClass.CE_EVEN, 0, 4, 2.5)
+    assert main(["characteristics", "--n-max", "2", "--l-min", "0",
+                 "--l-max", "1", "--steps", "2"]) == EXIT_CONVERGENCE
 
 
 # Covers LAPACK jitter above the 1e-11 relative tolerance (a_8 and b_9

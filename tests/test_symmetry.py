@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qpendulum.errors import BoundaryNotFoundError, DomainError
+from qpendulum import symmetry
+from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_value, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum import reference as ref
@@ -15,6 +16,7 @@ from qpendulum.symmetry import (
     Subgroup,
     apply_group_element,
     classify_region,
+    classify_regions,
     compose,
     find_boundary,
     level_boundary,
@@ -261,6 +263,76 @@ def test_classify_region_progression():
     assert classify_region(2, 0.01, eps_r, eps_w) is Subgroup.G_MINUS
     assert classify_region(2, 3.0, eps_r, eps_w) is Subgroup.G_ZERO
     assert classify_region(2, 30.0, eps_r, eps_w) is Subgroup.G_PLUS
+
+
+def _classify_by_pair_gaps(n, l, epsilon_rotor, epsilon_well):
+    """Reference: the per-level rule as four single-order solves."""
+    rotor = pair_gap(n, PairingKind.ROTOR, l, GapMeasure.RELATIVE) < epsilon_rotor
+    well = pair_gap(well_pair_for_level(n), PairingKind.WELL, l,
+                    GapMeasure.RELATIVE) < epsilon_well
+    if rotor and well:
+        raise AmbiguityError(f"level n={n} at l={l}")
+    if rotor:
+        return Subgroup.G_MINUS
+    if well:
+        return Subgroup.G_PLUS
+    return Subgroup.G_ZERO
+
+
+def test_classify_regions_matches_per_level_rule():
+    eps_r, eps_w = ref.CALIBRATED_EPS_ROTOR, ref.CALIBRATED_EPS_WELL
+    seen = set()
+    for l in np.linspace(0.0, 60.0, 400).tolist():
+        expected = {n: _classify_by_pair_gaps(n, l, eps_r, eps_w)
+                    for n in range(1, 9)}
+        assert classify_regions(range(1, 9), l, eps_r, eps_w) == expected, l
+        seen.update(expected.values())
+    assert seen == set(Subgroup)
+
+
+def test_classify_regions_raises_on_ambiguity():
+    # wide thresholds make level 2 degenerate in both pairings at l = 1
+    # (relative gaps 0.11 and 0.71); level 1 alone is fine there
+    assert classify_regions([1], 1.0, 0.9, 0.9) == {1: Subgroup.G_ZERO}
+    with pytest.raises(AmbiguityError):
+        classify_regions([1, 2], 1.0, 0.9, 0.9)
+    with pytest.raises(AmbiguityError):
+        classify_region(2, 1.0, 0.9, 0.9)
+
+
+@pytest.mark.parametrize("levels", [[], [1, 0], [1, 2.0], [True], [1, "2"],
+                                    [1, None]])
+def test_classify_regions_checks_levels_before_solving(levels, monkeypatch):
+    calls = []
+    monkeypatch.setattr(symmetry, "characteristic_values",
+                        lambda *args: calls.append(args))
+    with pytest.raises(DomainError):
+        classify_regions(levels, 3.0, 4.989e-3, 9.95e-3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None, np.float64(2.0)])
+def test_integer_counts_outside_the_engine(bad):
+    with pytest.raises(DomainError):
+        sweep_characteristics(bad, [0.0])
+    with pytest.raises(DomainError):
+        well_pair_for_level(bad)
+    for pairing in PairingKind:
+        with pytest.raises(DomainError):
+            pairing.validate(bad)
+        with pytest.raises(DomainError):
+            pair_gap(bad, pairing, 1.0)
+
+
+def test_integer_counts_accept_numpy_integers_and_check_range():
+    assert well_pair_for_level(np.int64(3)) == 2
+    assert len(sweep_characteristics(np.int64(1), [0.0])) == 3
+    PairingKind.WELL.validate(0)
+    for pairing, low in ((PairingKind.ROTOR, 0), (PairingKind.WELL, -1)):
+        with pytest.raises(DomainError):
+            pairing.validate(low)
+    regions = classify_regions(np.arange(1, 4), 3.0, 4.989e-3, 9.95e-3)
+    assert list(regions) == [1, 2, 3]
 
 
 def test_calibrate_epsilon_rotor():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qpendulum import symmetry
 from qpendulum.errors import DomainError
-from qpendulum.mathieu import a_value
+from qpendulum.mathieu import a_value, characteristic_values
 from qpendulum.symmetry import Subgroup
 from qpendulum.torsion import (
     HBAR_SI,
@@ -118,11 +119,31 @@ def test_modulation_schedule_matches_direct_recomputation():
             assert p.regions[n] is classify_region(n, p.l, EPS_R, EPS_W)
 
 
+def test_modulation_schedule_solves_once_per_family_and_time(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return characteristic_values(*args)
+
+    monkeypatch.setattr(symmetry, "characteristic_values", spy)
+    characteristic_values.cache_clear()
+    t = np.linspace(0.0, 3.0, 40)  # omega t < pi: every barrier is distinct
+    sched = modulation_schedule(25.0, 10.0, 1.0, t, list(range(1, 9)),
+                                EPS_R, EPS_W)
+    assert len({p.l for p in sched}) == len(t)
+    assert len(calls) == 4 * len(t)
+    assert characteristic_values.cache_info().misses == 4 * len(t)
+
+
 def test_modulation_schedule_validation():
     with pytest.raises(DomainError):
         modulation_schedule(1.0, 0.0, 1.0, [0.0], [1], EPS_R, EPS_W)
     with pytest.raises(DomainError):
         modulation_schedule(1.0, 0.1, 1.0, [0.0], [], EPS_R, EPS_W)
+    for levels in ([1, 2.5], [True], [0, 1]):
+        with pytest.raises(DomainError):
+            modulation_schedule(1.0, 0.1, 1.0, [0.0], levels, EPS_R, EPS_W)
 
 
 def test_rotor_validation():
@@ -130,6 +151,10 @@ def test_rotor_validation():
         TorsionRotor(-1.0, 1.0, 1.0, 3)
     with pytest.raises(DomainError):
         TorsionRotor(1.0, 1.0, 1.0, 0)
+    for n_fold in (2.5, 3.0, True, "3"):
+        with pytest.raises(DomainError):
+            TorsionRotor(1.0, 1.0, 1.0, n_fold)
+    assert TorsionRotor(1.0, 1.0, 1.0, np.int64(3)).n_fold == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
