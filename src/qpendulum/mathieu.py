@@ -7,9 +7,11 @@ phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
 engine, :func:`_converge`, serves every entry point: it solves one family
 at one barrier for a range of orders, values only, by direct LAPACK
-``dstebz`` calls, doubling the matrix size until the values settle. The
-coefficient vectors live directly on the orthonormal basis of
-:mod:`qpendulum.series`: states have unit L2 norm by construction.
+``dstebz`` calls, doubling the matrix size until the values settle. An
+eigenvector holds the weights of the orthonormal functions cos(h phi) or
+sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2
+norm; :func:`build_series` moves it onto the plane-wave slots of
+:mod:`qpendulum.series`, which keeps the norm.
 
 Convergence rule
 ----------------
@@ -122,7 +124,7 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
 
     The diagonal is the squared ladder. With p = 0 the first row carries
     a sqrt(2) scaling that keeps the matrix symmetric on the orthonormal
-    basis, so eigenvectors are series coefficients as they stand; with
+    cosine basis, so eigenvectors are unit-norm weights as they stand; with
     p = 1 harmonic -1 folds onto 1, +q for cosines and -q for sines.
     """
     off = np.full(size - 1, q, dtype=float)
@@ -238,14 +240,22 @@ def spectral_level(mathieu_class: MathieuClass, n: int, l: float) -> SpectralLev
 
 
 def build_series(level: SpectralLevel) -> TrigSeries:
-    """Place the level's coefficients on their orthonormal basis slots."""
+    """Place the level's weights w on plane-wave slots c_{+-h}.
+
+    cos(h phi) gives w/sqrt(2) on both, sin(h phi) -i w/sqrt(2) on c_{+h}
+    and +i w/sqrt(2) on c_{-h}; the constant keeps c_0 = w, the same fact
+    as the sqrt(2) corner of :func:`_tridiagonal`.
+    """
     cls = level.mathieu_class
     harm = cls.harmonics(len(level.coeffs))
-    cos_k = np.zeros(int(harm[-1]), dtype=np.complex128)
-    sin_k = np.zeros(int(harm[-1]), dtype=np.complex128)
-    const = int(cls.lowest == 0)  # harmonic 0 is the constant slot
-    (cos_k if cls.is_cosine else sin_k)[harm[const:] - 1] = level.coeffs[const:]
-    return TrigSeries(level.coeffs[0] if const else 0.0, cos_k, sin_k)
+    top = int(harm[-1])
+    w = level.coeffs / np.sqrt(2.0)
+    coeffs = np.zeros(2 * top + 1, dtype=np.complex128)
+    coeffs[top + harm] = w if cls.is_cosine else -1j * w
+    coeffs[top - harm] = w if cls.is_cosine else 1j * w
+    if cls.lowest == 0:
+        coeffs[top] = level.coeffs[0]
+    return TrigSeries(coeffs)
 
 
 def ce_series(n: int, l: float) -> TrigSeries:

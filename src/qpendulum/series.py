@@ -1,89 +1,66 @@
-"""Truncated trigonometric series on [0, 2pi) in an orthonormal basis.
+"""Truncated trigonometric series on [0, 2pi) in the plane-wave basis.
 
-The basis is {1/sqrt(2 pi)} + {cos(k phi)/sqrt(pi)} + {sin(k phi)/sqrt(pi)},
-k >= 1, which is orthonormal for the plain L2 inner product on one period.
-All operator algebra (derivatives, multiplication by sin/cos, inner
-products) is done exactly on the coefficients; nothing here samples the
-angle except :func:`eval_series`.
+The basis is e^{ik phi}/sqrt(2 pi), k = -K..K, which is orthonormal for
+the plain L2 inner product on one period. Every operator is exact on the
+coefficient vector: d/dphi multiplies c_k by ik, and cos(phi) and
+sin(phi) combine the two one-slot shifts k -> k +- 1. Nothing here
+samples the angle except :func:`eval_series`.
 
-Coefficients are stored complex so superposition states with relative
-phase i are first-class citizens.
+Coefficients are complex, so superposition states with relative phase i
+are first-class citizens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-_SQRT2 = np.sqrt(2.0)
-
-
-def _as_coeffs(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).copy()
-    arr.setflags(write=False)
-    return arr
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TrigSeries:
-    """Immutable coefficient vector over the orthonormal trig basis.
+    """Immutable coefficients c_{-K}..c_K of e^{ik phi}/sqrt(2 pi).
 
-    ``c0`` multiplies 1/sqrt(2 pi); ``cos_k[i]`` multiplies
-    cos((i+1) phi)/sqrt(pi); ``sin_k[i]`` multiplies sin((i+1) phi)/sqrt(pi).
+    ``coeffs`` has odd length 2K + 1, with c_0 in the middle.
     """
 
-    c0: complex = 0.0
-    cos_k: np.ndarray = field(default_factory=lambda: _as_coeffs([]))
-    sin_k: np.ndarray = field(default_factory=lambda: _as_coeffs([]))
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", complex(self.c0))
-        object.__setattr__(self, "cos_k", _as_coeffs(self.cos_k))
-        object.__setattr__(self, "sin_k", _as_coeffs(self.sin_k))
+        arr = np.array(self.coeffs, dtype=np.complex128)
+        if arr.ndim != 1 or len(arr) % 2 == 0:
+            raise DomainError(
+                f"coefficients must be 1-D of odd length, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def n_harmonics(self) -> int:
-        return max(len(self.cos_k), len(self.sin_k))
-
-    def cos_coeff(self, k: int) -> complex:
-        if k == 0:
-            return self.c0
-        return complex(self.cos_k[k - 1]) if k <= len(self.cos_k) else 0.0
-
-    def sin_coeff(self, k: int) -> complex:
-        return complex(self.sin_k[k - 1]) if k <= len(self.sin_k) else 0.0
+        return len(self.coeffs) // 2
 
     def __add__(self, other: "TrigSeries") -> "TrigSeries":
         n = max(self.n_harmonics, other.n_harmonics)
-        return TrigSeries(
-            self.c0 + other.c0,
-            _pad(self.cos_k, n) + _pad(other.cos_k, n),
-            _pad(self.sin_k, n) + _pad(other.sin_k, n),
-        )
+        return TrigSeries(_pad(self.coeffs, n) + _pad(other.coeffs, n))
 
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "TrigSeries":
-        z = complex(scalar)
-        return TrigSeries(self.c0 * z, self.cos_k * z, self.sin_k * z)
+        return TrigSeries(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def conj(self) -> "TrigSeries":
-        return TrigSeries(np.conj(self.c0), np.conj(self.cos_k), np.conj(self.sin_k))
 
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).real))
 
 
-def _pad(arr: np.ndarray, n: int) -> np.ndarray:
-    if len(arr) >= n:
-        return np.asarray(arr, dtype=np.complex128)
-    out = np.zeros(n, dtype=np.complex128)
-    out[: len(arr)] = arr
-    return out
+def _pad(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``coeffs`` zero-padded on both sides to harmonics -n..n."""
+    extra = n - len(coeffs) // 2
+    return np.pad(coeffs, extra) if extra else coeffs
 
 
 def inner_product(s1: TrigSeries, s2: TrigSeries) -> complex:
@@ -92,64 +69,31 @@ def inner_product(s1: TrigSeries, s2: TrigSeries) -> complex:
     By orthonormality this is an exact finite sum, not a quadrature.
     """
     n = max(s1.n_harmonics, s2.n_harmonics)
-    out = np.conj(s1.c0) * s2.c0
-    out += np.vdot(_pad(s1.cos_k, n), _pad(s2.cos_k, n))
-    out += np.vdot(_pad(s1.sin_k, n), _pad(s2.sin_k, n))
-    return complex(out)
+    return complex(np.vdot(_pad(s1.coeffs, n), _pad(s2.coeffs, n)))
 
 
 def series_derivative(s: TrigSeries) -> TrigSeries:
-    """d/dphi in coefficient space.
+    """d/dphi in coefficient space: c_k -> i k c_k."""
+    k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
+    return TrigSeries(1j * k * s.coeffs)
 
-    cos(k phi) feeds the sin slot with -k, sin(k phi) feeds the cos slot
-    with +k, and the constant dies.
-    """
-    n = s.n_harmonics
-    k = np.arange(1, n + 1)
-    return TrigSeries(0.0, k * _pad(s.sin_k, n), -k * _pad(s.cos_k, n))
+
+def _shifts(s: TrigSeries) -> tuple[np.ndarray, np.ndarray]:
+    """e^{i phi} s and e^{-i phi} s, both on harmonics -(K+1)..K+1."""
+    zero = np.zeros(2, dtype=np.complex128)
+    return np.concatenate((zero, s.coeffs)), np.concatenate((s.coeffs, zero))
 
 
 def multiply_by_cos(s: TrigSeries) -> TrigSeries:
-    """Exact product cos(phi) * s via the product-to-sum shift.
-
-    Harmonic k couples to k +- 1; the constant couples to k = 1 with a
-    sqrt(2) weight from the mismatched basis normalizations. Truncation
-    grows by one harmonic.
-    """
-    n = s.n_harmonics + 1
-    a = _pad(s.cos_k, n)
-    b = _pad(s.sin_k, n)
-    new_cos = np.zeros(n, dtype=np.complex128)
-    new_sin = np.zeros(n, dtype=np.complex128)
-
-    new_cos[0] += s.c0 / _SQRT2
-    new_c0 = a[0] / _SQRT2  # k=1 -> constant, sqrt(2) from basis mismatch
-    # cos * cos_k -> half into k-1 and k+1 (k=1 -> 0 handled above)
-    new_cos[1:] += a[:-1] / 2.0
-    new_cos[:-1] += a[1:] / 2.0
-    # cos * sin_k -> half into k-1 and k+1; sin(0) vanishes
-    new_sin[1:] += b[:-1] / 2.0
-    new_sin[:-1] += b[1:] / 2.0
-    return TrigSeries(new_c0, new_cos, new_sin)
+    """Exact product cos(phi) * s; truncation grows by one harmonic."""
+    up, down = _shifts(s)
+    return TrigSeries(0.5 * (up + down))
 
 
 def multiply_by_sin(s: TrigSeries) -> TrigSeries:
-    """Exact product sin(phi) * s; mirror image of :func:`multiply_by_cos`."""
-    n = s.n_harmonics + 1
-    a = _pad(s.cos_k, n)
-    b = _pad(s.sin_k, n)
-    new_cos = np.zeros(n, dtype=np.complex128)
-    new_sin = np.zeros(n, dtype=np.complex128)
-
-    new_sin[0] += s.c0 / _SQRT2
-    new_c0 = b[0] / _SQRT2  # k=1 -> constant
-    # sin * cos_k = (sin(k+1) - sin(k-1))/2; sin(0) vanishes
-    new_sin[1:] += a[:-1] / 2.0
-    new_sin[:-1] -= a[1:] / 2.0
-    # sin * sin_k = (cos(k-1) - cos(k+1))/2 (k=1 -> 0 handled above)
-    new_cos[:-1] += b[1:] / 2.0
-    new_cos[1:] -= b[:-1] / 2.0
-    return TrigSeries(new_c0, new_cos, new_sin)
+    """Exact product sin(phi) * s; truncation grows by one harmonic."""
+    up, down = _shifts(s)
+    return TrigSeries(-0.5j * (up - down))
 
 
 def multiply_by_cos2phi(s: TrigSeries) -> TrigSeries:
@@ -158,15 +102,7 @@ def multiply_by_cos2phi(s: TrigSeries) -> TrigSeries:
 
 
 def eval_series(s: TrigSeries, phi) -> complex | np.ndarray:
-    """Pointwise value of the series; 2pi-periodic by construction."""
-    phi = np.asarray(phi, dtype=float)
-    out = np.full(phi.shape, s.c0 / np.sqrt(2.0 * np.pi), dtype=np.complex128)
-    for i, a in enumerate(s.cos_k):
-        if a != 0:
-            out += a * np.cos((i + 1) * phi) / np.sqrt(np.pi)
-    for i, b in enumerate(s.sin_k):
-        if b != 0:
-            out += b * np.sin((i + 1) * phi) / np.sqrt(np.pi)
-    if out.shape == ():
-        return complex(out)
-    return out
+    """Pointwise value of the series: Horner's rule in z = e^{i phi}."""
+    z = np.exp(1j * np.asarray(phi, dtype=float))
+    out = polyval(z, s.coeffs) * z ** -s.n_harmonics / np.sqrt(2.0 * np.pi)
+    return complex(out) if np.ndim(out) == 0 else out

@@ -19,15 +19,14 @@ import numpy as np
 
 from .errors import DomainError
 from .mathieu import ce_series, se_series
-from .series import (
-    TrigSeries,
-    eval_series,
-    inner_product,
-    series_derivative,
-)
+from .series import TrigSeries, eval_series, inner_product, series_derivative
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EXTREMA_GRID_POINTS = 4096  # angles searched for density extrema
+# Refined extrema are rounded to this many decimals of a grid cell: far
+# below the parabolic refinement's own error, far above the rounding
+# noise of a vertex that lies on a grid point.
+EXTREMA_DECIMALS = 6
 FLAT_TOL = 1e-12  # a density whose range is below this is flat
 
 
@@ -40,11 +39,22 @@ class StateFamily(enum.Enum):
     PSI_MINUS = "psi-"
 
 
+_PSI = (StateFamily.PSI_PLUS, StateFamily.PSI_MINUS)  # partner se_{n+1}
+
+
 @dataclass(frozen=True)
 class StateSpec:
+    """One state: ``family`` may be given by its value, e.g. ``"xi"``."""
+
     family: StateFamily
     n: int
     l: float
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "family", StateFamily(self.family))
+        except ValueError:
+            raise DomainError(f"unknown state family {self.family!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,10 @@ def build_state(spec: StateSpec) -> QuantumState:
         s = ce_series(n, l)
     elif fam is StateFamily.ETA:
         s = se_series(n, l)
-    elif fam in (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS):
-        sign = 1.0 if fam is StateFamily.PHI_PLUS else -1.0
-        s = (ce_series(n, l) + sign * 1j * se_series(n, l)) * _INV_SQRT2
     else:
-        sign = 1.0 if fam is StateFamily.PSI_PLUS else -1.0
-        s = (ce_series(n, l) + sign * 1j * se_series(n + 1, l)) * _INV_SQRT2
+        sign = 1.0 if fam in (StateFamily.PHI_PLUS, StateFamily.PSI_PLUS) else -1.0
+        partner = se_series(n + (fam in _PSI), l)
+        s = (ce_series(n, l) + sign * 1j * partner) * _INV_SQRT2
     norm_check = abs(inner_product(s, s).real - 1.0)
     return QuantumState(spec, s, norm_check)
 
@@ -108,18 +116,10 @@ def velocity_sq_expect(state: QuantumState) -> float:
     return 4.0 * inner_product(ds, ds).real
 
 
-_ROTOR_TRANSITIONS = {
-    (StateFamily.PHI_PLUS, StateFamily.XI),
-    (StateFamily.PHI_PLUS, StateFamily.ETA),
-    (StateFamily.PHI_MINUS, StateFamily.XI),
-    (StateFamily.PHI_MINUS, StateFamily.ETA),
-}
-_WELL_TRANSITIONS = {
-    (StateFamily.XI, StateFamily.PSI_PLUS),
-    (StateFamily.XI, StateFamily.PSI_MINUS),
-    (StateFamily.ETA, StateFamily.PSI_PLUS),
-    (StateFamily.ETA, StateFamily.PSI_MINUS),
-}
+# G- -> G0 at a splitting point, G0 -> G+ at a merging point
+_REAL = (StateFamily.XI, StateFamily.ETA)
+_TRANSITIONS = ({(a, b) for a in (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS)
+                 for b in _REAL} | {(a, b) for a in _REAL for b in _PSI})
 
 
 def jump_at_boundary(n: int, from_family: StateFamily,
@@ -131,12 +131,12 @@ def jump_at_boundary(n: int, from_family: StateFamily,
     """
     if l_c < 0:
         raise DomainError("l_c must be nonnegative")
-    pair = (from_family, to_family)
-    if pair not in _ROTOR_TRANSITIONS and pair not in _WELL_TRANSITIONS:
+    specs = StateSpec(from_family, n, l_c), StateSpec(to_family, n, l_c)
+    pair = (specs[0].family, specs[1].family)
+    if pair not in _TRANSITIONS:
         raise DomainError(
-            f"invalid symmetry-switch transition {from_family} -> {to_family}")
-    src = build_state(StateSpec(from_family, n, l_c))
-    dst = build_state(StateSpec(to_family, n, l_c))
+            f"invalid symmetry-switch transition {pair[0]} -> {pair[1]}")
+    src, dst = build_state(specs[0]), build_state(specs[1])
     delta_v = velocity_expect(dst) - velocity_expect(src)
     delta_v2 = velocity_sq_expect(dst) - velocity_sq_expect(src)
     radicand = delta_v2 - delta_v ** 2
@@ -171,7 +171,10 @@ def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:
         shift = np.zeros_like(denom)
         nz = denom != 0
         shift[nz] = 0.5 * (lft - rgt)[nz] / denom[nz]
-        return np.sort(np.mod(phi[hit] + shift * h, 2.0 * np.pi)).tolist()
+        # vertex in grid-index units, rounded, then wrapped once into
+        # [0, N): rounding noise around grid point 0 reads 0, not 2 pi
+        cells = np.round(np.flatnonzero(hit) + shift, EXTREMA_DECIMALS)
+        return np.sort(np.mod(cells, EXTREMA_GRID_POINTS) * h).tolist()
 
     return (refined((rho > left) & (rho > right)),
             refined((rho < left) & (rho < right)))

@@ -10,8 +10,8 @@ Klein four-group
 The group is Z2 x Z2, generated by the reflection a: phi -> -phi and
 the half-turn c: phi -> phi + pi, with b = ac: phi -> pi - phi. Each
 element carries its two generator bits (reflect, half_turn); composing
-adds them mod 2. On coefficients the reflection negates the sine slots
-and the half-turn multiplies harmonic k by (-1)^k.
+adds them mod 2. On plane-wave coefficients the reflection reverses the
+vector and the half-turn multiplies c_k by (-1)^k.
 
 Boundary search
 ---------------
@@ -84,13 +84,11 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 
 def apply_group_element(s: TrigSeries, g: GroupElement) -> TrigSeries:
-    """Exact coefficient-space action: two commuting sign masks."""
+    """Exact action: reflect reverses c_{-K}..c_K, half-turn scales c_k by (-1)^k."""
     reflect, half_turn = g.value
-
-    def turn(coeffs: np.ndarray) -> np.ndarray:
-        return (-1.0) ** (half_turn * np.arange(1, len(coeffs) + 1)) * coeffs
-
-    return TrigSeries(s.c0, turn(s.cos_k), (-1.0) ** reflect * turn(s.sin_k))
+    coeffs = s.coeffs[::-1] if reflect else s.coeffs
+    k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
+    return TrigSeries((-1.0) ** (half_turn * k) * coeffs)
 
 
 class Subgroup(enum.Enum):
@@ -121,6 +119,8 @@ def subgroup_invariance_check(
     per element; the phase is meaningful only where the verdict holds.
     """
     nrm2 = inner_product(series, series).real
+    if nrm2 == 0.0:
+        raise DomainError("the zero series has no symmetry phase")
     phases: dict[GroupElement, complex] = {}
     ok = True
     for g in subgroup.elements:
@@ -204,7 +204,7 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
 
 
 def pair_gap(n: int, pairing: PairingKind, l: float,
-             measure: GapMeasure = GapMeasure.ABSOLUTE) -> float:
+             measure: GapMeasure) -> float:
     """Energy gap of the pair; relative measure divides by the pair mean.
 
     The relative measure is +inf where the pair mean vanishes.
@@ -233,7 +233,7 @@ def find_boundary(
     n: int,
     pairing: PairingKind,
     epsilon: float,
-    measure: GapMeasure = GapMeasure.RELATIVE,
+    measure: GapMeasure,
 ) -> RegionBoundary:
     """Locate the barrier value where the pair's degeneracy switches.
 
@@ -305,6 +305,16 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
 
 
+def check_levels(levels) -> list[int]:
+    """``levels`` as a list of ints; DomainError unless nonempty, each >= 1."""
+    levels = list(levels)
+    if not levels:
+        raise DomainError("at least one level is required")
+    for n in levels:
+        check_count(n, 1, "level")
+    return [int(n) for n in levels]
+
+
 def classify_regions(levels, l: float, epsilon_rotor: float,
                      epsilon_well: float) -> dict[int, Subgroup]:
     """Symmetry region of each level at barrier l, by relative gaps.
@@ -313,11 +323,7 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
     the well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
     Every level is checked, then all share one solve per parity family.
     """
-    levels = list(levels)
-    if not levels:
-        raise DomainError("at least one level is required")
-    for n in levels:
-        check_count(n, 1, "level")
+    levels = check_levels(levels)
     _check_threshold(epsilon_rotor)
     _check_threshold(epsilon_well)
     ce, se = _spectrum(max(levels), l)

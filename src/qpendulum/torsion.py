@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mathieu import check_count
-from .symmetry import classify_regions
+from .symmetry import check_levels, classify_regions
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -127,10 +127,9 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     classified at the instantaneous barrier; a point is marked as a
     crossing when any level's region differs from the previous time.
     """
-    if delta_l <= 0:
-        raise DomainError("delta_l must be positive")
-    if not levels:
-        raise DomainError("at least one level is required")
+    if not 0 < delta_l < np.inf:
+        raise DomainError("delta_l must be finite and positive")
+    levels = check_levels(levels)
     t_grid = np.asarray(t_grid, dtype=float)
     out: list[SchedulePoint] = []
     prev: dict | None = None

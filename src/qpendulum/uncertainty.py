@@ -12,12 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import (
-    inner_product,
-    multiply_by_cos,
-    multiply_by_sin,
-    series_derivative,
-)
+from .series import (inner_product, multiply_by_cos, multiply_by_sin,
+                     series_derivative)
 from .states import QuantumState, StateSpec, density, density_extrema
 
 _WINDOW_POINTS = 2048  # trapezoid nodes of the local second moment
@@ -39,10 +35,6 @@ class UncertaintyReport:
     ur_b: float
 
 
-def _real(z: complex) -> float:
-    return float(np.real(z))
-
-
 def angular_moments(state: QuantumState) -> UncertaintyReport:
     """All sin/cos/L_z moments of the state, exactly in coefficient space."""
     s = state.series
@@ -50,13 +42,13 @@ def angular_moments(state: QuantumState) -> UncertaintyReport:
     cos_s = multiply_by_cos(s)
     ds = series_derivative(s)
 
-    exp_sin = _real(inner_product(s, sin_s))
-    exp_cos = _real(inner_product(s, cos_s))
-    exp_sin2 = _real(inner_product(sin_s, sin_s))
-    exp_cos2 = _real(inner_product(cos_s, cos_s))
+    exp_sin = inner_product(s, sin_s).real
+    exp_cos = inner_product(s, cos_s).real
+    exp_sin2 = inner_product(sin_s, sin_s).real
+    exp_cos2 = inner_product(cos_s, cos_s).real
     # L_z = -i d/dphi; <Lz> = -i <s|s'>, <Lz^2> = <s'|s'>
-    exp_lz = _real(-1j * inner_product(s, ds))
-    exp_lz2 = _real(inner_product(ds, ds))
+    exp_lz = (-1j * inner_product(s, ds)).real
+    exp_lz2 = inner_product(ds, ds).real
 
     if abs(exp_sin2 + exp_cos2 - 1.0) > 1e-10:
         raise AssertionError(

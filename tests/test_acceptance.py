@@ -173,10 +173,11 @@ def test_criterion_06_boundary_tables():
     splits, merges = {}, {}
     for n in ref.LEVELS:
         splits[n] = find_boundary(n, PairingKind.ROTOR,
-                                  ref.CALIBRATED_EPS_ROTOR).l_c
+                                  ref.CALIBRATED_EPS_ROTOR,
+                                  GapMeasure.RELATIVE).l_c
         pair = well_pair_for_level(n)
         l_c = find_boundary(pair, PairingKind.WELL,
-                            ref.CALIBRATED_EPS_WELL).l_c
+                            ref.CALIBRATED_EPS_WELL, GapMeasure.RELATIVE).l_c
         if abs(l_c - ref.MERGING_POINTS[n]) > 0.1:
             eps = pair_gap(pair, PairingKind.WELL, ref.MERGING_POINTS[n],
                            GapMeasure.ABSOLUTE)
@@ -235,9 +236,7 @@ def test_criterion_09_klein_group_properties():
     elements = list(GroupElement)
     worst = 0.0
     for _ in range(100):
-        s = TrigSeries(complex(*rng.normal(size=2)),
-                       rng.normal(size=4) + 1j * rng.normal(size=4),
-                       rng.normal(size=4) + 1j * rng.normal(size=4))
+        s = TrigSeries(rng.normal(size=9) + 1j * rng.normal(size=9))
         g1, g2 = rng.choice(elements, size=2)
         lhs = apply_group_element(apply_group_element(s, g2), g1)
         rhs = apply_group_element(s, compose(g1, g2))

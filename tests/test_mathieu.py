@@ -108,11 +108,13 @@ def test_ce_se_cross_orthogonality():
 
 
 def test_sign_convention():
-    # the order-matching harmonic carries positive weight
+    # the order-matching harmonic carries positive weight: w cos(n phi)
+    # puts w/sqrt(2) on c_n, w sin(n phi) puts +i w/sqrt(2) on c_{-n}
     for n, l in ((0, 5.0), (3, 10.0)):
         s = ce_series(n, l)
-        assert s.cos_coeff(n).real > 0
-    assert se_series(2, 5.0).sin_coeff(2).real > 0
+        assert s.coeffs[s.n_harmonics + n].real > 0
+    s = se_series(2, 5.0)
+    assert s.coeffs[s.n_harmonics - 2].imag > 0
 
 
 def test_order_validation():
@@ -224,19 +226,19 @@ def test_numpy_scalars_accepted_and_values_are_floats():
 
 
 def _placed_by_loop(level):
-    """Coefficient placement as one loop per coefficient."""
+    """Plane-wave placement as one loop per coefficient."""
     harm = level.mathieu_class.harmonics(len(level.coeffs))
-    cos_k = np.zeros(int(harm[-1]), dtype=np.complex128)
-    sin_k = np.zeros(int(harm[-1]), dtype=np.complex128)
-    c0 = 0.0
+    top = int(harm[-1])
+    coeffs = np.zeros(2 * top + 1, dtype=np.complex128)
     for k, w in zip(harm, level.coeffs):
         if not level.mathieu_class.is_cosine:
-            sin_k[k - 1] = w
+            coeffs[top + k] = -1j * (w / np.sqrt(2.0))
+            coeffs[top - k] = 1j * (w / np.sqrt(2.0))
         elif k == 0:
-            c0 = w
+            coeffs[top] = w
         else:
-            cos_k[k - 1] = w
-    return c0, cos_k, sin_k
+            coeffs[top + k] = coeffs[top - k] = w / np.sqrt(2.0)
+    return coeffs
 
 
 @pytest.mark.parametrize("cls,n", [(MathieuClass.CE_EVEN, 0), (MathieuClass.CE_EVEN, 4),
@@ -245,10 +247,23 @@ def _placed_by_loop(level):
 def test_build_series_bit_identical_to_loop(cls, n):
     level = spectral_level(cls, n, 11.1)
     series = build_series(level)
-    c0, cos_k, sin_k = _placed_by_loop(level)
-    assert series.c0 == complex(c0)
-    assert np.array_equal(series.cos_k, cos_k)
-    assert np.array_equal(series.sin_k, sin_k)
+    assert np.array_equal(series.coeffs, _placed_by_loop(level))
+
+
+@pytest.mark.parametrize("cls,n", [(MathieuClass.CE_EVEN, 2), (MathieuClass.CE_ODD, 1),
+                                   (MathieuClass.SE_ODD, 3), (MathieuClass.SE_EVEN, 2)])
+def test_build_series_pointwise(cls, n):
+    """Each weight w of harmonic h is w cos(h phi)/sqrt(pi) or w sin(h phi)/sqrt(pi)."""
+    level = spectral_level(cls, n, 3.42)
+    want = np.zeros(len(GRID))
+    for h, w in zip(cls.harmonics(len(level.coeffs)), level.coeffs):
+        if h == 0:
+            want += w / np.sqrt(2.0 * np.pi)
+        else:
+            trig = np.cos if cls.is_cosine else np.sin
+            want += w * trig(h * GRID) / np.sqrt(np.pi)
+    np.testing.assert_allclose(eval_series(build_series(level), GRID), want,
+                               atol=1e-12)
 
 
 def test_integer_barrier_gives_float_bands():

@@ -24,14 +24,16 @@ from qpendulum.uncertainty import angular_moments
 
 @pytest.mark.parametrize("n", ref.LEVELS)
 def test_splitting_points(n):
-    b = find_boundary(n, PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR)
+    b = find_boundary(n, PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR,
+                      GapMeasure.RELATIVE)
     assert b.l_c == pytest.approx(ref.SPLITTING_POINTS[n], abs=0.01)
 
 
 @pytest.mark.parametrize("n", ref.LEVELS)
 def test_merging_points(n):
     pair = well_pair_for_level(n)
-    b = find_boundary(pair, PairingKind.WELL, ref.CALIBRATED_EPS_WELL)
+    b = find_boundary(pair, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                      GapMeasure.RELATIVE)
     if abs(b.l_c - ref.MERGING_POINTS[n]) > 0.1:
         # documented fallback: absolute threshold pinned by the
         # reference row (needed only where the pair mean crosses zero)

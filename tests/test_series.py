@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpendulum.errors import DomainError
 from qpendulum.series import (
     TrigSeries,
     eval_series,
@@ -16,11 +17,13 @@ GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
 
 
 def random_series(n=6):
-    return TrigSeries(
-        complex(*RNG.normal(size=2)),
-        RNG.normal(size=n) + 1j * RNG.normal(size=n),
-        RNG.normal(size=n) + 1j * RNG.normal(size=n),
-    )
+    return TrigSeries(RNG.normal(size=2 * n + 1) + 1j * RNG.normal(size=2 * n + 1))
+
+
+def plane_wave(k, n_harmonics):
+    coeffs = np.zeros(2 * n_harmonics + 1)
+    coeffs[n_harmonics + k] = 1.0
+    return TrigSeries(coeffs)
 
 
 def quad_inner(s1, s2):
@@ -30,13 +33,21 @@ def quad_inner(s1, s2):
 
 
 def test_basis_orthonormality():
-    const = TrigSeries(1.0)
-    cos2 = TrigSeries(0.0, [0.0, 1.0])
-    sin1 = TrigSeries(0.0, [], [1.0])
-    for s in (const, cos2, sin1):
+    const = plane_wave(0, 0)
+    up2 = plane_wave(2, 2)
+    down1 = plane_wave(-1, 1)
+    for s in (const, up2, down1):
         assert inner_product(s, s) == pytest.approx(1.0, abs=1e-14)
-    assert inner_product(const, cos2) == pytest.approx(0.0, abs=1e-14)
-    assert inner_product(cos2, sin1) == pytest.approx(0.0, abs=1e-14)
+        assert quad_inner(s, s) == pytest.approx(1.0, abs=1e-14)
+    assert inner_product(const, up2) == pytest.approx(0.0, abs=1e-14)
+    assert inner_product(up2, down1) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("k,n_harmonics", [(0, 0), (0, 3), (2, 2), (-1, 4)])
+def test_eval_plane_wave(k, n_harmonics):
+    np.testing.assert_allclose(
+        eval_series(plane_wave(k, n_harmonics), GRID),
+        np.exp(1j * k * GRID) / np.sqrt(2.0 * np.pi), atol=1e-14)
 
 
 def test_inner_product_matches_quadrature():
@@ -75,7 +86,7 @@ def test_multiply_by_cos2phi():
     )
 
 
-def test_arithmetic_and_conj():
+def test_arithmetic():
     s1, s2 = random_series(), random_series(4)
     np.testing.assert_allclose(
         eval_series(s1 + s2, GRID), eval_series(s1, GRID) + eval_series(s2, GRID))
@@ -84,20 +95,31 @@ def test_arithmetic_and_conj():
     np.testing.assert_allclose(
         eval_series(s1 * 2j, GRID), 2j * eval_series(s1, GRID))
     np.testing.assert_allclose(
-        eval_series(s1.conj(), GRID), np.conj(eval_series(s1, GRID)))
+        eval_series(2j * s1, GRID), 2j * eval_series(s1, GRID))
 
 
-def test_coeff_accessors():
-    s = TrigSeries(2.0, [1.0, 3.0], [4.0])
-    assert s.cos_coeff(0) == 2.0
-    assert s.cos_coeff(2) == 3.0
-    assert s.cos_coeff(9) == 0.0
-    assert s.sin_coeff(1) == 4.0
-    assert s.sin_coeff(2) == 0.0
-    assert s.n_harmonics == 2
+def test_n_harmonics():
+    assert TrigSeries([1.0]).n_harmonics == 0
+    assert TrigSeries([0.0, 1.0, 3.0, 4.0, 0.0]).n_harmonics == 2
+
+
+@pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0])
+def test_coefficients_must_be_1d_odd_length(bad):
+    with pytest.raises(DomainError):
+        TrigSeries(bad)
 
 
 def test_immutability():
-    s = random_series()
+    source = np.ones(5, dtype=np.complex128)
+    s = TrigSeries(source)
     with pytest.raises(ValueError):
-        s.cos_k[0] = 1.0
+        s.coeffs[0] = 1.0
+    source[0] = 7.0
+    assert s.coeffs[0] == 1.0
+
+
+def test_eval_scalar_angle_is_complex():
+    s = random_series()
+    value = eval_series(s, 0.3)
+    assert type(value) is complex
+    assert value == pytest.approx(eval_series(s, np.array([0.3]))[0], abs=1e-14)

@@ -7,6 +7,7 @@ from qpendulum.states import (
     StateSpec,
     build_state,
     density,
+    density_extrema,
     density_maxima,
     density_minima,
     jump_at_boundary,
@@ -87,6 +88,14 @@ def test_jump_validation():
         jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.PSI_PLUS, 0.0)
     with pytest.raises(DomainError):
         jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.XI, -1.0)
+    with pytest.raises(DomainError):
+        jump_at_boundary(1, "phi+", "chi", 0.5)
+
+
+def test_jump_families_given_by_value():
+    by_value = jump_at_boundary(2, "phi+", "xi", 0.5)
+    assert by_value == jump_at_boundary(2, StateFamily.PHI_PLUS, StateFamily.XI, 0.5)
+    assert by_value.transition == (StateFamily.PHI_PLUS, StateFamily.XI)
 
 
 def test_flat_density_has_no_maxima():
@@ -105,6 +114,19 @@ def test_xi1_density_extrema_at_l0():
                                atol=1e-3)
 
 
+def test_no_density_extremum_reads_just_below_2pi():
+    # an extremum on the seam phi = 0 reads 0, not 2 pi minus rounding noise
+    near_seam = []
+    for fam in (StateFamily.XI, StateFamily.ETA, StateFamily.PSI_PLUS):
+        for n in range(1, 9):
+            for l in (0.0, 0.5, 1.0, 3.0, 7.3, 12.0, 28.0, 50.0):
+                maxima, minima = density_extrema(build_state(StateSpec(fam, n, l)))
+                near_seam += [(fam, n, l, x) for x in maxima + minima
+                              if 2.0 * np.pi - x < 1e-9]
+                assert all(0.0 <= x < 2.0 * np.pi for x in maxima + minima)
+    assert near_seam == []
+
+
 def test_deep_well_density_localizes():
     state = build_state(StateSpec(StateFamily.XI, 0, 50.0))
     maxima = density_maxima(state)
@@ -118,3 +140,17 @@ def test_order_validation():
         build_state(StateSpec(StateFamily.ETA, 0, 1.0))
     with pytest.raises(DomainError):
         build_state(StateSpec(StateFamily.PHI_PLUS, 0, 1.0))
+
+
+def test_family_given_by_value():
+    spec = StateSpec("xi", 2, 1.0)
+    assert spec.family is StateFamily.XI
+    by_value = build_state(spec).series
+    by_member = build_state(StateSpec(StateFamily.XI, 2, 1.0)).series
+    assert np.array_equal(by_value.coeffs, by_member.coeffs)
+
+
+@pytest.mark.parametrize("family", ["XI", "chi", None, 3])
+def test_unknown_family_rejected(family):
+    with pytest.raises(DomainError):
+        StateSpec(family, 2, 1.0)

@@ -39,12 +39,8 @@ ANGLE_MAP = {
 
 
 def random_series():
-    n = 5
-    return TrigSeries(
-        complex(*RNG.normal(size=2)),
-        RNG.normal(size=n) + 1j * RNG.normal(size=n),
-        RNG.normal(size=n) + 1j * RNG.normal(size=n),
-    )
+    size = 2 * 5 + 1
+    return TrigSeries(RNG.normal(size=size) + 1j * RNG.normal(size=size))
 
 
 @pytest.mark.parametrize("g", list(GroupElement))
@@ -118,6 +114,12 @@ def test_phi_states_not_invariant_under_other_subgroups():
     assert not ok
 
 
+@pytest.mark.parametrize("subgroup", list(Subgroup))
+def test_zero_series_has_no_invariance_phase(subgroup):
+    with pytest.raises(DomainError):
+        subgroup_invariance_check(TrigSeries(np.zeros(5)), subgroup)
+
+
 def test_sweep_characteristics_shape_and_order():
     rows = sweep_characteristics(2, [0.0, 1.0])
     # ce 0..2 and se 1..2 -> five rows per l value
@@ -156,18 +158,19 @@ def test_pair_gap_measures():
 
 
 def test_rotor_boundary_immediate_when_gap_large():
-    b = find_boundary(1, PairingKind.ROTOR, 1e-9)
+    b = find_boundary(1, PairingKind.ROTOR, 1e-9, GapMeasure.RELATIVE)
     assert b.l_c == 0.0
 
 
 def test_rotor_boundary_grows_with_epsilon():
-    small = find_boundary(3, PairingKind.ROTOR, 1e-3).l_c
-    large = find_boundary(3, PairingKind.ROTOR, 1e-2).l_c
+    small = find_boundary(3, PairingKind.ROTOR, 1e-3, GapMeasure.RELATIVE).l_c
+    large = find_boundary(3, PairingKind.ROTOR, 1e-2, GapMeasure.RELATIVE).l_c
     assert 0 < small < large
 
 
 def test_well_boundary_monotone_in_pair_index():
-    values = [find_boundary(k, PairingKind.WELL, 1e-2).l_c for k in (0, 2, 3)]
+    values = [find_boundary(k, PairingKind.WELL, 1e-2, GapMeasure.RELATIVE).l_c
+              for k in (0, 2, 3)]
     assert values[0] < values[1] < values[2]
 
 
@@ -247,7 +250,7 @@ def test_shared_bisection_bit_identical_on_absolute_fallback():
 def test_thresholds_must_be_finite_and_positive(bad):
     for pairing in PairingKind:
         with pytest.raises(DomainError):
-            find_boundary(3, pairing, bad)
+            find_boundary(3, pairing, bad, GapMeasure.RELATIVE)
         with pytest.raises(DomainError):
             level_boundary(3, pairing, bad, 5.0)
     with pytest.raises(DomainError):
@@ -321,7 +324,7 @@ def test_integer_counts_outside_the_engine(bad):
         with pytest.raises(DomainError):
             pairing.validate(bad)
         with pytest.raises(DomainError):
-            pair_gap(bad, pairing, 1.0)
+            pair_gap(bad, pairing, 1.0, GapMeasure.ABSOLUTE)
 
 
 def test_integer_counts_accept_numpy_integers_and_check_range():

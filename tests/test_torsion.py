@@ -144,6 +144,16 @@ def test_modulation_schedule_validation():
     for levels in ([1, 2.5], [True], [0, 1]):
         with pytest.raises(DomainError):
             modulation_schedule(1.0, 0.1, 1.0, [0.0], levels, EPS_R, EPS_W)
+    for delta_l in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            modulation_schedule(1.0, delta_l, 1.0, [0.0], [1], EPS_R, EPS_W)
+    # levels are checked even when there is no time point
+    with pytest.raises(DomainError):
+        modulation_schedule(1.0, 0.1, 1.0, [], [0, "x"], EPS_R, EPS_W)
+    # an array of levels is as good as a list
+    by_array = modulation_schedule(1.0, 0.1, 1.0, [0.0], np.arange(1, 4), EPS_R, EPS_W)
+    by_list = modulation_schedule(1.0, 0.1, 1.0, [0.0], [1, 2, 3], EPS_R, EPS_W)
+    assert by_array == by_list
 
 
 def test_rotor_validation():
