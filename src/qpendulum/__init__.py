@@ -26,9 +26,7 @@ from .series import (
     TrigSeries,
     eval_series,
     inner_product,
-    multiply_by_cos,
-    multiply_by_sin,
-    series_derivative,
+    moments,
 )
 from .states import (
     ObservableJump,
@@ -62,8 +60,6 @@ from .uncertainty import (
     UncertaintyReport,
     angular_moments,
     local_variance_inequality,
-    ur_a,
-    ur_b,
 )
 from .classical import (
     ArgConvention,

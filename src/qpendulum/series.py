@@ -1,9 +1,10 @@
 """Truncated trigonometric series on [0, 2pi) in the plane-wave basis.
 
 The basis is e^{ik phi}/sqrt(2 pi), k = -K..K, which is orthonormal for
-the plain L2 inner product on one period. Every operator is exact on the
-coefficient vector: d/dphi multiplies c_k by ik, and cos(phi) and
-sin(phi) combine the two one-slot shifts k -> k +- 1. Nothing here
+the plain L2 inner product on one period. In it L_z = -i d/dphi is k on
+slot k, cos(phi) and sin(phi) shift by one slot and cos(2 phi) by two,
+so :func:`moments` reads every angular expectation value off |c_k|^2 and
+the lag-1 and lag-2 products of the coefficient vector. Nothing here
 samples the angle except :func:`eval_series`.
 
 Coefficients are complex, so superposition states with relative phase i
@@ -13,6 +14,7 @@ are first-class citizens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -72,33 +74,35 @@ def inner_product(s1: TrigSeries, s2: TrigSeries) -> complex:
     return complex(np.vdot(_pad(s1.coeffs, n), _pad(s2.coeffs, n)))
 
 
-def series_derivative(s: TrigSeries) -> TrigSeries:
-    """d/dphi in coefficient space: c_k -> i k c_k."""
+class Moments(NamedTuple):
+    """<L_z>, <L_z^2>, <cos phi>, <sin phi>, <cos^2 phi>, <sin^2 phi>."""
+
+    Lz: float
+    Lz2: float
+    cos: float
+    sin: float
+    cos2: float
+    sin2: float
+
+
+def moments(s: TrigSeries) -> Moments:
+    """Every angular moment of ``s``, straight from its coefficients.
+
+    With w_k = |c_k|^2 and S_j = sum conj(c_k) c_{k+j}: <L_z^p> is
+    sum k^p w_k, <cos phi> = Re S_1, <sin phi> = -Im S_1, and
+    cos^2 phi = (1 + cos 2 phi)/2 gives (sum w +- Re S_2)/2 for
+    <cos^2 phi> and <sin^2 phi>. Unnormalised series give sum w times
+    the normalised moments.
+    """
+    c = s.coeffs
     k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
-    return TrigSeries(1j * k * s.coeffs)
-
-
-def _shifts(s: TrigSeries) -> tuple[np.ndarray, np.ndarray]:
-    """e^{i phi} s and e^{-i phi} s, both on harmonics -(K+1)..K+1."""
-    zero = np.zeros(2, dtype=np.complex128)
-    return np.concatenate((zero, s.coeffs)), np.concatenate((s.coeffs, zero))
-
-
-def multiply_by_cos(s: TrigSeries) -> TrigSeries:
-    """Exact product cos(phi) * s; truncation grows by one harmonic."""
-    up, down = _shifts(s)
-    return TrigSeries(0.5 * (up + down))
-
-
-def multiply_by_sin(s: TrigSeries) -> TrigSeries:
-    """Exact product sin(phi) * s; truncation grows by one harmonic."""
-    up, down = _shifts(s)
-    return TrigSeries(-0.5j * (up - down))
-
-
-def multiply_by_cos2phi(s: TrigSeries) -> TrigSeries:
-    """cos(2 phi) * s, composed as 2 cos * cos - identity."""
-    return multiply_by_cos(multiply_by_cos(s)) * 2.0 - s
+    w = c.real ** 2 + c.imag ** 2
+    kw = k * w
+    total = float(w.sum())
+    s1 = complex(np.vdot(c[:-1], c[1:]))
+    re_s2 = complex(np.vdot(c[:-2], c[2:])).real
+    return Moments(float(kw.sum()), float(k @ kw), s1.real, -s1.imag,
+                   0.5 * (total + re_s2), 0.5 * (total - re_s2))
 
 
 def eval_series(s: TrigSeries, phi) -> complex | np.ndarray:

@@ -6,8 +6,9 @@ State families at a given (n, l):
 * ``PHI_PLUS`` / ``PHI_MINUS``: (ce_n +- i se_n)/sqrt(2) (region G-).
 * ``PSI_PLUS`` / ``PSI_MINUS``: (ce_n +- i se_{n+1})/sqrt(2) (region G+).
 
-The angular velocity operator is v = -2 i d/dphi (twice the angular
-momentum), evaluated exactly in coefficient space.
+The angular velocity operator is v = -2 i d/dphi = 2 L_z (twice the
+angular momentum); its moments are read off the state's plane-wave
+coefficients by :func:`qpendulum.series.moments`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mathieu import ce_series, se_series
-from .series import TrigSeries, eval_series, inner_product, series_derivative
+from .series import TrigSeries, eval_series, inner_product, moments
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EXTREMA_GRID_POINTS = 4096  # angles searched for density extrema
@@ -103,17 +104,13 @@ def build_state(spec: StateSpec) -> QuantumState:
 
 
 def velocity_expect(state: QuantumState) -> float:
-    """<v> = -2 i <s| d/dphi |s>; real for any state, asserted here."""
-    val = -2j * inner_product(state.series, series_derivative(state.series))
-    if abs(val.imag) > 1e-12:
-        raise AssertionError(f"velocity expectation not real: {val}")
-    return val.real
+    """<v> = 2 <L_z> = 2 sum k |c_k|^2."""
+    return 2.0 * moments(state.series).Lz
 
 
 def velocity_sq_expect(state: QuantumState) -> float:
-    """<v^2> = -4 <s| d^2/dphi^2 |s| >= 0, via one derivative each side."""
-    ds = series_derivative(state.series)
-    return 4.0 * inner_product(ds, ds).real
+    """<v^2> = 4 <L_z^2> = 4 sum k^2 |c_k|^2 >= 0."""
+    return 4.0 * moments(state.series).Lz2
 
 
 # G- -> G0 at a splitting point, G0 -> G+ at a merging point
@@ -127,18 +124,16 @@ def jump_at_boundary(n: int, from_family: StateFamily,
     """Velocity and squared-velocity jump across a symmetry switch.
 
     Mathieu coefficients are smooth in l, so both one-sided limits are
-    evaluated at l_c itself.
+    evaluated at l_c itself; building them checks l_c.
     """
-    if l_c < 0:
-        raise DomainError("l_c must be nonnegative")
     specs = StateSpec(from_family, n, l_c), StateSpec(to_family, n, l_c)
     pair = (specs[0].family, specs[1].family)
     if pair not in _TRANSITIONS:
         raise DomainError(
             f"invalid symmetry-switch transition {pair[0]} -> {pair[1]}")
-    src, dst = build_state(specs[0]), build_state(specs[1])
-    delta_v = velocity_expect(dst) - velocity_expect(src)
-    delta_v2 = velocity_sq_expect(dst) - velocity_sq_expect(src)
+    src, dst = (moments(build_state(spec).series) for spec in specs)
+    delta_v = 2.0 * (dst.Lz - src.Lz)
+    delta_v2 = 4.0 * (dst.Lz2 - src.Lz2)
     radicand = delta_v2 - delta_v ** 2
     return ObservableJump(n, pair, l_c, delta_v, delta_v2,
                           radicand, radicand >= 0.0)
@@ -183,8 +178,3 @@ def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:
 def density_maxima(state: QuantumState) -> list[float]:
     """Local maxima of |psi|^2; see :func:`density_extrema`."""
     return density_extrema(state)[0]
-
-
-def density_minima(state: QuantumState) -> list[float]:
-    """Local minima of |psi|^2; see :func:`density_extrema`."""
-    return density_extrema(state)[1]

@@ -1,8 +1,9 @@
 """Angular uncertainty products for pendulum states.
 
 ur_a = (dLz)^2 (d sin phi)^2 - 1/4 (d cos phi)^2 and ur_b is the same
-with sin and cos swapped. All moments are exact coefficient-space
-contractions; no quadrature enters except in tests.
+with sin and cos swapped. The moments behind them come from one
+:func:`qpendulum.series.moments` contraction of the state's coefficient
+vector; only the local variance inequality samples the density.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import (inner_product, multiply_by_cos, multiply_by_sin,
-                     series_derivative)
+from .series import moments
 from .states import QuantumState, StateSpec, density, density_extrema
 
 _WINDOW_POINTS = 2048  # trapezoid nodes of the local second moment
@@ -36,44 +36,25 @@ class UncertaintyReport:
 
 
 def angular_moments(state: QuantumState) -> UncertaintyReport:
-    """All sin/cos/L_z moments of the state, exactly in coefficient space."""
-    s = state.series
-    sin_s = multiply_by_sin(s)
-    cos_s = multiply_by_cos(s)
-    ds = series_derivative(s)
-
-    exp_sin = inner_product(s, sin_s).real
-    exp_cos = inner_product(s, cos_s).real
-    exp_sin2 = inner_product(sin_s, sin_s).real
-    exp_cos2 = inner_product(cos_s, cos_s).real
-    # L_z = -i d/dphi; <Lz> = -i <s|s'>, <Lz^2> = <s'|s'>
-    exp_lz = (-1j * inner_product(s, ds)).real
-    exp_lz2 = inner_product(ds, ds).real
-
-    if abs(exp_sin2 + exp_cos2 - 1.0) > 1e-10:
+    """All sin/cos/L_z moments and variances of the state."""
+    m = moments(state.series)
+    # cos^2 + sin^2 is sum |c_k|^2 by construction: a norm check
+    if abs(m.cos2 + m.sin2 - 1.0) > 1e-10:
         raise AssertionError(
-            f"sin^2 + cos^2 closure violated: {exp_sin2 + exp_cos2}")
+            f"state not normalised: sum |c_k|^2 = {m.cos2 + m.sin2}")
 
-    var_sin = exp_sin2 - exp_sin ** 2
-    var_cos = exp_cos2 - exp_cos ** 2
-    var_lz = exp_lz2 - exp_lz ** 2
+    var_sin = m.sin2 - m.sin ** 2
+    var_cos = m.cos2 - m.cos ** 2
+    var_lz = m.Lz2 - m.Lz ** 2
     return UncertaintyReport(
         spec=state.spec,
-        exp_sin=exp_sin, exp_cos=exp_cos,
-        exp_sin2=exp_sin2, exp_cos2=exp_cos2,
-        exp_Lz=exp_lz, exp_Lz2=exp_lz2,
+        exp_sin=m.sin, exp_cos=m.cos,
+        exp_sin2=m.sin2, exp_cos2=m.cos2,
+        exp_Lz=m.Lz, exp_Lz2=m.Lz2,
         var_sin=var_sin, var_cos=var_cos, var_Lz=var_lz,
         ur_a=var_lz * var_sin - 0.25 * var_cos,
         ur_b=var_lz * var_cos - 0.25 * var_sin,
     )
-
-
-def ur_a(state: QuantumState) -> float:
-    return angular_moments(state).ur_a
-
-
-def ur_b(state: QuantumState) -> float:
-    return angular_moments(state).ur_b
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from qpendulum.mathieu import (
     se_series,
     spectral_level,
 )
-from qpendulum.series import eval_series, inner_product, multiply_by_cos2phi, series_derivative
+from qpendulum.series import TrigSeries, eval_series, inner_product
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
 
@@ -85,8 +85,12 @@ def test_operator_residual(n, l):
     for series_fn in (ce_series,) + ((se_series,) if n >= 1 else ()):
         s = series_fn(n, l)
         e = (a_value if series_fn is ce_series else b_value)(n, l)
-        lhs = (eval_series(series_derivative(series_derivative(s)), GRID) * -1.0
-               + 2.0 * l * eval_series(multiply_by_cos2phi(s), GRID))
+        # (Hc)_k = k^2 c_k + l (c_{k-2} + c_{k+2}); the zero padding
+        # makes np.roll's wrapped slots zero
+        c = np.pad(s.coeffs, 2)
+        k = np.arange(len(c)) - len(c) // 2
+        hc = k ** 2 * c + l * (np.roll(c, 2) + np.roll(c, -2))
+        lhs = eval_series(TrigSeries(hc), GRID)
         np.testing.assert_allclose(lhs, e * eval_series(s, GRID), atol=1e-8)
 
 

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from qpendulum.errors import DomainError
-from qpendulum.series import (
-    TrigSeries,
-    eval_series,
-    inner_product,
-    multiply_by_cos,
-    multiply_by_cos2phi,
-    multiply_by_sin,
-    series_derivative,
-)
+from qpendulum.series import TrigSeries, eval_series, inner_product
 
 RNG = np.random.default_rng(20260823)
 GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -54,36 +46,6 @@ def test_inner_product_matches_quadrature():
     for _ in range(10):
         s1, s2 = random_series(), random_series()
         assert inner_product(s1, s2) == pytest.approx(quad_inner(s1, s2), abs=1e-10)
-
-
-def test_derivative_pointwise():
-    s = random_series()
-    ds = series_derivative(s)
-    h = 1e-6
-    vals = eval_series(ds, GRID[:64])
-    fd = (eval_series(s, GRID[:64] + h) - eval_series(s, GRID[:64] - h)) / (2 * h)
-    np.testing.assert_allclose(vals, fd, atol=1e-7)
-
-
-@pytest.mark.parametrize("op,fn", [
-    (multiply_by_cos, np.cos),
-    (multiply_by_sin, np.sin),
-])
-def test_multiplication_pointwise(op, fn):
-    for _ in range(5):
-        s = random_series()
-        prod = op(s)
-        np.testing.assert_allclose(
-            eval_series(prod, GRID), fn(GRID) * eval_series(s, GRID), atol=1e-12)
-
-
-def test_multiply_by_cos2phi():
-    s = random_series()
-    np.testing.assert_allclose(
-        eval_series(multiply_by_cos2phi(s), GRID),
-        np.cos(2 * GRID) * eval_series(s, GRID),
-        atol=1e-12,
-    )
 
 
 def test_arithmetic():

@@ -9,7 +9,6 @@ from qpendulum.states import (
     density,
     density_extrema,
     density_maxima,
-    density_minima,
     jump_at_boundary,
     velocity_expect,
     velocity_sq_expect,
@@ -20,10 +19,12 @@ GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
 
 def quad_velocity(state):
     """Quadrature oracle for <v> = -2i integral psi* psi'."""
-    from qpendulum.series import eval_series, series_derivative
+    from qpendulum.series import TrigSeries, eval_series
 
-    f = eval_series(state.series, GRID)
-    df = eval_series(series_derivative(state.series), GRID)
+    s = state.series
+    k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
+    f = eval_series(s, GRID)
+    df = eval_series(TrigSeries(1j * k * s.coeffs), GRID)
     return (-2j * np.sum(np.conj(f) * df) * 2 * np.pi / len(GRID)).real
 
 
@@ -87,9 +88,13 @@ def test_jump_validation():
     with pytest.raises(DomainError):
         jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.PSI_PLUS, 0.0)
     with pytest.raises(DomainError):
-        jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.XI, -1.0)
-    with pytest.raises(DomainError):
         jump_at_boundary(1, "phi+", "chi", 0.5)
+
+
+@pytest.mark.parametrize("l_c", [-1.0, "0.5", None, float("nan"), True])
+def test_jump_rejects_bad_barrier(l_c):
+    with pytest.raises(DomainError):
+        jump_at_boundary(1, StateFamily.PHI_PLUS, StateFamily.XI, l_c)
 
 
 def test_jump_families_given_by_value():
@@ -101,14 +106,14 @@ def test_jump_families_given_by_value():
 def test_flat_density_has_no_maxima():
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 1, 0.0))
     assert density_maxima(state) == []
-    assert density_minima(state) == []
+    assert density_extrema(state)[1] == []
 
 
 def test_xi1_density_extrema_at_l0():
     # |cos(phi)|^2 / pi: maxima at 0 and pi, minima at pi/2 and 3pi/2
     state = build_state(StateSpec(StateFamily.XI, 1, 0.0))
     maxima = density_maxima(state)
-    minima = density_minima(state)
+    minima = density_extrema(state)[1]
     np.testing.assert_allclose(sorted(maxima), [0.0, np.pi], atol=1e-3)
     np.testing.assert_allclose(sorted(minima), [np.pi / 2, 3 * np.pi / 2],
                                atol=1e-3)

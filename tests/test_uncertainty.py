@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from qpendulum.errors import DomainError
-from qpendulum.series import eval_series
+from qpendulum.series import TrigSeries, eval_series, moments
 from qpendulum.states import StateFamily, StateSpec, build_state
-from qpendulum.uncertainty import (
-    angular_moments,
-    local_variance_inequality,
-    ur_a,
-    ur_b,
-)
+from qpendulum.uncertainty import angular_moments, local_variance_inequality
 from qpendulum.states import velocity_expect, velocity_sq_expect
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
@@ -17,9 +12,27 @@ FAMILIES = (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS,
             StateFamily.XI, StateFamily.ETA)
 
 
-def quad_moment(state, weight):
-    rho = np.abs(eval_series(state.series, GRID)) ** 2
-    return float(np.sum(rho * weight) * 2 * np.pi / len(GRID))
+RNG = np.random.default_rng(20261018)
+
+
+def quad_moments(s):
+    """The six moments of ``s`` by quadrature of its sampled values.
+
+    L_z = -i d/dphi acts on the samples through their FFT; the grid
+    resolves every harmonic of the series, so both are exact to rounding.
+    """
+    f = eval_series(s, GRID)
+    lz_f = np.fft.ifft(np.fft.fftfreq(len(GRID), 1.0 / len(GRID)) * np.fft.fft(f))
+    dphi = 2 * np.pi / len(GRID)
+    rho = np.abs(f) ** 2
+    return (np.vdot(f, lz_f).real * dphi, np.vdot(lz_f, lz_f).real * dphi,
+            *(np.sum(rho * w) * dphi for w in (np.cos(GRID), np.sin(GRID),
+                                                np.cos(GRID) ** 2, np.sin(GRID) ** 2)))
+
+
+def random_unit_series(n):
+    c = RNG.normal(size=2 * n + 1) + 1j * RNG.normal(size=2 * n + 1)
+    return TrigSeries(c / np.linalg.norm(c))
 
 
 def test_free_rotor_xi1():
@@ -46,12 +59,12 @@ def test_free_rotor_phi_plus_1():
 
 
 def test_analytic_ur_row_n1():
-    spec = lambda f: build_state(StateSpec(f, 1, 0.0))
-    assert ur_a(spec(StateFamily.PHI_PLUS)) == pytest.approx(-0.125, abs=1e-10)
-    assert ur_a(spec(StateFamily.XI)) == pytest.approx(0.0625, abs=1e-10)
-    assert ur_a(spec(StateFamily.ETA)) == pytest.approx(0.6875, abs=1e-10)
-    assert ur_b(spec(StateFamily.XI)) == pytest.approx(0.6875, abs=1e-10)
-    assert ur_b(spec(StateFamily.ETA)) == pytest.approx(0.0625, abs=1e-10)
+    report = lambda f: angular_moments(build_state(StateSpec(f, 1, 0.0)))
+    assert report(StateFamily.PHI_PLUS).ur_a == pytest.approx(-0.125, abs=1e-10)
+    assert report(StateFamily.XI).ur_a == pytest.approx(0.0625, abs=1e-10)
+    assert report(StateFamily.ETA).ur_a == pytest.approx(0.6875, abs=1e-10)
+    assert report(StateFamily.XI).ur_b == pytest.approx(0.6875, abs=1e-10)
+    assert report(StateFamily.ETA).ur_b == pytest.approx(0.0625, abs=1e-10)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -72,25 +85,37 @@ def test_lz_consistency_with_velocity(family):
 
 def test_branch_symmetry_of_ur_a():
     for n, l in ((2, 0.3), (6, 8.0)):
-        plus = ur_a(build_state(StateSpec(StateFamily.PHI_PLUS, n, l)))
-        minus = ur_a(build_state(StateSpec(StateFamily.PHI_MINUS, n, l)))
+        plus = angular_moments(build_state(StateSpec(StateFamily.PHI_PLUS, n, l))).ur_a
+        minus = angular_moments(build_state(StateSpec(StateFamily.PHI_MINUS, n, l))).ur_a
         assert plus == pytest.approx(minus, abs=1e-10)
 
 
 def test_exchange_symmetry_at_l0():
     for n in (1, 2, 3):
-        xi = build_state(StateSpec(StateFamily.XI, n, 0.0))
-        eta = build_state(StateSpec(StateFamily.ETA, n, 0.0))
-        assert ur_a(xi) == pytest.approx(ur_b(eta), abs=1e-10)
-        assert ur_b(xi) == pytest.approx(ur_a(eta), abs=1e-10)
+        xi = angular_moments(build_state(StateSpec(StateFamily.XI, n, 0.0)))
+        eta = angular_moments(build_state(StateSpec(StateFamily.ETA, n, 0.0)))
+        assert xi.ur_a == pytest.approx(eta.ur_b, abs=1e-10)
+        assert xi.ur_b == pytest.approx(eta.ur_a, abs=1e-10)
 
 
 def test_moments_match_quadrature():
-    state = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 4.0))
-    r = angular_moments(state)
-    assert r.exp_sin == pytest.approx(quad_moment(state, np.sin(GRID)), abs=1e-8)
-    assert r.exp_cos2 == pytest.approx(
-        quad_moment(state, np.cos(GRID) ** 2), abs=1e-8)
+    states = [build_state(StateSpec(f, n, l)) for f, n, l in (
+        (StateFamily.PHI_PLUS, 2, 4.0), (StateFamily.PSI_MINUS, 3, 11.1),
+        (StateFamily.XI, 0, 0.0))]
+    # random complex series: K = 0 and 1 leave the lag-2 sum empty, and
+    # unlike the symmetric Mathieu states they have <sin phi> != 0
+    series = [state.series for state in states] + [
+        random_unit_series(n) for n in (0, 1, 1, 2, 6)]
+    for s in series:
+        m = moments(s)
+        assert all(type(x) is float for x in m)
+        np.testing.assert_allclose(m, quad_moments(s), rtol=0, atol=1e-10)
+    assert max(abs(moments(s).sin) for s in series) > 0.1
+    for state in states:
+        r = angular_moments(state)
+        m = moments(state.series)
+        assert (r.exp_Lz, r.exp_Lz2, r.exp_cos, r.exp_sin, r.exp_cos2,
+                r.exp_sin2) == tuple(m)
 
 
 def test_local_inequality_xi1_free():
