@@ -15,12 +15,15 @@ vector and the half-turn multiplies c_k by (-1)^k.
 
 Boundary search
 ---------------
-A ROTOR pair is degenerate below its boundary, a WELL pair above it.
-The ROTOR scan doubles its step outward from l = 0; the WELL scan keeps
-a fixed ``WELL_STEP``, because the relative gap can spike where the
-pair mean crosses zero. Both hand their bracket to one bisection that
-keeps gap(inside) < eps <= gap(outside) until the bracket is narrower
-than ``BISECTION_TOL``; l_c is its midpoint.
+A ROTOR pair is degenerate (gap < eps) below its boundary, a WELL pair
+above it. Both scan upward over l = ``PROBE_DELTA`` + k ``SCAN_STEP``;
+the pairing only sets the sign of gap - eps the scan starts from. The
+first cell where that sign flips goes to ``brentq``, whose root is l_c.
+The scan points do not depend on eps, so calibration reuses their
+cached solves. Two limits follow: a stretch narrower than ``SCAN_STEP``
+on the far side of eps can be stepped over; and a pole of the relative
+gap, where the pair mean crosses zero, is +inf on both sides, so it is
+no sign change of gap - eps and brentq cannot return it.
 
 Degeneracy criterion
 --------------------
@@ -43,20 +46,23 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import AmbiguityError, BoundaryNotFoundError, DomainError
-from .mathieu import (MathieuClass, a_value, b_value, ce_class,
+from .mathieu import (MathieuClass, _barrier, a_value, b_value, ce_class,
                       characteristic_values, check_count, se_class)
 from .series import TrigSeries, inner_product
 
 SEARCH_CEILING = 200.0
-BISECTION_TOL = 1e-4
 PROBE_DELTA = 1e-6
-WELL_STEP = 0.25
+SCAN_STEP = 1.0
+# brentq's iterates depend on eps, so they miss the solve cache; tighter
+# than this they spend their evaluations in LAPACK jitter.
+ROOT_XTOL = 1e-9
 INVARIANCE_TOL = 1e-10
 # A table row whose relative-threshold boundary misses the tabulated
 # value by more than this falls back to a per-row absolute threshold.
@@ -160,6 +166,9 @@ class GapMeasure(enum.Enum):
 
 @dataclass(frozen=True)
 class RegionBoundary:
+    """l_c of a pair at one threshold; ``bracket`` is the scan cell of
+    width ``SCAN_STEP`` that holds it, or (0, ``PROBE_DELTA``)."""
+
     n: int
     pairing: PairingKind
     l_c: float
@@ -207,8 +216,12 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
              measure: GapMeasure) -> float:
     """Energy gap of the pair; relative measure divides by the pair mean.
 
-    The relative measure is +inf where the pair mean vanishes.
+    The relative measure is +inf where the pair mean vanishes. Inputs are
+    checked before any solve; find_boundary relies on that.
     """
+    if not (isinstance(pairing, PairingKind) and isinstance(measure, GapMeasure)):
+        raise DomainError(f"need a PairingKind and a GapMeasure, got "
+                          f"{pairing!r} and {measure!r}")
     pairing.validate(n)
     ea, eb = a_value(n, l), b_value(n + (pairing is PairingKind.WELL), l)
     if measure is GapMeasure.ABSOLUTE:
@@ -223,8 +236,9 @@ def _relative_gap(ea: float, eb: float) -> float:
 
 
 def _check_threshold(epsilon: float) -> None:
-    """Raise DomainError unless 0 < epsilon < inf (NaN fails too)."""
-    if not 0.0 < epsilon < math.inf:
+    """Raise DomainError unless epsilon is a real 0 < epsilon < inf."""
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not 0.0 < epsilon < math.inf):
         raise DomainError(
             f"gap threshold must be finite and positive, got {epsilon!r}")
 
@@ -239,44 +253,25 @@ def find_boundary(
 
     ROTOR: largest l with gap < eps, or l_c = 0 when the gap already
     exceeds eps at the probe point. WELL: smallest l with gap < eps
-    (the tunneling doublet forms as the barrier grows). The module
-    docstring describes the scans and the bisection.
+    (the tunneling doublet forms as the barrier grows), or
+    ``PROBE_DELTA`` when the probe is already below eps. The module
+    docstring describes the scan, the Brent root and their limits.
     """
     _check_threshold(epsilon)
-    pairing.validate(n)
-    gap = lambda l: pair_gap(n, pairing, l, measure)
-
-    def boundary(l_c: float, bracket: tuple[float, float]) -> RegionBoundary:
-        return RegionBoundary(n, pairing, l_c, epsilon, bracket, measure)
-
-    if pairing is PairingKind.ROTOR:
-        if gap(PROBE_DELTA) >= epsilon:
-            return boundary(0.0, (0.0, PROBE_DELTA))
-        inside, outside = PROBE_DELTA, 0.01
-        while gap(outside) < epsilon:
-            inside, outside = outside, 2.0 * outside
-            if outside > SEARCH_CEILING:
-                raise BoundaryNotFoundError(
-                    f"rotor gap for n={n} never reaches eps={epsilon} "
-                    f"below l={SEARCH_CEILING}")
-    else:
-        if gap(PROBE_DELTA) < epsilon:
-            return boundary(PROBE_DELTA, (0.0, PROBE_DELTA))
-        outside, inside = PROBE_DELTA, PROBE_DELTA + WELL_STEP
-        while gap(inside) >= epsilon:
-            outside, inside = inside, inside + WELL_STEP
-            if inside > SEARCH_CEILING:
-                raise BoundaryNotFoundError(
-                    f"well gap for n={n} never drops below eps={epsilon} "
-                    f"below l={SEARCH_CEILING}")
-    while abs(outside - inside) > BISECTION_TOL:
-        mid = 0.5 * (inside + outside)
-        if gap(mid) < epsilon:
-            inside = mid
-        else:
-            outside = mid
-    return boundary(0.5 * (inside + outside),
-                    (min(inside, outside), max(inside, outside)))
+    excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
+    rotor = pairing is PairingKind.ROTOR
+    lo = PROBE_DELTA
+    if (excess(lo) < 0) != rotor:
+        return RegionBoundary(n, pairing, 0.0 if rotor else lo, epsilon,
+                              (0.0, lo), measure)
+    for k in range(1, int((SEARCH_CEILING - PROBE_DELTA) / SCAN_STEP) + 1):
+        hi = PROBE_DELTA + k * SCAN_STEP
+        if (excess(hi) < 0) != rotor:
+            return RegionBoundary(n, pairing, brentq(excess, lo, hi, xtol=ROOT_XTOL),
+                                  epsilon, (lo, hi), measure)
+        lo = hi
+    raise BoundaryNotFoundError(f"{pairing.value} gap for n={n} never crosses "
+                                f"eps={epsilon} below l={SEARCH_CEILING}")
 
 
 def well_pair_for_level(n: int) -> int:
@@ -374,7 +369,11 @@ def calibrate_epsilon(reference: dict[int, float],
 
     Rows the global fit misses by more than ``ROW_TOLERANCE`` get the
     per-row absolute threshold of the :func:`level_boundary` fallback.
+    The table must be nonempty, its targets finite and nonnegative.
     """
+    check_levels(reference)
+    for target in reference.values():
+        _barrier(target)
 
     def objective(log_eps: float) -> float:
         eps = 10.0 ** log_eps

@@ -1,20 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from qpendulum import symmetry
+from qpendulum import mathieu, symmetry
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_value, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum import reference as ref
 from qpendulum.symmetry import (
-    BISECTION_TOL,
     PROBE_DELTA,
-    SEARCH_CEILING,
+    SCAN_STEP,
     GapMeasure,
     GroupElement,
     PairingKind,
     Subgroup,
     apply_group_element,
+    calibrate_epsilon,
     classify_region,
     classify_regions,
     compose,
@@ -175,78 +178,140 @@ def test_well_boundary_monotone_in_pair_index():
 
 
 def test_boundary_not_found():
-    # the rotor doubling scan passes SEARCH_CEILING with the gap below 1e6
+    # the scan passes SEARCH_CEILING with the rotor gap below 1e6
     with pytest.raises(BoundaryNotFoundError):
         find_boundary(1, PairingKind.ROTOR, 1e6, GapMeasure.ABSOLUTE)
-    # the well scan reaches SEARCH_CEILING before the gap drops below 1e-12
+    # and with the well gap above 1e-12
     with pytest.raises(BoundaryNotFoundError):
         find_boundary(12, PairingKind.WELL, 1e-12, GapMeasure.RELATIVE)
 
 
-def reference_find_boundary(n, pairing, epsilon, measure):
-    """The two-loop search that preceded the shared bisection: (l_c, bracket)."""
-    gap = lambda l: pair_gap(n, pairing, l, measure)
+KMAX = 100  # plane waves e^{ik phi}, |k| <= KMAX, of the dense oracle
+GRID_L = np.arange(0.0, 200.0, 0.05)  # barriers checked below a scan cell
 
-    if pairing is PairingKind.ROTOR:
-        if gap(PROBE_DELTA) >= epsilon:
-            return 0.0, (0.0, PROBE_DELTA)
-        lo, hi = PROBE_DELTA, 0.01
-        while gap(hi) < epsilon:
-            lo, hi = hi, 2.0 * hi
-            if hi > SEARCH_CEILING:
-                raise BoundaryNotFoundError(f"rotor n={n}")
-        below, above = lo, hi  # gap(below) < eps <= gap(above)
-        while above - below > BISECTION_TOL:
-            mid = 0.5 * (below + above)
-            if gap(mid) < epsilon:
-                below = mid
-            else:
-                above = mid
-        return 0.5 * (below + above), (below, above)
 
-    lo = PROBE_DELTA
-    if gap(lo) < epsilon:
-        return lo, (0.0, lo)
-    step = 0.25
-    hi = lo
-    while gap(hi) >= epsilon:
-        lo, hi = hi, hi + step
-        if hi > SEARCH_CEILING:
-            raise BoundaryNotFoundError(f"well n={n}")
-    above, below = lo, hi  # gap(above) >= eps > gap(below)
-    while below - above > BISECTION_TOL:
-        mid = 0.5 * (above + below)
-        if gap(mid) >= epsilon:
-            above = mid
-        else:
-            below = mid
-    return 0.5 * (above + below), (above, below)
+@functools.lru_cache(maxsize=None)
+def parity_block(cosine, odd):
+    """Dense D, S with H(l) = D + l S on cos(m phi) or sin(m phi), m = odd,
+    odd + 2, ..., projected from the plane-wave matrix of
+    -psi'' + 2 l cos(2 phi) psi; shares no code with the engine."""
+    k = np.arange(-KMAX, KMAX + 1)
+    ms = [m for m in range(odd, KMAX + 1, 2) if cosine or m > 0]
+    P = np.zeros((len(k), len(ms)))
+    for j, m in enumerate(ms):
+        P[KMAX + m, j] = P[KMAX - m, j] = 1.0 if m == 0 else np.sqrt(0.5)
+        P[KMAX - m, j] *= 1.0 if cosine else -1.0
+    S = (np.abs(k[:, None] - k[None, :]) == 2).astype(float)
+    return P.T @ np.diag(k ** 2.0) @ P, P.T @ S @ P
+
+
+@functools.lru_cache(maxsize=None)
+def dense_spectra(cosine, odd, ls):
+    """Ascending spectrum of one parity block at each barrier of tuple ls."""
+    D, S = parity_block(cosine, odd)
+    return np.concatenate([
+        np.linalg.eigvalsh(D[None] + chunk[:, None, None] * S[None])
+        for chunk in np.array_split(np.array(ls), max(1, len(ls) // 256))])
+
+
+def dense_values(cosine, n, ls):
+    """a_n (cosine) or b_n at each barrier in ls, by dense eigvalsh."""
+    spectra = dense_spectra(cosine, n % 2, tuple(np.atleast_1d(ls).tolist()))
+    return spectra[:, n // 2 if cosine else (n - 1) // 2]
+
+
+def dense_gaps(b, ls):
+    """The gap of boundary b's pair and measure at each barrier in ls."""
+    ea = dense_values(True, b.n, ls)
+    eb = dense_values(False, b.n + (b.pairing is PairingKind.WELL), ls)
+    gap = np.abs(ea - eb)
+    if b.measure is GapMeasure.RELATIVE:
+        with np.errstate(divide="ignore"):
+            gap = gap / np.abs(0.5 * (ea + eb))
+    return gap
+
+
+def assert_independent_root(b):
+    """l_c is the dense gap's root in the scan cell, with no crossing below."""
+    lo, hi = b.bracket
+    assert hi - lo == pytest.approx(SCAN_STEP) and lo <= b.l_c <= hi
+    root = brentq(lambda l: dense_gaps(b, l)[0] - b.gap_threshold, lo, hi,
+                  xtol=1e-13)
+    assert abs(b.l_c - root) <= 2e-9, (b, root)
+    degenerate = dense_gaps(b, GRID_L)[GRID_L < lo] < b.gap_threshold
+    assert degenerate.all() if b.pairing is PairingKind.ROTOR else not degenerate.any()
 
 
 @pytest.mark.parametrize("epsilon", [ref.CALIBRATED_EPS_ROTOR,
                                      ref.CALIBRATED_EPS_WELL])
 @pytest.mark.parametrize("pairing", list(PairingKind))
-def test_shared_bisection_bit_identical_to_two_loops(pairing, epsilon):
+def test_boundaries_match_independent_roots(pairing, epsilon):
     first = 1 if pairing is PairingKind.ROTOR else 0
-    for pair in range(first, 13):
-        b = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
-        l_c, bracket = reference_find_boundary(pair, pairing, epsilon,
-                                               GapMeasure.RELATIVE)
-        assert (b.l_c, b.bracket) == (l_c, bracket), pair
+    for pair in range(first, first + 12):
+        assert_independent_root(
+            find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE))
 
 
-def test_shared_bisection_bit_identical_on_absolute_fallback():
-    # merging row n=2 falls back to the absolute gap pinned at 7.51
-    b = level_boundary(2, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
-                       ref.MERGING_POINTS[2])
-    assert b.measure is GapMeasure.ABSOLUTE
-    l_c, bracket = reference_find_boundary(
-        well_pair_for_level(2), PairingKind.WELL, b.gap_threshold,
-        GapMeasure.ABSOLUTE)
-    assert (b.l_c, b.bracket) == (l_c, bracket)
+@pytest.mark.parametrize("pairing,epsilon,table", [
+    (PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
+    (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS),
+])
+def test_table_rows_match_independent_roots(pairing, epsilon, table):
+    rows = {n: level_boundary(n, pairing, epsilon, target)
+            for n, target in table.items()}
+    for b in rows.values():
+        assert_independent_root(b)
+    # merging row n=2 alone falls back to the absolute gap pinned at 7.51
+    fallback = {n for n, b in rows.items() if b.measure is GapMeasure.ABSOLUTE}
+    assert fallback == ({2} if pairing is PairingKind.WELL else set())
+    for n in fallback:
+        assert abs(rows[n].l_c - table[n]) <= 1e-9
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_relative_gap_pole_is_no_boundary():
+    # the mean of a_0 and b_1 crosses zero near l = 0.71, inside the first
+    # scan cell; the relative gap is +inf on both sides of it, so the root
+    # brentq returns is the threshold crossing at 0.99
+    eps = pair_gap(0, PairingKind.WELL, 0.99, GapMeasure.RELATIVE)
+    b = find_boundary(0, PairingKind.WELL, eps, GapMeasure.RELATIVE)
+    lo, hi = b.bracket
+    assert (lo, hi) == (PROBE_DELTA, PROBE_DELTA + SCAN_STEP)
+    ls = [lo, 0.7, 0.72, hi]
+    mean = dense_values(True, 0, ls) + dense_values(False, 1, ls)
+    assert list(np.sign(mean)) == [1, 1, -1, -1]
+    assert abs(b.l_c - 0.99) <= 1e-9
+    assert_independent_root(b)
+
+
+@pytest.fixture
+def dstebz_calls(monkeypatch):
+    """LAPACK dstebz calls made from a cold values cache."""
+    calls, real = [], mathieu.dstebz
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    mathieu.characteristic_values.cache_clear()
+    monkeypatch.setattr(mathieu, "dstebz", counting)
+    return calls
+
+
+@pytest.mark.parametrize("run,budget", [
+    (lambda: [level_boundary(n, PairingKind.WELL, ref.CALIBRATED_EPS_WELL, l)
+              for n, l in ref.MERGING_POINTS.items()], 1200),
+    (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 3000),
+    (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 3000),
+], ids=["table2", "calibrate-splitting", "calibrate-merging"])
+def test_cold_solver_call_budget(run, budget, dstebz_calls):
+    # the scan points are shared across thresholds through the values
+    # cache; a finer scan or a tighter brentq xtol breaks these budgets
+    run()
+    assert 0 < len(dstebz_calls) <= budget
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
+                                 None, True])
 def test_thresholds_must_be_finite_and_positive(bad):
     for pairing in PairingKind:
         with pytest.raises(DomainError):
@@ -327,6 +392,34 @@ def test_integer_counts_outside_the_engine(bad):
             pair_gap(bad, pairing, 1.0, GapMeasure.ABSOLUTE)
 
 
+@pytest.mark.parametrize("pairing,measure", [
+    ("rotor", GapMeasure.RELATIVE), ("well", GapMeasure.ABSOLUTE),
+    (PairingKind.ROTOR, "absolute"), (PairingKind.WELL, None),
+    (GapMeasure.ABSOLUTE, PairingKind.ROTOR)])
+def test_pairing_and_measure_must_be_their_enums(pairing, measure, dstebz_calls):
+    # a string measure once gave the relative gap under an absolute label
+    with pytest.raises(DomainError):
+        pair_gap(2, pairing, 1.0, measure)
+    with pytest.raises(DomainError):
+        find_boundary(2, pairing, 0.01, measure)
+    if not isinstance(pairing, PairingKind):
+        with pytest.raises(DomainError):
+            level_boundary(2, pairing, 0.01)
+        with pytest.raises(DomainError):
+            calibrate_epsilon({2: 0.2}, pairing)
+    assert dstebz_calls == []
+
+
+@pytest.mark.parametrize("table", [{}, {2: np.nan}, {2: np.inf}, {2: -0.2},
+                                   {2: "0.2"}, {2: None}, {2: 0.2, 0: 1.0},
+                                   {2.0: 0.2}])
+def test_calibration_table_checked_before_solving(table, dstebz_calls):
+    for pairing in PairingKind:
+        with pytest.raises(DomainError):
+            calibrate_epsilon(table, pairing)
+    assert dstebz_calls == []
+
+
 def test_integer_counts_accept_numpy_integers_and_check_range():
     assert well_pair_for_level(np.int64(3)) == 2
     assert len(sweep_characteristics(np.int64(1), [0.0])) == 3
@@ -339,8 +432,6 @@ def test_integer_counts_accept_numpy_integers_and_check_range():
 
 
 def test_calibrate_epsilon_rotor():
-    from qpendulum.symmetry import calibrate_epsilon
-
     res = calibrate_epsilon({2: 0.2, 3: 1.14, 4: 3.17}, PairingKind.ROTOR)
     # recovers the documented ~0.5% relative threshold with small residuals
     assert res.epsilon == pytest.approx(4.99e-3, rel=0.05)
@@ -349,10 +440,6 @@ def test_calibrate_epsilon_rotor():
 
 
 def test_calibrate_epsilon_well_flags_unfittable_row():
-    from qpendulum.symmetry import calibrate_epsilon
-
-    from qpendulum import reference as ref
-
     res = calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL)
     # row 2 sits where the pair mean crosses zero; no single relative
     # threshold fits it, so it alone gets a per-row absolute fallback
