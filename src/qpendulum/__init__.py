@@ -13,14 +13,11 @@ from .errors import (
 )
 from .mathieu import (
     MathieuClass,
-    SpectralLevel,
     a_value,
     b_value,
     ce_series,
-    characteristic_value,
     characteristic_values,
     se_series,
-    spectral_level,
 )
 from .series import (
     TrigSeries,
@@ -48,7 +45,6 @@ from .symmetry import (
     Subgroup,
     apply_group_element,
     calibrate_epsilon,
-    classify_region,
     classify_regions,
     find_boundary,
     level_boundary,

@@ -10,8 +10,8 @@ at one barrier for a range of orders, values only, by direct LAPACK
 ``dstebz`` calls, doubling the matrix size until the values settle. An
 eigenvector holds the weights of the orthonormal functions cos(h phi) or
 sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2
-norm; :func:`build_series` moves it onto the plane-wave slots of
-:mod:`qpendulum.series`, which keeps the norm.
+norm; :func:`ce_series` and :func:`se_series` alone move it onto the
+plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 
 Convergence rule
 ----------------
@@ -28,12 +28,13 @@ order's last two iterates, a ``dstebz`` failure status without them.
 Caches
 ------
 Two caches of 16,384 entries each: :func:`characteristic_values` keeps
-the values of one (family, order range, l), :func:`spectral_level` the
-eigenpair of one (family, order, l). Eigenvectors come from one extra
-scipy ``eigh_tridiagonal`` solve at the converged size, on request only.
-Inputs are validated inside the cached functions, so a hit is a single
-lookup; the caches are typed, so ``True`` or ``2.0`` never hit an entry
-made for ``1`` or ``2`` and always meet the validation.
+the values of one (family, order range, l), ``_weights`` the read-only
+eigenvector weights of one (family, order, l), from one extra scipy
+``eigh_tridiagonal`` solve at the converged size; a complex plane-wave
+series would take about eight times their memory. Inputs are validated
+inside the cached functions, so a hit is a single lookup; the caches are
+typed, so ``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``
+and always meet the validation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -88,35 +88,13 @@ class MathieuClass(enum.Enum):
 
 
 def ce_class(n: int) -> MathieuClass:
+    check_count(n, 0, "order")
     return MathieuClass.CE_EVEN if n % 2 == 0 else MathieuClass.CE_ODD
 
 
 def se_class(n: int) -> MathieuClass:
-    if n < 1:
-        raise DomainError(f"se requires order >= 1, got n={n}")
+    check_count(n, 1, "se order")
     return MathieuClass.SE_EVEN if n % 2 == 0 else MathieuClass.SE_ODD
-
-
-@dataclass(frozen=True)
-class SpectralLevel:
-    """One Mathieu eigenpair at fixed barrier l.
-
-    ``coeffs`` are the orthonormal-basis weights of the wavefunction:
-    slot r of CE_EVEN multiplies cos(2r phi)/sqrt(pi) for r >= 1 and
-    1/sqrt(2 pi) for r = 0; the other families have no constant slot.
-    """
-
-    mathieu_class: MathieuClass
-    n: int
-    l: float
-    value: float
-    coeffs: np.ndarray
-    truncation: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
 
 
 def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
@@ -217,60 +195,53 @@ def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
     return tuple(values.tolist())
 
 
-def characteristic_value(mathieu_class: MathieuClass, n: int, l: float) -> float:
-    """Characteristic value E_n(l) of the given parity family."""
-    return characteristic_values(mathieu_class, n, n, l)[0]
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def spectral_level(mathieu_class: MathieuClass, n: int, l: float) -> SpectralLevel:
-    """Eigenpair of order n, order-matching harmonic positive; cached."""
-    values, diag, off = _converge(mathieu_class, n, n, l)
+def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
+    """Read-only basis weights of order n, order-matching harmonic positive."""
+    _, diag, off = _converge(mathieu_class, n, n, l)
     k = mathieu_class.eigen_index(n)
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k),
                                check_finite=False)
     vec = vecs[:, 0]
-    size = len(diag)
-    # sign convention: weight of the order-matching harmonic positive
-    match = np.flatnonzero(mathieu_class.harmonics(size) == n)[0]
-    if vec[match] < 0:
+    # sign convention: weight of the order-matching harmonic (slot k) positive
+    if vec[k] < 0:
         vec = -vec
-    return SpectralLevel(mathieu_class, int(n), float(l), float(values[0]), vec,
-                         size)
+    vec.setflags(write=False)
+    return vec
 
 
-def build_series(level: SpectralLevel) -> TrigSeries:
-    """Place the level's weights w on plane-wave slots c_{+-h}.
+def _eigen_series(mathieu_class: MathieuClass, n: int, l: float) -> TrigSeries:
+    """Place the weights w of order n on plane-wave slots c_{+-h}.
 
     cos(h phi) gives w/sqrt(2) on both, sin(h phi) -i w/sqrt(2) on c_{+h}
     and +i w/sqrt(2) on c_{-h}; the constant keeps c_0 = w, the same fact
     as the sqrt(2) corner of :func:`_tridiagonal`.
     """
-    cls = level.mathieu_class
-    harm = cls.harmonics(len(level.coeffs))
+    weights = _weights(mathieu_class, n, l)
+    harm = mathieu_class.harmonics(len(weights))
     top = int(harm[-1])
-    w = level.coeffs / np.sqrt(2.0)
+    w = weights / np.sqrt(2.0)
     coeffs = np.zeros(2 * top + 1, dtype=np.complex128)
-    coeffs[top + harm] = w if cls.is_cosine else -1j * w
-    coeffs[top - harm] = w if cls.is_cosine else 1j * w
-    if cls.lowest == 0:
-        coeffs[top] = level.coeffs[0]
+    coeffs[top + harm] = w if mathieu_class.is_cosine else -1j * w
+    coeffs[top - harm] = w if mathieu_class.is_cosine else 1j * w
+    if mathieu_class.lowest == 0:
+        coeffs[top] = weights[0]
     return TrigSeries(coeffs)
 
 
 def ce_series(n: int, l: float) -> TrigSeries:
-    return build_series(spectral_level(ce_class(n), n, l))
+    return _eigen_series(ce_class(n), n, l)
 
 
 def se_series(n: int, l: float) -> TrigSeries:
-    return build_series(spectral_level(se_class(n), n, l))
+    return _eigen_series(se_class(n), n, l)
 
 
 def a_value(n: int, l: float) -> float:
     """Even-family characteristic value a_n(l)."""
-    return characteristic_value(ce_class(n), n, l)
+    return characteristic_values(ce_class(n), n, n, l)[0]
 
 
 def b_value(n: int, l: float) -> float:
     """Odd-family characteristic value b_n(l)."""
-    return characteristic_value(se_class(n), n, l)
+    return characteristic_values(se_class(n), n, n, l)[0]

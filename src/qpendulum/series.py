@@ -13,6 +13,7 @@ are first-class citizens.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +31,8 @@ class TrigSeries:
     """
 
     coeffs: np.ndarray
+    # numpy operands defer to the methods below instead of broadcasting
+    __array_ufunc__ = None
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
@@ -44,13 +47,17 @@ class TrigSeries:
         return len(self.coeffs) // 2
 
     def __add__(self, other: "TrigSeries") -> "TrigSeries":
+        if not isinstance(other, TrigSeries):
+            raise DomainError(f"a series adds only to a series, got {other!r}")
         n = max(self.n_harmonics, other.n_harmonics)
         return TrigSeries(_pad(self.coeffs, n) + _pad(other.coeffs, n))
 
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
-        return self + (other * (-1.0))
+        return self + (other * (-1.0) if isinstance(other, TrigSeries) else other)
 
     def __mul__(self, scalar) -> "TrigSeries":
+        if not isinstance(scalar, numbers.Number):
+            raise DomainError(f"a series scales by a number, got {scalar!r}")
         return TrigSeries(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__

@@ -286,12 +286,13 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
 
     ROTOR searches the pair (ce_n, se_n), WELL the pair
     :func:`well_pair_for_level` (n), both under the relative gap
-    threshold ``epsilon``. Given a tabulated ``reference`` that this
-    misses by more than ``ROW_TOLERANCE``, the row falls back to the
-    absolute-gap threshold pinned by the reference (the absolute gap is
-    monotone through each boundary); the result then carries
-    ``GapMeasure.ABSOLUTE`` and that threshold.
+    threshold ``epsilon``. Given a tabulated ``reference`` (checked as a
+    barrier before any solve) that this misses by more than
+    ``ROW_TOLERANCE``, the row falls back to the absolute-gap threshold
+    pinned by it (the absolute gap is monotone through each boundary);
+    the result then carries ``GapMeasure.ABSOLUTE`` and that threshold.
     """
+    reference = None if reference is None else _barrier(reference)
     pair = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
     boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
     if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
@@ -333,12 +334,6 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
         regions[n] = (Subgroup.G_MINUS if rotor else
                       Subgroup.G_PLUS if well else Subgroup.G_ZERO)
     return regions
-
-
-def classify_region(n: int, l: float, epsilon_rotor: float,
-                    epsilon_well: float) -> Subgroup:
-    """Symmetry region of level n alone; see :func:`classify_regions`."""
-    return classify_regions([n], l, epsilon_rotor, epsilon_well)[n]
 
 
 # ---------------------------------------------------------------------------

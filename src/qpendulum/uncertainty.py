@@ -36,11 +36,11 @@ class UncertaintyReport:
 
 
 def angular_moments(state: QuantumState) -> UncertaintyReport:
-    """All sin/cos/L_z moments and variances of the state."""
+    """All sin/cos/L_z moments and variances; the state must be unit-norm."""
     m = moments(state.series)
     # cos^2 + sin^2 is sum |c_k|^2 by construction: a norm check
     if abs(m.cos2 + m.sin2 - 1.0) > 1e-10:
-        raise AssertionError(
+        raise DomainError(
             f"state not normalised: sum |c_k|^2 = {m.cos2 + m.sin2}")
 
     var_sin = m.sin2 - m.sin ** 2

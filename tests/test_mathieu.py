@@ -13,16 +13,14 @@ from qpendulum.mathieu import (
     MathieuClass,
     a_value,
     b_value,
-    build_series,
     ce_class,
     ce_series,
-    characteristic_value,
     characteristic_values,
     se_class,
     se_series,
-    spectral_level,
 )
 from qpendulum.series import TrigSeries, eval_series, inner_product
+from qpendulum.states import StateFamily, StateSpec, build_state
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
 
@@ -52,11 +50,11 @@ def test_free_rotor_values(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
 def test_against_dense_oracle(n, l):
     cls = ce_class(n)
-    assert characteristic_value(cls, n, l) == pytest.approx(
+    assert characteristic_values(cls, n, n, l)[0] == pytest.approx(
         dense_oracle(cls, n, l), abs=1e-9)
     if n >= 1:
         cls = se_class(n)
-        assert characteristic_value(cls, n, l) == pytest.approx(
+        assert characteristic_values(cls, n, n, l)[0] == pytest.approx(
             dense_oracle(cls, n, l), abs=1e-9)
 
 
@@ -98,7 +96,7 @@ def test_orthonormality_within_class():
     l = 11.1
     for cls, orders in ((MathieuClass.CE_EVEN, [0, 2, 4, 6]),
                         (MathieuClass.SE_ODD, [1, 3, 5])):
-        series = [build_series(spectral_level(cls, n, l)) for n in orders]
+        series = [mathieu._eigen_series(cls, n, l) for n in orders]
         for i, si in enumerate(series):
             for j, sj in enumerate(series):
                 assert inner_product(si, sj) == pytest.approx(
@@ -123,9 +121,9 @@ def test_sign_convention():
 
 def test_order_validation():
     with pytest.raises(DomainError):
-        characteristic_value(MathieuClass.CE_EVEN, 3, 1.0)
+        characteristic_values(MathieuClass.CE_EVEN, 3, 3, 1.0)[0]
     with pytest.raises(DomainError):
-        characteristic_value(MathieuClass.SE_EVEN, 0, 1.0)
+        characteristic_values(MathieuClass.SE_EVEN, 0, 0, 1.0)[0]
     with pytest.raises(DomainError):
         a_value(2, -1.0)
     with pytest.raises(DomainError):
@@ -137,7 +135,7 @@ def test_order_validation():
 def test_convergence_error_reports_iterates():
     # sizes 256 and 512 still disagree at l = 1e11
     with pytest.raises(ConvergenceError) as err:
-        characteristic_value(MathieuClass.CE_EVEN, 0, 1e11)
+        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
     assert err.value.last_iterates is not None
 
 
@@ -206,36 +204,37 @@ def test_grid_converges_and_matches_oracles(l):
     for n in range(21):
         for cls, special in ((ce_class(n), mathieu_a),) + (
                 ((se_class(n), mathieu_b),) if n else ()):
-            value = characteristic_value(cls, n, l)
+            value = characteristic_values(cls, n, n, l)[0]
             ref = special(n, l) if dense is None else dense[cls][cls.eigen_index(n)]
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(value)), (cls, n, l)
 
 
 @pytest.mark.parametrize("n,l", [(2, math.nan), (2, math.inf), (True, 1.0),
-                                 (2.0, 1.0), (2, True), (2, "1.0")])
+                                 (2.0, 1.0), (2, True), (2, "1.0"), ("2", 1.0),
+                                 (None, 1.0)])
 def test_rejects_nonfinite_barriers_and_non_integer_orders(n, l):
-    # cached entries for the equal keys 1, 2 and 1.0 must not answer these
+    # cached entries for the equal keys 1, 2 and 1.0 must not answer these;
+    # a string or None order once raised TypeError from the family choice
     a_value(1, 1.0), a_value(2, 1.0)
-    with pytest.raises(DomainError):
-        a_value(n, l)
-    with pytest.raises(DomainError):
-        ce_series(n, l)
+    for fn in (a_value, b_value, ce_series, se_series):
+        with pytest.raises(DomainError):
+            fn(n, l)
 
 
 def test_numpy_scalars_accepted_and_values_are_floats():
     value = a_value(2, 1.0)
     assert type(value) is float
     assert a_value(np.int64(2), np.float64(1.0)) == value
-    assert type(spectral_level(MathieuClass.CE_EVEN, np.int64(2), 1.0).n) is int
+    assert np.array_equal(ce_series(np.int64(2), 1.0).coeffs, ce_series(2, 1.0).coeffs)
 
 
-def _placed_by_loop(level):
+def _placed_by_loop(cls, weights):
     """Plane-wave placement as one loop per coefficient."""
-    harm = level.mathieu_class.harmonics(len(level.coeffs))
+    harm = cls.harmonics(len(weights))
     top = int(harm[-1])
     coeffs = np.zeros(2 * top + 1, dtype=np.complex128)
-    for k, w in zip(harm, level.coeffs):
-        if not level.mathieu_class.is_cosine:
+    for k, w in zip(harm, weights):
+        if not cls.is_cosine:
             coeffs[top + k] = -1j * (w / np.sqrt(2.0))
             coeffs[top - k] = 1j * (w / np.sqrt(2.0))
         elif k == 0:
@@ -249,25 +248,55 @@ def _placed_by_loop(level):
                                    (MathieuClass.CE_ODD, 3), (MathieuClass.SE_ODD, 1),
                                    (MathieuClass.SE_EVEN, 2)])
 def test_build_series_bit_identical_to_loop(cls, n):
-    level = spectral_level(cls, n, 11.1)
-    series = build_series(level)
-    assert np.array_equal(series.coeffs, _placed_by_loop(level))
+    series = mathieu._eigen_series(cls, n, 11.1)
+    assert np.array_equal(series.coeffs,
+                          _placed_by_loop(cls, mathieu._weights(cls, n, 11.1)))
 
 
 @pytest.mark.parametrize("cls,n", [(MathieuClass.CE_EVEN, 2), (MathieuClass.CE_ODD, 1),
                                    (MathieuClass.SE_ODD, 3), (MathieuClass.SE_EVEN, 2)])
 def test_build_series_pointwise(cls, n):
     """Each weight w of harmonic h is w cos(h phi)/sqrt(pi) or w sin(h phi)/sqrt(pi)."""
-    level = spectral_level(cls, n, 3.42)
+    weights = mathieu._weights(cls, n, 3.42)
     want = np.zeros(len(GRID))
-    for h, w in zip(cls.harmonics(len(level.coeffs)), level.coeffs):
+    for h, w in zip(cls.harmonics(len(weights)), weights):
         if h == 0:
             want += w / np.sqrt(2.0 * np.pi)
         else:
             trig = np.cos if cls.is_cosine else np.sin
             want += w * trig(h * GRID) / np.sqrt(np.pi)
-    np.testing.assert_allclose(eval_series(build_series(level), GRID), want,
-                               atol=1e-12)
+    np.testing.assert_allclose(eval_series(mathieu._eigen_series(cls, n, 3.42), GRID),
+                               want, atol=1e-12)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """scipy eigh_tridiagonal calls made from a cold weights cache."""
+    calls, real = [], mathieu.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    mathieu._weights.cache_clear()
+    monkeypatch.setattr(mathieu, "eigh_tridiagonal", counting)
+    return calls
+
+
+def test_state_families_share_one_eigenvector_solve_per_order(eigh_calls):
+    # phi+-, xi, eta and psi+- for n = 1..8 need ce_1..8 and se_1..9 only
+    specs = [StateSpec(fam, n, 3.42) for fam in StateFamily for n in range(1, 9)]
+    first = [build_state(spec).series for spec in specs]
+    assert len(eigh_calls) == 17
+    again = [build_state(spec).series for spec in specs]
+    assert len(eigh_calls) == 17
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(first, again))
+
+
+def test_cached_weights_are_read_only():
+    weights = mathieu._weights(MathieuClass.CE_EVEN, 2, 1.0)
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_integer_barrier_gives_float_bands():

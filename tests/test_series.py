@@ -85,3 +85,29 @@ def test_eval_scalar_angle_is_complex():
     value = eval_series(s, 0.3)
     assert type(value) is complex
     assert value == pytest.approx(eval_series(s, np.array([0.3]))[0], abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", ["2", None, [2.0], np.array([2.0]), TrigSeries([1.0])])
+def test_scaling_needs_a_number(bad):
+    # complex("2") once doubled the series
+    s = random_series()
+    with pytest.raises(DomainError):
+        s * bad
+    with pytest.raises(DomainError):
+        bad * s
+
+
+@pytest.mark.parametrize("bad", [1, 2.5j, "1", None, np.zeros(13)])
+def test_addition_needs_a_series(bad):
+    s = random_series()
+    with pytest.raises(DomainError):
+        s + bad
+    with pytest.raises(DomainError):
+        s - bad
+
+
+def test_numpy_scalars_scale():
+    s = random_series()
+    for scalar in (np.float64(0.5), np.int64(3), np.complex128(1j)):
+        assert np.array_equal((s * scalar).coeffs, s.coeffs * complex(scalar))
+        assert np.array_equal((scalar * s).coeffs, s.coeffs * complex(scalar))

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from qpendulum import mathieu, symmetry
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
-from qpendulum.mathieu import MathieuClass, ce_series, characteristic_value, se_series
+from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum import reference as ref
 from qpendulum.symmetry import (
@@ -18,7 +18,6 @@ from qpendulum.symmetry import (
     Subgroup,
     apply_group_element,
     calibrate_epsilon,
-    classify_region,
     classify_regions,
     compose,
     find_boundary,
@@ -137,7 +136,7 @@ def test_batched_sweep_matches_per_order_values():
     rows = sweep_characteristics(8, [0.0, 0.7, 3.42, 11.1, 28.0, 55.0])
     assert len(rows) == 6 * 17
     for label, n, l, value in rows:
-        assert abs(value - characteristic_value(MathieuClass(label), n, l)) <= 1e-10
+        assert abs(value - characteristic_values(MathieuClass(label), n, n, l)[0]) <= 1e-10
 
 
 def test_sweep_validates_grid():
@@ -319,18 +318,18 @@ def test_thresholds_must_be_finite_and_positive(bad):
         with pytest.raises(DomainError):
             level_boundary(3, pairing, bad, 5.0)
     with pytest.raises(DomainError):
-        classify_region(2, 3.0, bad, 9.95e-3)
+        classify_regions([2], 3.0, bad, 9.95e-3)[2]
     with pytest.raises(DomainError):
-        classify_region(2, 3.0, 4.989e-3, bad)
+        classify_regions([2], 3.0, 4.989e-3, bad)[2]
 
 
 def test_classify_region_progression():
     # level 2: degenerate rotor pair at tiny l, isolated in between,
     # degenerate well pair deep in the well
     eps_r, eps_w = 4.989e-3, 9.95e-3
-    assert classify_region(2, 0.01, eps_r, eps_w) is Subgroup.G_MINUS
-    assert classify_region(2, 3.0, eps_r, eps_w) is Subgroup.G_ZERO
-    assert classify_region(2, 30.0, eps_r, eps_w) is Subgroup.G_PLUS
+    assert classify_regions([2], 0.01, eps_r, eps_w)[2] is Subgroup.G_MINUS
+    assert classify_regions([2], 3.0, eps_r, eps_w)[2] is Subgroup.G_ZERO
+    assert classify_regions([2], 30.0, eps_r, eps_w)[2] is Subgroup.G_PLUS
 
 
 def _classify_by_pair_gaps(n, l, epsilon_rotor, epsilon_well):
@@ -365,7 +364,7 @@ def test_classify_regions_raises_on_ambiguity():
     with pytest.raises(AmbiguityError):
         classify_regions([1, 2], 1.0, 0.9, 0.9)
     with pytest.raises(AmbiguityError):
-        classify_region(2, 1.0, 0.9, 0.9)
+        classify_regions([2], 1.0, 0.9, 0.9)[2]
 
 
 @pytest.mark.parametrize("levels", [[], [1, 0], [1, 2.0], [True], [1, "2"],
@@ -418,6 +417,22 @@ def test_calibration_table_checked_before_solving(table, dstebz_calls):
         with pytest.raises(DomainError):
             calibrate_epsilon(table, pairing)
     assert dstebz_calls == []
+
+
+@pytest.mark.parametrize("reference", ["7.51", [7.51], np.nan, np.inf, -1.0, True,
+                                       1j])
+def test_level_boundary_checks_reference_before_solving(reference, dstebz_calls):
+    # a string or a list once reached the fallback's arithmetic as TypeError
+    for pairing in PairingKind:
+        with pytest.raises(DomainError):
+            level_boundary(2, pairing, 9.95e-3, reference)
+    assert dstebz_calls == []
+
+
+def test_level_boundary_reference_accepts_numpy_floats():
+    eps = ref.CALIBRATED_EPS_WELL
+    assert (level_boundary(2, PairingKind.WELL, eps, np.float64(7.51))
+            == level_boundary(2, PairingKind.WELL, eps, 7.51))
 
 
 def test_integer_counts_accept_numpy_integers_and_check_range():

@@ -110,13 +110,13 @@ def test_modulation_schedule_crosses_boundary():
 
 
 def test_modulation_schedule_matches_direct_recomputation():
-    from qpendulum.symmetry import classify_region
+    from qpendulum.symmetry import classify_regions
 
     t = np.linspace(0, 2, 5)
     sched = modulation_schedule(1.0, 0.3, 2.0, t, [1, 2], EPS_R, EPS_W)
     for p in sched:
         for n in (1, 2):
-            assert p.regions[n] is classify_region(n, p.l, EPS_R, EPS_W)
+            assert p.regions[n] is classify_regions([n], p.l, EPS_R, EPS_W)[n]
 
 
 def test_modulation_schedule_solves_once_per_family_and_time(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from qpendulum.errors import DomainError
 from qpendulum.series import TrigSeries, eval_series, moments
-from qpendulum.states import StateFamily, StateSpec, build_state
+from qpendulum.states import QuantumState, StateFamily, StateSpec, build_state
 from qpendulum.uncertainty import angular_moments, local_variance_inequality
 from qpendulum.states import velocity_expect, velocity_sq_expect
 
@@ -145,3 +145,15 @@ def test_local_inequality_flat_density_errors():
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 1, 0.0))
     with pytest.raises(DomainError):
         local_variance_inequality(state)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 2e-10, 0.5])
+def test_non_unit_state_raises_domain_error(scale):
+    # the norm check once raised AssertionError
+    good = build_state(StateSpec(StateFamily.XI, 2, 3.0))
+    state = QuantumState(good.spec, scale * good.series, 0.0)
+    with pytest.raises(DomainError, match="not normalised"):
+        angular_moments(state)
+    with pytest.raises(DomainError, match="not normalised"):
+        local_variance_inequality(state)
+    angular_moments(QuantumState(good.spec, (1.0 + 2e-11) * good.series, 0.0))
