@@ -27,14 +27,13 @@ order's last two iterates, a ``dstebz`` failure status without them.
 
 Caches
 ------
-Two caches of 16,384 entries each: :func:`characteristic_values` keeps
-the values of one (family, order range, l), ``_weights`` the read-only
-eigenvector weights of one (family, order, l), from one extra scipy
-``eigh_tridiagonal`` solve at the converged size; a complex plane-wave
-series would take about eight times their memory. Inputs are validated
-inside the cached functions, so a hit is a single lookup; the caches are
-typed, so ``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``
-and always meet the validation.
+Two typed caches of 16,384 entries each: :func:`characteristic_values`
+keeps the values of one (family, order range, l), ``_weights`` the
+read-only eigenvector weights of one (family, order, l) from one extra
+scipy ``eigh_tridiagonal`` solve at the converged size (a complex
+plane-wave series would take eight times the memory). Inputs are
+validated inside the cached functions, so a hit is one lookup, and
+``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``.
 """
 
 from __future__ import annotations
@@ -202,10 +201,7 @@ def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     k = mathieu_class.eigen_index(n)
     _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k),
                                check_finite=False)
-    vec = vecs[:, 0]
-    # sign convention: weight of the order-matching harmonic (slot k) positive
-    if vec[k] < 0:
-        vec = -vec
+    vec = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]  # slot k matches n
     vec.setflags(write=False)
     return vec
 

@@ -31,8 +31,7 @@ class TrigSeries:
     """
 
     coeffs: np.ndarray
-    # numpy operands defer to the methods below instead of broadcasting
-    __array_ufunc__ = None
+    __array_ufunc__ = None  # numpy operands defer to the methods below
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
@@ -52,11 +51,16 @@ class TrigSeries:
         n = max(self.n_harmonics, other.n_harmonics)
         return TrigSeries(_pad(self.coeffs, n) + _pad(other.coeffs, n))
 
+    __radd__ = __add__
+
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
         return self + (other * (-1.0) if isinstance(other, TrigSeries) else other)
 
+    def __rsub__(self, other) -> "TrigSeries":
+        return self * (-1.0) + other
+
     def __mul__(self, scalar) -> "TrigSeries":
-        if not isinstance(scalar, numbers.Number):
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Number):
             raise DomainError(f"a series scales by a number, got {scalar!r}")
         return TrigSeries(self.coeffs * complex(scalar))
 

@@ -87,7 +87,8 @@ def test_eval_scalar_angle_is_complex():
     assert value == pytest.approx(eval_series(s, np.array([0.3]))[0], abs=1e-14)
 
 
-@pytest.mark.parametrize("bad", ["2", None, [2.0], np.array([2.0]), TrigSeries([1.0])])
+@pytest.mark.parametrize("bad", ["2", None, True, [2.0], np.array([2.0]),
+                                 TrigSeries([1.0])])
 def test_scaling_needs_a_number(bad):
     # complex("2") once doubled the series
     s = random_series()
@@ -104,6 +105,10 @@ def test_addition_needs_a_series(bad):
         s + bad
     with pytest.raises(DomainError):
         s - bad
+    with pytest.raises(DomainError):
+        bad + s
+    with pytest.raises(DomainError):
+        bad - s
 
 
 def test_numpy_scalars_scale():
