@@ -30,7 +30,6 @@ from .report import (
     build_bundle,
     format_csv,
     observable_tables,
-    uncertainty_tables,
     write_bundle,
     write_csv,
 )
@@ -122,18 +121,11 @@ def cmd_regions(args) -> int:
     return status
 
 
-def cmd_observables(args) -> int:
-    t3, t4, fluct = observable_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
-    write_csv(args.out / "table3.csv", HEADERS["table3"], t3)
-    write_csv(args.out / "table4.csv", HEADERS["table4"], t4)
-    write_csv(args.out / "fluctuations.csv", HEADERS["fluctuations"], fluct)
-    return EXIT_OK
-
-
-def cmd_uncertainty(args) -> int:
-    t5, t6 = uncertainty_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
-    write_csv(args.out / "table5.csv", HEADERS["table5"], t5)
-    write_csv(args.out / "table6.csv", HEADERS["table6"], t6)
+def cmd_tables(args) -> int:
+    """The subcommand's ``tables``, as the report writes them."""
+    tables = observable_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
+    for name in args.tables:
+        write_csv(args.out / f"{name}.csv", HEADERS[name], tables[name])
     return EXIT_OK
 
 
@@ -231,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one relative gap threshold for every row, "
                         "without the per-row fallback")
 
-    add("observables", cmd_observables, "velocity-jump tables", out_dir=".")
-    add("uncertainty", cmd_uncertainty, "angular uncertainty tables", out_dir=".")
+    add("observables", cmd_tables, "velocity-jump tables",
+        out_dir=".").set_defaults(tables=("table3", "table4"))
+    add("uncertainty", cmd_tables, "angular uncertainty tables",
+        out_dir=".").set_defaults(tables=("table5", "table6"))
 
     p = add("density", cmd_density, "probability density of one state",
             fmt=True)

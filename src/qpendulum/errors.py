@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and two argument type checks."""
+
+from collections.abc import Iterator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -34,3 +38,19 @@ class AmbiguityError(RuntimeError):
 
 class SeparatrixError(DomainError):
     """Classical parameters sit exactly on the separatrix (E = U)."""
+
+
+def check_type(value, kind: type, name: str):
+    """``value`` itself if it is a ``kind`` and not a bool; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` (an iterator too) as a float array; DomainError unless real."""
+    try:
+        return np.asarray(list(values) if isinstance(values, Iterator) else values,
+                          dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be real numbers, got {values!r}") from None

@@ -18,7 +18,7 @@ from . import __version__
 from . import reference as ref
 from .errors import BoundaryNotFoundError
 from .mathieu import TRUNCATION_CAP
-from .states import StateFamily, StateSpec, build_state, density, jump_at_boundary
+from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
     ROW_TOLERANCE,
     PairingKind,
@@ -41,7 +41,7 @@ GATES = {
     "table2": 0.1,
     "table3": 5e-3,
     "table4": 2e-2,
-    "table5": 1e-2,   # relative for |ref| > 1; see _ur_residual
+    "table5": 1e-2,   # relative for |ref| > 1; see _residual
     "table6": 1e-2,
 }
 
@@ -81,56 +81,39 @@ def _boundary_table(pairing: PairingKind, reference_table: dict,
     return rows
 
 
-def observable_tables(points: dict) -> tuple[list, list, list]:
-    """Tables 3 and 4 plus the fluctuation rows at the given barriers.
+def _residual(computed: float, target: float, relative: bool) -> float:
+    """|computed - target|, divided by max(|target|, 1) if ``relative``."""
+    return abs(computed - target) / (max(abs(target), 1.0) if relative else 1.0)
 
-    Table cells read (from - to), the orientation of the reference
-    columns; :class:`ObservableJump` itself keeps (to - from).
+
+def observable_tables(points: dict) -> dict[str, list]:
+    """Tables 3-6 at the given barriers, keyed by table name.
+
+    Each level builds phi+, phi-, xi and eta once and reads their
+    :func:`angular_moments` records. Tables 3 and 4 hold the jumps of
+    <v> = 2<L_z> and <v^2> = 4<L_z^2> over phi+ -> xi, phi+ -> eta,
+    phi- -> xi and phi- -> eta as (from - to), the orientation of the
+    reference columns (:class:`ObservableJump` keeps (to - from));
+    tables 5 and 6 hold ur_a and ur_b of the four states.
     """
-    t3, t4, fluct = [], [], []
+    tables = {"table3": [], "table4": [], "table5": [], "table6": []}
     for n in ref.LEVELS:
         l_c = points[n]
-        jumps = {}
-        for fam, tag in ((StateFamily.PHI_PLUS, "p"), (StateFamily.PHI_MINUS, "m")):
-            for to, totag in ((StateFamily.XI, "xi"), (StateFamily.ETA, "eta")):
-                jumps[tag + totag] = jump_at_boundary(n, fam, to, l_c)
-        cols = ("pxi", "peta", "mxi", "meta")
-        dv = [-jumps[k].delta_v for k in cols]
-        dv2 = [-jumps[k].delta_v2 for k in cols]
-        rv = ref.DELTA_V[n]
-        rv2 = ref.DELTA_V2[n]
-        res_v = max(abs(c - r) for c, r in zip(dv, rv))
-        res_v2 = max(abs(c - r) for c, r in zip(dv2, rv2))
-        t3.append((n, l_c, *dv, *rv, res_v))
-        t4.append((n, l_c, *dv2, *rv2, res_v2))
-        j = jumps["pxi"]
-        fluct.append((n, l_c, j.fluct_radicand, j.fluct_defined,
-                      j.fluctuation if j.fluct_defined else ""))
-    return t3, t4, fluct
-
-
-def _ur_residual(computed: float, target: float) -> float:
-    scale = max(abs(target), 1.0)
-    return abs(computed - target) / scale
-
-
-def uncertainty_tables(points: dict) -> tuple[list, list]:
-    """Tables 5 and 6 (ur_a, ur_b) at the given barriers."""
-    t5, t6 = [], []
-    fams = (StateFamily.PHI_PLUS, StateFamily.PHI_MINUS,
-            StateFamily.XI, StateFamily.ETA)
-    for n in ref.LEVELS:
-        l_c = points[n]
-        reports = [angular_moments(build_state(StateSpec(f, n, l_c)))
-                   for f in fams]
-        ua = [r.ur_a for r in reports]
-        ub = [r.ur_b for r in reports]
-        ra, rb = ref.UR_A[n], ref.UR_B[n]
-        t5.append((n, l_c, *ua, *ra,
-                   max(_ur_residual(c, r) for c, r in zip(ua, ra))))
-        t6.append((n, l_c, *ub, *rb,
-                   max(_ur_residual(c, r) for c, r in zip(ub, rb))))
-    return t5, t6
+        phip, phim, xi, eta = reports = [
+            angular_moments(build_state(StateSpec(f, n, l_c)))
+            for f in ("phi+", "phi-", "xi", "eta")]
+        pairs = ((phip, xi), (phip, eta), (phim, xi), (phim, eta))
+        for name, computed, target, relative in (
+            ("table3", [2.0 * a.exp_Lz - 2.0 * b.exp_Lz for a, b in pairs],
+             ref.DELTA_V[n], False),
+            ("table4", [4.0 * a.exp_Lz2 - 4.0 * b.exp_Lz2 for a, b in pairs],
+             ref.DELTA_V2[n], False),
+            ("table5", [r.ur_a for r in reports], ref.UR_A[n], True),
+            ("table6", [r.ur_b for r in reports], ref.UR_B[n], True),
+        ):
+            tables[name].append((n, l_c, *computed, *target, max(
+                _residual(c, r, relative) for c, r in zip(computed, target))))
+    return tables
 
 
 def build_bundle() -> ReportBundle:
@@ -147,13 +130,8 @@ def build_bundle() -> ReportBundle:
         PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR)
     bundle.tables["table2"] = _boundary_table(
         PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)
-    t3, t4, fluct = observable_tables(points)
-    bundle.tables["table3"] = t3
-    bundle.tables["table4"] = t4
-    bundle.tables["fluctuations"] = fluct
-    t5, t6 = uncertainty_tables(points)
-    bundle.tables["table5"] = t5
-    bundle.tables["table6"] = t6
+    bundle.tables.update(observable_tables(points))
+    t3, t4 = bundle.tables["table3"], bundle.tables["table4"]
 
     l_grid = np.linspace(0.0, 55.0, 111)
     bundle.figures["fig1_characteristics"] = sweep_characteristics(8, l_grid)
@@ -212,7 +190,6 @@ HEADERS = {
                "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
     "table6": ["n", "l_c", "ur_b_phip", "ur_b_phim", "ur_b_xi", "ur_b_eta",
                "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
-    "fluctuations": ["n", "l_c", "radicand", "defined", "fluctuation"],
     "fig1_characteristics": ["class", "n", "l", "value"],
     "fig2_delta_v": ["n", "l_c", "dv_xi", "dv_eta"],
     "fig3_delta_v2": ["n", "l_c", "dv2_xi", "dv2_eta"],

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import DomainError
+from .errors import DomainError, check_type, real_array
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def inner_product(s1: TrigSeries, s2: TrigSeries) -> complex:
 
     By orthonormality this is an exact finite sum, not a quadrature.
     """
-    n = max(s1.n_harmonics, s2.n_harmonics)
+    n = max(check_type(s1, TrigSeries, "s1").n_harmonics,
+            check_type(s2, TrigSeries, "s2").n_harmonics)
     return complex(np.vdot(_pad(s1.coeffs, n), _pad(s2.coeffs, n)))
 
 
@@ -105,7 +106,7 @@ def moments(s: TrigSeries) -> Moments:
     <cos^2 phi> and <sin^2 phi>. Unnormalised series give sum w times
     the normalised moments.
     """
-    c = s.coeffs
+    c = check_type(s, TrigSeries, "series").coeffs
     k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
     w = c.real ** 2 + c.imag ** 2
     kw = k * w
@@ -118,6 +119,7 @@ def moments(s: TrigSeries) -> Moments:
 
 def eval_series(s: TrigSeries, phi) -> complex | np.ndarray:
     """Pointwise value of the series: Horner's rule in z = e^{i phi}."""
-    z = np.exp(1j * np.asarray(phi, dtype=float))
+    check_type(s, TrigSeries, "series")
+    z = np.exp(1j * real_array(phi, "angles"))
     out = polyval(z, s.coeffs) * z ** -s.n_harmonics / np.sqrt(2.0 * np.pi)
     return complex(out) if np.ndim(out) == 0 else out

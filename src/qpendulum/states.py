@@ -6,21 +6,21 @@ State families at a given (n, l):
 * ``PHI_PLUS`` / ``PHI_MINUS``: (ce_n +- i se_n)/sqrt(2) (region G-).
 * ``PSI_PLUS`` / ``PSI_MINUS``: (ce_n +- i se_{n+1})/sqrt(2) (region G+).
 
-The angular velocity operator is v = -2 i d/dphi = 2 L_z (twice the
-angular momentum); its moments are read off the state's plane-wave
-coefficients by :func:`qpendulum.series.moments`.
+A :class:`QuantumState` contracts its coefficient vector once, into its
+``moments`` record, and every observable of the state reads that record.
+The velocity operator is v = -2 i d/dphi = 2 L_z (twice the angular momentum).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_type
 from .mathieu import ce_series, se_series
-from .series import TrigSeries, eval_series, inner_product, moments
+from .series import Moments, TrigSeries, eval_series, moments
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EXTREMA_GRID_POINTS = 4096  # angles searched for density extrema
@@ -60,19 +60,28 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class QuantumState:
+    """A state whose ``moments`` are contracted once, on construction;
+    ``norm_check`` is |sum |c_k|^2 - 1| = |<cos^2> + <sin^2> - 1|."""
+
     spec: StateSpec
     series: TrigSeries
-    norm_check: float
+    moments: Moments = field(init=False)
+    norm_check: float = field(init=False)
+
+    def __post_init__(self):
+        check_type(self.spec, StateSpec, "spec")
+        m = moments(self.series)
+        object.__setattr__(self, "moments", m)
+        object.__setattr__(self, "norm_check", abs(m.cos2 + m.sin2 - 1.0))
 
 
 @dataclass(frozen=True)
 class ObservableJump:
     """Velocity observables across one symmetry-switching transition.
 
-    ``delta_v`` and ``delta_v2`` follow the convention
-    (to-state value) - (from-state value). The fluctuation radicand is
-    delta_v2 - delta_v**2; its square root is only reported when the
-    radicand is nonnegative.
+    ``delta_v`` and ``delta_v2`` are (to-state value) - (from-state
+    value); ``fluct_radicand`` is delta_v2 - delta_v**2 and
+    ``fluct_defined`` whether it is nonnegative.
     """
 
     n: int
@@ -83,14 +92,10 @@ class ObservableJump:
     fluct_radicand: float
     fluct_defined: bool
 
-    @property
-    def fluctuation(self) -> float | None:
-        return float(np.sqrt(self.fluct_radicand)) if self.fluct_defined else None
-
 
 def build_state(spec: StateSpec) -> QuantumState:
     """Assemble the family's superposition from Mathieu eigenseries."""
-    fam, n, l = spec.family, spec.n, spec.l
+    fam, n, l = check_type(spec, StateSpec, "spec").family, spec.n, spec.l
     if fam is StateFamily.XI:
         s = ce_series(n, l)
     elif fam is StateFamily.ETA:
@@ -99,18 +104,17 @@ def build_state(spec: StateSpec) -> QuantumState:
         sign = 1.0 if fam in (StateFamily.PHI_PLUS, StateFamily.PSI_PLUS) else -1.0
         partner = se_series(n + (fam in _PSI), l)
         s = (ce_series(n, l) + sign * 1j * partner) * _INV_SQRT2
-    norm_check = abs(inner_product(s, s).real - 1.0)
-    return QuantumState(spec, s, norm_check)
+    return QuantumState(spec, s)
 
 
 def velocity_expect(state: QuantumState) -> float:
     """<v> = 2 <L_z> = 2 sum k |c_k|^2."""
-    return 2.0 * moments(state.series).Lz
+    return 2.0 * check_type(state, QuantumState, "state").moments.Lz
 
 
 def velocity_sq_expect(state: QuantumState) -> float:
     """<v^2> = 4 <L_z^2> = 4 sum k^2 |c_k|^2 >= 0."""
-    return 4.0 * moments(state.series).Lz2
+    return 4.0 * check_type(state, QuantumState, "state").moments.Lz2
 
 
 # G- -> G0 at a splitting point, G0 -> G+ at a merging point
@@ -131,7 +135,7 @@ def jump_at_boundary(n: int, from_family: StateFamily,
     if pair not in _TRANSITIONS:
         raise DomainError(
             f"invalid symmetry-switch transition {pair[0]} -> {pair[1]}")
-    src, dst = (moments(build_state(spec).series) for spec in specs)
+    src, dst = (build_state(spec).moments for spec in specs)
     delta_v = 2.0 * (dst.Lz - src.Lz)
     delta_v2 = 4.0 * (dst.Lz2 - src.Lz2)
     radicand = delta_v2 - delta_v ** 2
@@ -141,9 +145,9 @@ def jump_at_boundary(n: int, from_family: StateFamily,
 
 def density(state: QuantumState, grid) -> np.ndarray:
     """|psi(phi)|^2 sampled on the given angles; shape (len(grid), 2)."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.abs(np.asarray(eval_series(state.series, grid))) ** 2
-    return np.column_stack([grid, vals])
+    series = check_type(state, QuantumState, "state").series
+    vals = np.abs(np.asarray(eval_series(series, grid))) ** 2
+    return np.column_stack([np.asarray(grid, dtype=float), vals])
 
 
 def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:

@@ -47,12 +47,14 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import AmbiguityError, BoundaryNotFoundError, DomainError
+from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
+                     check_type, real_array)
 from .mathieu import (MathieuClass, _barrier, a_value, b_value, ce_class,
                       characteristic_values, check_count, se_class)
 from .series import TrigSeries, inner_product
@@ -91,8 +93,8 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 def apply_group_element(s: TrigSeries, g: GroupElement) -> TrigSeries:
     """Exact action: reflect reverses c_{-K}..c_K, half-turn scales c_k by (-1)^k."""
-    reflect, half_turn = g.value
-    coeffs = s.coeffs[::-1] if reflect else s.coeffs
+    reflect, half_turn = check_type(g, GroupElement, "group element").value
+    coeffs = check_type(s, TrigSeries, "series").coeffs[::-1 if reflect else 1]
     k = np.arange(-s.n_harmonics, s.n_harmonics + 1)
     return TrigSeries((-1.0) ** (half_turn * k) * coeffs)
 
@@ -124,6 +126,7 @@ def subgroup_invariance_check(
     Returns the verdict (within ``INVARIANCE_TOL``) and the fitted phase
     per element; the phase is meaningful only where the verdict holds.
     """
+    check_type(subgroup, Subgroup, "subgroup")
     nrm2 = inner_product(series, series).real
     if nrm2 == 0.0:
         raise DomainError("the zero series has no symmetry phase")
@@ -195,17 +198,15 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     Each family costs one :func:`characteristic_values` solve per l.
     """
     check_count(n_max, 0, "n_max")
-    l_grid = [float(l) for l in l_grid]
-    if not l_grid:
-        raise DomainError("l_grid must be nonempty")
-    if any(l < 0 for l in l_grid) or any(
-        b <= a for a, b in zip(l_grid, l_grid[1:])
-    ):
+    grid = real_array(l_grid, "l_grid")
+    if grid.ndim != 1 or not grid.size:
+        raise DomainError(f"l_grid must be a nonempty sequence, got {l_grid!r}")
+    if (grid < 0).any() or (np.diff(grid) <= 0).any():
         raise DomainError("l_grid must be nonnegative and strictly ascending")
     order = [(ce_class(n).value, n) for n in range(0, n_max + 1)]
     order += [(se_class(n).value, n) for n in range(1, n_max + 1)]
     rows = []
-    for l in l_grid:
+    for l in grid.tolist():
         ce, se = _spectrum(n_max, l)
         rows.extend((label, n, l, value)
                     for (label, n), value in zip(order, ce + se[1:]))
@@ -366,7 +367,7 @@ def calibrate_epsilon(reference: dict[int, float],
     per-row absolute threshold of the :func:`level_boundary` fallback.
     The table must be nonempty, its targets finite and nonnegative.
     """
-    check_levels(reference)
+    check_levels(check_type(reference, Mapping, "reference table"))
     for target in reference.values():
         _barrier(target)
 

@@ -11,11 +11,12 @@ take one batched solve per parity family and barrier value.
 from __future__ import annotations
 
 import importlib.resources
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_type, real_array
 from .mathieu import check_count
 from .symmetry import check_levels, classify_regions
 
@@ -127,13 +128,17 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     classified at the instantaneous barrier; a point is marked as a
     crossing when any level's region differs from the previous time.
     """
+    for name, value in (("l_c", l_c), ("delta_l", delta_l), ("omega", omega)):
+        check_type(value, numbers.Real, name)
     if not 0 < delta_l < np.inf:
         raise DomainError("delta_l must be finite and positive")
     levels = check_levels(levels)
-    t_grid = np.asarray(t_grid, dtype=float)
+    times = real_array(t_grid, "t_grid")
+    if times.ndim != 1:
+        raise DomainError(f"t_grid must be a sequence of times, got {t_grid!r}")
     out: list[SchedulePoint] = []
     prev: dict | None = None
-    for t in t_grid:
+    for t in times:
         l_t = max(l_c + delta_l * np.cos(omega * t), 0.0)
         regions = classify_regions(levels, l_t, eps_rotor, eps_well)
         crossing = prev is not None and regions != prev

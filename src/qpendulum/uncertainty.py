@@ -1,9 +1,9 @@
 """Angular uncertainty products for pendulum states.
 
 ur_a = (dLz)^2 (d sin phi)^2 - 1/4 (d cos phi)^2 and ur_b is the same
-with sin and cos swapped. The moments behind them come from one
-:func:`qpendulum.series.moments` contraction of the state's coefficient
-vector; only the local variance inequality samples the density.
+with sin and cos swapped. Both read the moment record that the state
+contracted once on construction (``QuantumState.moments``), and its
+``norm_check``; only the local variance inequality samples the density.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .series import moments
+from .errors import DomainError, check_type
 from .states import QuantumState, StateSpec, density, density_extrema
 
 _WINDOW_POINTS = 2048  # trapezoid nodes of the local second moment
@@ -37,11 +36,9 @@ class UncertaintyReport:
 
 def angular_moments(state: QuantumState) -> UncertaintyReport:
     """All sin/cos/L_z moments and variances; the state must be unit-norm."""
-    m = moments(state.series)
-    # cos^2 + sin^2 is sum |c_k|^2 by construction: a norm check
-    if abs(m.cos2 + m.sin2 - 1.0) > 1e-10:
-        raise DomainError(
-            f"state not normalised: sum |c_k|^2 = {m.cos2 + m.sin2}")
+    m = check_type(state, QuantumState, "state").moments
+    if state.norm_check > 1e-10:
+        raise DomainError(f"state not normalised: sum |c_k|^2 = {m.cos2 + m.sin2}")
 
     var_sin = m.sin2 - m.sin ** 2
     var_cos = m.cos2 - m.cos ** 2

@@ -220,7 +220,7 @@ def test_out_of_the_wrong_kind_exit_code(argv, kind, tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("computed before --out was checked")
 
-    for name in ("build_bundle", "observable_tables", "uncertainty_tables",
+    for name in ("build_bundle", "observable_tables",
                  "sweep_characteristics", "torsion_to_mathieu"):
         monkeypatch.setattr(cli, name, no_work)
     out = {"file": tmp_path / "taken.csv", "dir": tmp_path,
@@ -244,6 +244,22 @@ def test_report_determinism(tmp_path):
         assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
     assert (dir1 / "metadata.json").exists()
     assert (dir1 / "summary.txt").exists()
+
+
+def test_report_and_table_subcommands_write_only_documented_files(tmp_path):
+    from qpendulum.report import DATA_FILES
+
+    rep = tmp_path / "report"
+    assert main(["report", "--out", str(rep)]) == EXIT_OK
+    assert sorted(p.name for p in rep.iterdir()) == sorted(
+        [*DATA_FILES, "metadata.json", "summary.txt"])
+    for command, tables in (("observables", ("table3", "table4")),
+                            ("uncertainty", ("table5", "table6"))):
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [f"{t}.csv" for t in tables]
+        for t in tables:
+            assert (out / f"{t}.csv").read_bytes() == (rep / f"{t}.csv").read_bytes()
 
 
 def test_report_metadata_complete(tmp_path):

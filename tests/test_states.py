@@ -65,7 +65,6 @@ def test_jump_n1_free_rotor():
     assert j.delta_v2 == pytest.approx(0.0, abs=1e-10)
     assert j.fluct_radicand == pytest.approx(-4.0, abs=1e-9)
     assert not j.fluct_defined
-    assert j.fluctuation is None
 
 
 def test_jump_branch_antisymmetry():
@@ -159,3 +158,91 @@ def test_family_given_by_value():
 def test_unknown_family_rejected(family):
     with pytest.raises(DomainError):
         StateSpec(family, 2, 1.0)
+
+
+def _wrong_types():
+    import qpendulum as qp
+    from qpendulum.uncertainty import local_variance_inequality
+
+    s = qp.ce_series(2, 3.0)
+    state = build_state(StateSpec(StateFamily.XI, 2, 3.0))
+    G, S = qp.GroupElement, qp.Subgroup
+    return {
+        "inner_product": lambda: qp.inner_product(s, 1),
+        "inner_product-left": lambda: qp.inner_product(1, s),
+        "moments": lambda: qp.moments(1),
+        "eval_series": lambda: qp.eval_series(s, "x"),
+        "eval_series-series": lambda: qp.eval_series(1, 0.0),
+        "QuantumState": lambda: qp.QuantumState(state.spec, "x"),
+        "QuantumState-spec": lambda: qp.QuantumState(1, s),
+        "build_state": lambda: build_state(1),
+        "velocity_expect": lambda: velocity_expect(1),
+        "velocity_sq_expect": lambda: velocity_sq_expect(1),
+        "angular_moments": lambda: qp.angular_moments(1),
+        "local_variance_inequality": lambda: local_variance_inequality(1),
+        "density_maxima": lambda: density_maxima(1),
+        "density": lambda: density(state, "x"),
+        "density-state": lambda: density(1, GRID),
+        "apply_group_element": lambda: qp.apply_group_element(s, "A"),
+        "apply_group_element-series": lambda: qp.apply_group_element(1, G.A),
+        "subgroup_invariance_check": lambda: qp.subgroup_invariance_check(s, "G0"),
+        "subgroup_invariance_check-series":
+            lambda: qp.subgroup_invariance_check(1, S.G_ZERO),
+    }
+
+
+@pytest.mark.parametrize("name", list(_wrong_types()))
+def test_wrong_argument_types_raise_domain_error(name):
+    # each once raised AttributeError or ValueError
+    with pytest.raises(DomainError):
+        _wrong_types()[name]()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of build_state and series.moments, through any module's name."""
+    import sys
+
+    from qpendulum import series, states
+
+    counts = {"build_state": 0, "moments": 0}
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "qpendulum"]
+    for name, real in (("build_state", states.build_state),
+                       ("moments", series.moments)):
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+def test_report_tables_build_four_states_per_level(calls):
+    from qpendulum import reference as ref
+    from qpendulum.report import observable_tables
+
+    observable_tables(ref.OBSERVABLE_EVAL_POINTS)
+    assert calls == {"build_state": 32, "moments": 32}
+
+
+def test_state_observables_reuse_the_moment_record(calls):
+    from qpendulum.uncertainty import angular_moments
+
+    state = build_state(StateSpec(StateFamily.PHI_PLUS, 3, 1.2))
+    assert calls["moments"] == 1
+    velocity_expect(state), velocity_sq_expect(state), angular_moments(state)
+    assert calls["moments"] == 1
+
+
+def test_hand_built_state_computes_its_norm_check():
+    from qpendulum.states import QuantumState
+    from qpendulum.uncertainty import angular_moments
+
+    good = build_state(StateSpec(StateFamily.ETA, 2, 3.0))
+    state = QuantumState(good.spec, 2 * good.series)
+    assert state.norm_check == pytest.approx(3.0, abs=1e-12)
+    assert state.moments.Lz2 == pytest.approx(4.0 * good.moments.Lz2, rel=1e-12)
+    with pytest.raises(DomainError, match="not normalised"):
+        angular_moments(state)

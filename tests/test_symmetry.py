@@ -129,6 +129,7 @@ def test_sweep_characteristics_shape_and_order():
     assert rows[0][2] == 0.0 and rows[-1][2] == 1.0
     free = sorted(r[3] for r in rows[:5])
     np.testing.assert_allclose(free, [0, 1, 1, 4, 4], atol=1e-12)
+    assert sweep_characteristics(2, (l for l in (0.0, 1.0))) == rows
 
 
 def test_batched_sweep_matches_per_order_values():
@@ -148,6 +149,10 @@ def test_sweep_validates_grid():
         sweep_characteristics(2, [-1.0, 0.5])
     with pytest.raises(DomainError):
         sweep_characteristics(-1, [0.0, 0.5])
+    # a scalar, a non-number or a nested grid once raised TypeError or ValueError
+    for grid in (5.0, ["a"], [[0.0, 1.0]], None):
+        with pytest.raises(DomainError):
+            sweep_characteristics(2, grid)
 
 
 def test_pair_gap_measures():
@@ -411,7 +416,7 @@ def test_pairing_and_measure_must_be_their_enums(pairing, measure, dstebz_calls)
 
 @pytest.mark.parametrize("table", [{}, {2: np.nan}, {2: np.inf}, {2: -0.2},
                                    {2: "0.2"}, {2: None}, {2: 0.2, 0: 1.0},
-                                   {2.0: 0.2}])
+                                   {2.0: 0.2}, [1, 2]])
 def test_calibration_table_checked_before_solving(table, dstebz_calls):
     for pairing in PairingKind:
         with pytest.raises(DomainError):

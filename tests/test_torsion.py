@@ -144,9 +144,14 @@ def test_modulation_schedule_validation():
     for levels in ([1, 2.5], [True], [0, 1]):
         with pytest.raises(DomainError):
             modulation_schedule(1.0, 0.1, 1.0, [0.0], levels, EPS_R, EPS_W)
-    for delta_l in (np.nan, np.inf):
+    for delta_l in (np.nan, np.inf, "x", None):
         with pytest.raises(DomainError):
             modulation_schedule(1.0, delta_l, 1.0, [0.0], [1], EPS_R, EPS_W)
+    # non-numbers once raised TypeError or ValueError
+    for l_c, omega, t_grid in (("x", 1.0, [0.0]), (1.0, "x", [0.0]),
+                               (1.0, 1.0, ["x"]), (1.0, 1.0, 0.0)):
+        with pytest.raises(DomainError):
+            modulation_schedule(l_c, 0.1, omega, t_grid, [1], EPS_R, EPS_W)
     # levels are checked even when there is no time point
     with pytest.raises(DomainError):
         modulation_schedule(1.0, 0.1, 1.0, [], [0, "x"], EPS_R, EPS_W)
