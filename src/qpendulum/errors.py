@@ -1,5 +1,6 @@
 """Exception types shared across the package, and two argument type checks."""
 
+import numbers
 from collections.abc import Iterator
 
 import numpy as np
@@ -48,9 +49,14 @@ def check_type(value, kind: type, name: str):
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """``values`` (an iterator too) as a float array; DomainError unless real."""
+    """``values`` (an iterator too) as a float array; DomainError unless
+    every entry is a real number: None and numeric strings are not."""
     try:
-        return np.asarray(list(values) if isinstance(values, Iterator) else values,
-                          dtype=float)
+        array = np.asarray(list(values) if isinstance(values, Iterator) else values)
+        real = array.dtype.kind in "biuf" or (array.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) for v in array.flat))
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be real numbers, got {values!r}") from None
+        real = False
+    if not real:
+        raise DomainError(f"{name} must be real numbers, got {values!r}")
+    return array.astype(float, copy=False)

@@ -16,14 +16,20 @@ plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 Convergence rule
 ----------------
 The first size is :func:`initial_truncation` of the highest order,
-clamped to the fixed ``TRUNCATION_CAP``; when it already is the cap, it
-is compared with half the cap instead. Each step doubles the size (at
-most to the cap) and accepts once every value of the range moved by less
-than ``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
+n // 2 + 6 + 4 ceil(l^(1/4)) rows: a low level of the well is an
+oscillator of frequency 2 sqrt(l) (DLMF 28.8) whose weights spread over
+about l^(1/4) harmonics. It is clamped to the fixed ``TRUNCATION_CAP``;
+when it already is the cap (l above about 2.5e8), it is compared with half
+the cap instead. Each step doubles the size (at most to the cap) and
+accepts once every value of the range moved by less than
+``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
 where ||T|| = max|diag| + 2 max|off| bounds the norm of the larger
-matrix: below that floor the LAPACK bisection itself jitters. A range
-still moving at the cap raises :class:`ConvergenceError` with the worst
-order's last two iterates, a ``dstebz`` failure status without them.
+matrix: below that floor the LAPACK bisection itself jitters. Its own
+tolerance is eps * ||T|| too, and ||T|| grows as the squared size, so a
+needlessly large first size costs accuracy as well as time. A range
+still moving at the cap raises :class:`ConvergenceError` with the
+worst order's last two iterates, a ``dstebz`` failure status without
+them.
 
 Caches
 ------
@@ -114,7 +120,8 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
 
 
 def initial_truncation(n: int, l: float) -> int:
-    return max(32, n + 8 * int(np.ceil(np.sqrt(max(l, 0.0)))))
+    """First matrix size for orders up to n; see the module docstring."""
+    return n // 2 + 6 + 4 * math.ceil(max(l, 0.0) ** 0.25)
 
 
 def check_count(n, lowest: int, name: str) -> None:

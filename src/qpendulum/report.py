@@ -120,8 +120,8 @@ def build_bundle() -> ReportBundle:
     """Compute every table and figure dataset in memory.
 
     Tables 3-6 and fig2-fig4 are taken at ``OBSERVABLE_EVAL_POINTS``.
-    Every solve runs at the fixed truncation cap, which the metadata
-    records.
+    Every solve doubles its matrix size until the values settle, at most
+    to the fixed truncation cap, which the metadata records.
     """
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_type
+from .errors import DomainError, check_type, real_array
 from .mathieu import ce_series, se_series
 from .series import Moments, TrigSeries, eval_series, moments
 
@@ -146,8 +146,8 @@ def jump_at_boundary(n: int, from_family: StateFamily,
 def density(state: QuantumState, grid) -> np.ndarray:
     """|psi(phi)|^2 sampled on the given angles; shape (len(grid), 2)."""
     series = check_type(state, QuantumState, "state").series
-    vals = np.abs(np.asarray(eval_series(series, grid))) ** 2
-    return np.column_stack([np.asarray(grid, dtype=float), vals])
+    phi = real_array(grid, "angles")
+    return np.column_stack([phi, np.abs(np.asarray(eval_series(series, phi))) ** 2])
 
 
 def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:

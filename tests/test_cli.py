@@ -145,7 +145,7 @@ def test_torsion_missing_params():
 
 def test_convergence_exit_code():
     # at l = 1e11 the size-512 value is still 2.2e-6 (relative) off the
-    # size-2048 one; l = 1e5 converges at size 128
+    # size-2048 one; l = 1e5 converges after sizes 78 and 156
     code = main(["characteristics", "--n-max", "1", "--l-min", "1e11",
                  "--l-max", "1e11", "--steps", "2"])
     assert code == EXIT_CONVERGENCE

@@ -132,22 +132,8 @@ def test_order_validation():
         characteristic_values(MathieuClass.CE_ODD, 5, 1, 1.0)
 
 
-def test_convergence_error_reports_iterates():
-    # sizes 256 and 512 still disagree at l = 1e11
-    with pytest.raises(ConvergenceError) as err:
-        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
-    assert err.value.last_iterates is not None
-
-
-@pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
-@pytest.mark.parametrize("start,width", [(0, 1), (0, 5), (3, 1), (3, 5)])
-@pytest.mark.parametrize("cls", list(MathieuClass))
-def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
-                                                         monkeypatch):
-    """Each direct LAPACK call returns exactly what scipy's
-    eigvalsh_tridiagonal gives for the same bands and index range, and
-    the converged values are the last of them. At l = 1e4 the first
-    size is the cap, so half the cap is solved first."""
+def _spy_dstebz(monkeypatch):
+    """Record (diag, off, values) of every direct LAPACK call."""
     calls = []
     real = mathieu.dstebz
 
@@ -158,6 +144,30 @@ def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
 
     monkeypatch.setattr(mathieu, "dstebz", spy)
     characteristic_values.cache_clear()
+    return calls
+
+
+def test_convergence_error_reports_iterates(monkeypatch):
+    """At l = 1e11 the first size is above the cap, so half the cap is
+    solved first; sizes 256 and 512 still disagree."""
+    calls = _spy_dstebz(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
+    assert err.value.last_iterates is not None
+    assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
+    assert [len(c[0]) for c in calls] == [TRUNCATION_CAP // 2, TRUNCATION_CAP]
+
+
+@pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
+@pytest.mark.parametrize("start,width", [(0, 1), (0, 5), (3, 1), (3, 5)])
+@pytest.mark.parametrize("cls", list(MathieuClass))
+def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
+                                                         monkeypatch):
+    """Each direct LAPACK call returns exactly what scipy's
+    eigvalsh_tridiagonal gives for the same bands and index range, and
+    the converged values are the last of them. Sizes double from the
+    first; at l = 1e4 it is 46 rows plus half the highest order."""
+    calls = _spy_dstebz(monkeypatch)
     n_lo = cls.lowest + 2 * start
     n_hi = n_lo + 2 * (width - 1)
     values = characteristic_values(cls, n_lo, n_hi, l)
@@ -167,9 +177,11 @@ def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
                                    check_finite=False)
         assert len(got) == width and (got == ref).all()
     assert values == tuple(ref.tolist())
+    sizes = [len(c[0]) for c in calls]
+    assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), start + width + 1)
+    assert sizes[1:] == [2 * size for size in sizes[:-1]]
     if l == 1e4:
-        assert mathieu.initial_truncation(n_hi, l) > TRUNCATION_CAP
-        assert [len(c[0]) for c in calls] == [TRUNCATION_CAP // 2, TRUNCATION_CAP]
+        assert sizes[0] == 46 + n_hi // 2
 
 
 @pytest.mark.parametrize("fail", ["info", "count"])
@@ -190,8 +202,7 @@ def test_lapack_failure_raises_convergence_error(fail, monkeypatch):
 
 
 # Covers LAPACK jitter above the 1e-11 relative tolerance (a_8 and b_9
-# at l = 247.5) and first truncations at or above the cap
-# (l >= 4000).
+# at l = 247.5) and barriers up to 1e4.
 ORACLE_GRID = (0.0, 0.5, 10.0, 100.0, 247.5, 1e3, 4e3, 1e4)
 
 
@@ -207,6 +218,32 @@ def test_grid_converges_and_matches_oracles(l):
             value = characteristic_values(cls, n, n, l)[0]
             ref = special(n, l) if dense is None else dense[cls][cls.eigen_index(n)]
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(value)), (cls, n, l)
+
+
+# 120 barriers: 60 evenly over [0, 100], 60 geometric over (100, 1e4]
+ACCURACY_GRID = np.concatenate([np.linspace(0.0, 100.0, 60),
+                                np.geomspace(100.0, 1e4, 61)[1:]]).tolist()
+
+
+@pytest.mark.parametrize("cls", list(MathieuClass))
+def test_values_match_tight_reference(cls):
+    """Orders up to 20 from one range solve and from single-order solves
+    agree to 2e-12 (relative, absolute below 1) with a size-512 dstebz
+    bisection at ABSTOL 1e-300. LAPACK's default tolerance is
+    eps * ||T||, and ||T|| grows as the squared size, so a needlessly
+    large matrix loses absolute accuracy."""
+    top = 20 - (20 - cls.lowest) % 2
+    orders = range(cls.lowest, top + 1, 2)
+    for l in ACCURACY_GRID:
+        diag, off = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
+        found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1,
+                                                len(orders), 1e-300, "E")
+        assert info == 0 and found == len(orders)
+        scale = np.maximum(1.0, np.abs(ref[:found]))
+        for values in (characteristic_values(cls, cls.lowest, top, l),
+                       [characteristic_values(cls, n, n, l)[0] for n in orders]):
+            err = np.abs(np.array(values) - ref[:found]) / scale
+            assert err.max() <= 2e-12, (cls, l, err.max())
 
 
 @pytest.mark.parametrize("n,l", [(2, math.nan), (2, math.inf), (True, 1.0),

@@ -198,6 +198,26 @@ def test_wrong_argument_types_raise_domain_error(name):
         _wrong_types()[name]()
 
 
+@pytest.mark.parametrize("bad", [None, [None, 0.0], "1.5", ["1.0", "2.0"]],
+                         ids=["None", "None-in-list", "string", "strings"])
+@pytest.mark.parametrize("name", ["eval_series", "density", "sweep_characteristics",
+                                  "modulation_schedule"])
+def test_none_and_numeric_strings_are_not_real_grids(name, bad):
+    # None once read as NaN and "1.5" as 1.5
+    import qpendulum as qp
+
+    state = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 1.0))
+    call = {
+        "eval_series": lambda: qp.eval_series(state.series, bad),
+        "density": lambda: density(state, bad),
+        "sweep_characteristics": lambda: qp.sweep_characteristics(1, bad),
+        "modulation_schedule": lambda: qp.modulation_schedule(
+            1.0, 0.1, 1.0, bad, [1], 4.989e-3, 9.95e-3),
+    }[name]
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Calls of build_state and series.moments, through any module's name."""

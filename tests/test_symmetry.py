@@ -314,6 +314,13 @@ def test_cold_solver_call_budget(run, budget, dstebz_calls):
     assert 0 < len(dstebz_calls) <= budget
 
 
+def test_cold_sweep_row_budget(dstebz_calls):
+    # rows handed to LAPACK for the n <= 8 sweep over the fig1 grid
+    # (26,862): a first size growing as sqrt(l), not l^(1/4), breaks it
+    sweep_characteristics(8, np.linspace(0.0, 55.0, 111))
+    assert 0 < sum(len(args[0]) for args in dstebz_calls) <= 30000
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
                                  None, True])
 def test_thresholds_must_be_finite_and_positive(bad):
