@@ -60,12 +60,8 @@ from .uncertainty import (
 from .classical import (
     ArgConvention,
     ClassicalParams,
-    EquilibriumKind,
-    EquilibriumPoint,
-    classify_equilibria,
     elliptic_K,
     jacobi_cn_dn,
-    separatrix_frequency,
     trajectory,
 )
 from .torsion import (

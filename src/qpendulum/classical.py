@@ -1,7 +1,6 @@
 """Classical universal-Hamiltonian dynamics.
 
-H = (omega'/2) dI^2 - U cos(phi): Jacobi-elliptic action trajectories,
-the near-separatrix frequency law, and equilibrium classification.
+H = (omega'/2) dI^2 - U cos(phi): Jacobi-elliptic action trajectories.
 The elliptic kernels are thin wrappers over ``scipy.special.ellipk``
 and ``ellipj``, which take the parameter m = k^2; the wrappers take
 the modulus k and check its domain.
@@ -41,17 +40,6 @@ class ClassicalParams:
         if self.E + self.U <= 0:
             raise DomainError("E + U must be positive")
         return float(np.sqrt(2.0 * self.U / (self.E + self.U)))
-
-
-class EquilibriumKind(enum.Enum):
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-
-
-@dataclass(frozen=True)
-class EquilibriumPoint:
-    phi_s: float
-    kind: EquilibriumKind
 
 
 class ArgConvention(enum.Enum):
@@ -107,36 +95,3 @@ def trajectory(params: ClassicalParams, t_grid,
         kr = 1.0 / k  # k > 1 on the libration branch, so 1/k is in (0, 1)
         vals = ellipj(rate * t_grid, kr * kr)[1]  # cn
     return np.column_stack([t_grid, amp * vals])
-
-
-def separatrix_frequency(E: float) -> float:
-    """Oscillation frequency near the separatrix, omega = pi/ln(32/(1-E)).
-
-    E is normalized so the separatrix sits at E = 1; the logarithm makes
-    omega vanish logarithmically as E -> 1-. Any E below the separatrix
-    with 32/(1-E) > 1 is admitted (the formula's unit-frequency anchor
-    sits at E = 1 - 32 e^{-pi} < 0).
-    """
-    if not -31.0 < E < 1.0:
-        raise DomainError(f"normalized energy must satisfy -31 < E < 1, got {E}")
-    return float(np.pi / np.log(32.0 / (1.0 - E)))
-
-
-def classify_equilibria(U_amplitude: float) -> list[EquilibriumPoint]:
-    """Fixed points of H with potential -U cos(phi) on [0, 2pi).
-
-    The stationary angles are phi = 0 and phi = pi; which one is the
-    unstable saddle follows the sign of the curvature U cos(phi).
-    """
-    if not 0 < abs(U_amplitude) < np.inf:
-        raise DomainError(f"U must be finite and nonzero, got {U_amplitude}; "
-                          "U = 0 leaves the rotor free")
-    if U_amplitude > 0:
-        return [
-            EquilibriumPoint(0.0, EquilibriumKind.HYPERBOLIC),
-            EquilibriumPoint(float(np.pi), EquilibriumKind.ELLIPTIC),
-        ]
-    return [
-        EquilibriumPoint(0.0, EquilibriumKind.ELLIPTIC),
-        EquilibriumPoint(float(np.pi), EquilibriumKind.HYPERBOLIC),
-    ]

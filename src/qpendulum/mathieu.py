@@ -6,11 +6,14 @@ phi -> -phi, and its lowest harmonic p, whose parity is that under
 phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
 engine, :func:`_converge`, serves every entry point: it solves one family
-at one barrier for a range of orders, values only, by direct LAPACK
-``dstebz`` calls, doubling the matrix size until the values settle. An
-eigenvector holds the weights of the orthonormal functions cos(h phi) or
-sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2
-norm; :func:`ce_series` and :func:`se_series` alone move it onto the
+at one barrier for a range of orders, values only, doubling the matrix
+size until the values settle. Each size costs one direct LAPACK call:
+``dsterf`` (root-free QR, every value, O(N^2)) for three or more orders,
+and the ``dstebz`` bisection of the index range, whose cost grows as
+rows times requested values, for one or two. An eigenvector holds the
+weights of the orthonormal functions cos(h phi) or sin(h phi) over
+sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
+:func:`ce_series` and :func:`se_series` alone move it onto the
 plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 
 Convergence rule
@@ -24,22 +27,23 @@ the cap instead. Each step doubles the size (at most to the cap) and
 accepts once every value of the range moved by less than
 ``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
 where ||T|| = max|diag| + 2 max|off| bounds the norm of the larger
-matrix: below that floor the LAPACK bisection itself jitters. Its own
-tolerance is eps * ||T|| too, and ||T|| grows as the squared size, so a
+matrix: below that floor LAPACK itself jitters. Its own accuracy is
+about eps * ||T|| too, and ||T|| grows as the squared size, so a
 needlessly large first size costs accuracy as well as time. A range
 still moving at the cap raises :class:`ConvergenceError` with the
-worst order's last two iterates, a ``dstebz`` failure status without
-them.
+worst order's last two iterates, a nonzero LAPACK status without them.
 
 Caches
 ------
 Two typed caches of 16,384 entries each: :func:`characteristic_values`
 keeps the values of one (family, order range, l), ``_weights`` the
-read-only eigenvector weights of one (family, order, l) from one extra
-scipy ``eigh_tridiagonal`` solve at the converged size (a complex
+read-only eigenvector weights of one (family, order, l) from one
+``dstein`` inverse iteration on the accepted size's bisection (a complex
 plane-wave series would take eight times the memory). Inputs are
 validated inside the cached functions, so a hit is one lookup, and
-``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``.
+``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``. The
+q-free bands of each (family, size), at most 4 x 512 read-only pairs,
+are built once.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstein, dsterf
 
 from .errors import ConvergenceError, DomainError
 from .series import TrigSeries
@@ -102,21 +105,34 @@ def se_class(n: int) -> MathieuClass:
     return MathieuClass.SE_EVEN if n % 2 == 0 else MathieuClass.SE_ODD
 
 
+@functools.cache
+def _bands(mathieu_class: MathieuClass, size: int):
+    """Read-only q-free bands: the squared ladder and the unit off-diagonal."""
+    ladder = mathieu_class.harmonics(size) ** 2.0
+    unit = np.ones(size - 1)
+    if mathieu_class.lowest == 0:
+        unit[0] = np.sqrt(2.0)
+    ladder.setflags(write=False)
+    unit.setflags(write=False)
+    return ladder, unit
+
+
 def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
-    """Symmetric tridiagonal matrix bands for one parity family.
+    """Symmetric tridiagonal matrix bands for one parity family, and ||T||.
 
     The diagonal is the squared ladder. With p = 0 the first row carries
     a sqrt(2) scaling that keeps the matrix symmetric on the orthonormal
     cosine basis, so eigenvectors are unit-norm weights as they stand; with
     p = 1 harmonic -1 folds onto 1, +q for cosines and -q for sines.
+    ||T|| = max|diag| + 2 max|off| for q >= 0; only the first diagonal
+    entry can exceed the last in size.
     """
-    off = np.full(size - 1, q, dtype=float)
-    diag = mathieu_class.harmonics(size) ** 2.0
-    if mathieu_class.lowest == 0:
-        off[0] = np.sqrt(2.0) * q
-    elif mathieu_class.lowest == 1:
+    diag, unit = _bands(mathieu_class, size)
+    if mathieu_class.lowest == 1:
+        diag = diag.copy()
         diag[0] += q if mathieu_class.is_cosine else -q
-    return diag, off
+    off = q * unit
+    return diag, off, max(abs(diag[0]), diag[-1]) + 2.0 * q * unit[0]
 
 
 def initial_truncation(n: int, l: float) -> int:
@@ -147,7 +163,9 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     """Values of orders n_lo, n_lo + 2, ..., n_hi at a converged size.
 
     Validates every input. Returns the values and the matrix bands of
-    the accepted size; see the module docstring for the rule.
+    the accepted size, and the ``dstebz`` block data (iblock, isplit) of
+    those values, or None from a ``dsterf`` solve; see the module
+    docstring for the rule.
     """
     k_lo = mathieu_class.eigen_index(n_lo)
     k_hi = mathieu_class.eigen_index(n_hi)
@@ -161,22 +179,27 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
             raise ConvergenceError(
                 f"truncation cap {TRUNCATION_CAP} leaves no smaller size to "
                 f"compare with for ({mathieu_class.value}, n={n_lo}..{n_hi}, l={l})")
+    count = k_hi - k_lo + 1
     prev = None
     while True:
-        diag, off = _tridiagonal(mathieu_class, l, size)
-        found, values, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, k_lo + 1,
-                                           k_hi + 1, 0.0, "E")
-        if info or found < k_hi - k_lo + 1:
-            raise ConvergenceError(f"dstebz info={info}, {found} values at size "
-                                   f"{size} for ({mathieu_class.value}, l={l})")
-        values = values[:found]
+        diag, off, norm = _tridiagonal(mathieu_class, l, size)
+        if count >= 3:  # all values by root-free QR beat bisecting three
+            every, info = dsterf(diag, off)
+            values, found, split = every[k_lo:k_hi + 1], count, None
+        else:
+            found, values, iblock, isplit, info = dstebz(
+                diag, off, 2, 0.0, 0.0, k_lo + 1, k_hi + 1, 0.0, "E")
+            values, split = values[:found], (iblock, isplit)
+        if info or found < count:
+            raise ConvergenceError(
+                f"{'dsterf' if split is None else 'dstebz'} info={info}, "
+                f"{found} values at size {size} for ({mathieu_class.value}, l={l})")
         if prev is not None:
-            norm = np.abs(diag).max() + 2.0 * np.abs(off).max()
             tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(values)),
                              JITTER_FACTOR * _EPS * norm)
             excess = np.abs(values - prev) / tol
             if excess.max() < 1.0:
-                return values, diag, off
+                return values, diag, off, split
             if size >= TRUNCATION_CAP:
                 worst = int(excess.argmax())
                 raise ConvergenceError(
@@ -197,17 +220,19 @@ def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
     Both orders must belong to the family. The values cache holds one
     tuple per exact argument list.
     """
-    values, _, _ = _converge(mathieu_class, n_lo, n_hi, l)
+    values, _, _, _ = _converge(mathieu_class, n_lo, n_hi, l)
     return tuple(values.tolist())
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     """Read-only basis weights of order n, order-matching harmonic positive."""
-    _, diag, off = _converge(mathieu_class, n, n, l)
+    values, diag, off, split = _converge(mathieu_class, n, n, l)
+    vecs, info = dstein(diag, off, values, *split)
+    if info:
+        raise ConvergenceError(f"dstein info={info} for ({mathieu_class.value}, "
+                               f"n={n}, l={l})")
     k = mathieu_class.eigen_index(n)
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k),
-                               check_finite=False)
     vec = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]  # slot k matches n
     vec.setflags(write=False)
     return vec

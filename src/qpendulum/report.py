@@ -56,15 +56,15 @@ class ReportBundle:
 
 
 def format_csv(header, rows) -> str:
-    """CSV text with a header line; floats as repr, other cells as str."""
+    """CSV text with a header line; every cell as str, so a Python float
+    is its repr and a NumPy scalar its value."""
     lines = [",".join(header)]
-    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
-              for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    path.write_text(format_csv(header, rows))
+def write_csv(path, header: list[str], rows) -> None:
+    Path(path).write_text(format_csv(header, rows))
 
 
 def _boundary_table(pairing: PairingKind, reference_table: dict,

@@ -5,11 +5,8 @@ import scipy.special
 from qpendulum.classical import (
     ArgConvention,
     ClassicalParams,
-    EquilibriumKind,
-    classify_equilibria,
     elliptic_K,
     jacobi_cn_dn,
-    separatrix_frequency,
     trajectory,
 )
 from qpendulum.errors import DomainError, SeparatrixError
@@ -131,35 +128,6 @@ def test_trajectory_rejects_nonfinite_times(bad):
         trajectory(ClassicalParams(1.0, 1.0, 3.0), [0.0, bad])
 
 
-def test_separatrix_frequency_values():
-    assert separatrix_frequency(0.0) == pytest.approx(np.pi / np.log(32), abs=1e-12)
-    e_unit = 1.0 - 32.0 * np.exp(-np.pi)
-    assert separatrix_frequency(e_unit) == pytest.approx(1.0, abs=1e-12)
-    # vanishes monotonically toward the separatrix
-    es = np.linspace(0.9, 1 - 1e-9, 50)
-    ws = [separatrix_frequency(e) for e in es]
-    assert all(a > b for a, b in zip(ws, ws[1:]))
-    assert ws[-1] < 0.2
-
-
-def test_separatrix_frequency_domain():
-    with pytest.raises(DomainError):
-        separatrix_frequency(1.0)
-    with pytest.raises(DomainError):
-        separatrix_frequency(-40.0)
-
-
-def test_classify_equilibria():
-    pts = {p.phi_s: p.kind for p in classify_equilibria(1.0)}
-    assert pts[0.0] is EquilibriumKind.HYPERBOLIC
-    assert pts[np.pi] is EquilibriumKind.ELLIPTIC
-    pts = {p.phi_s: p.kind for p in classify_equilibria(-1.0)}
-    assert pts[0.0] is EquilibriumKind.ELLIPTIC
-    assert pts[np.pi] is EquilibriumKind.HYPERBOLIC
-    with pytest.raises(DomainError):
-        classify_equilibria(0.0)
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         ClassicalParams(1.0, -1.0, 0.5)
@@ -171,9 +139,3 @@ def test_params_validation():
                 ClassicalParams(*args)
     assert ClassicalParams(1.0, 1.0, 3.0).modulus == pytest.approx(
         np.sqrt(0.5), abs=1e-14)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_classify_equilibria_rejects_nonfinite(bad):
-    with pytest.raises(DomainError):
-        classify_equilibria(bad)

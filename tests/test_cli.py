@@ -29,6 +29,18 @@ def test_characteristics_csv(tmp_path):
     np.testing.assert_allclose(values, [0, 1, 1, 4, 4], atol=1e-12)
 
 
+def test_csv_cells_are_str_and_paths_may_be_str(tmp_path):
+    from qpendulum.report import format_csv, write_csv
+
+    # a NumPy scalar once printed as its repr, np.float64(0.5)
+    rows = [(np.float64(0.5), np.int64(3), 0.1, "ce_even", 2)]
+    assert format_csv(["l", "n", "x", "c", "k"], rows) == "l,n,x,c,k\n0.5,3,0.1,ce_even,2\n"
+    # a str path once raised AttributeError
+    out = tmp_path / "cells.csv"
+    write_csv(str(out), ["l"], [(np.float64(1e-6),), (1 / 3,)])
+    assert out.read_text() == "l\n1e-06\n0.3333333333333333\n"
+
+
 def test_characteristics_json(tmp_path):
     out = tmp_path / "chars.json"
     code = main(["characteristics", "--n-max", "1", "--l-min", "0",

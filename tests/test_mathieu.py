@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
 from qpendulum import mathieu
@@ -29,7 +30,7 @@ def dense_spectrum(mathieu_class, l, size):
     """Independent eigensolve of the same family via a dense matrix."""
     from qpendulum.mathieu import _tridiagonal
 
-    diag, off = _tridiagonal(mathieu_class, l, size)
+    diag, off, _ = _tridiagonal(mathieu_class, l, size)
     m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return np.sort(np.linalg.eigvalsh(m))
 
@@ -132,73 +133,103 @@ def test_order_validation():
         characteristic_values(MathieuClass.CE_ODD, 5, 1, 1.0)
 
 
-def _spy_dstebz(monkeypatch):
-    """Record (diag, off, values) of every direct LAPACK call."""
+def _spy_lapack(monkeypatch):
+    """Record (kernel, diag, off, outputs) of every direct LAPACK call from
+    cold caches; a scipy ``eigh_tridiagonal`` call records as one more."""
     calls = []
-    real = mathieu.dstebz
 
-    def spy(diag, off, *args):
-        found, w, iblock, isplit, info = real(diag, off, *args)
-        calls.append((diag.copy(), off.copy(), w[:found].copy()))
-        return found, w, iblock, isplit, info
+    def spy(name, real):
+        def recorded(diag, off, *args, **kwargs):
+            out = real(diag, off, *args, **kwargs)
+            calls.append((name, np.copy(diag), np.copy(off), out))
+            return out
+        return recorded
 
-    monkeypatch.setattr(mathieu, "dstebz", spy)
+    for name in ("dstebz", "dsterf", "dstein"):
+        monkeypatch.setattr(mathieu, name, spy(name, getattr(mathieu, name)))
+    for module in (scipy.linalg, mathieu):
+        if hasattr(module, "eigh_tridiagonal"):
+            monkeypatch.setattr(module, "eigh_tridiagonal",
+                                spy("eigh_tridiagonal", module.eigh_tridiagonal))
     characteristic_values.cache_clear()
+    mathieu._weights.cache_clear()
     return calls
 
 
 def test_convergence_error_reports_iterates(monkeypatch):
     """At l = 1e11 the first size is above the cap, so half the cap is
     solved first; sizes 256 and 512 still disagree."""
-    calls = _spy_dstebz(monkeypatch)
+    calls = _spy_lapack(monkeypatch)
     with pytest.raises(ConvergenceError) as err:
         characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
     assert err.value.last_iterates is not None
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
-    assert [len(c[0]) for c in calls] == [TRUNCATION_CAP // 2, TRUNCATION_CAP]
+    assert [(c[0], len(c[1])) for c in calls] == [
+        ("dstebz", TRUNCATION_CAP // 2), ("dstebz", TRUNCATION_CAP)]
 
 
 @pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
-@pytest.mark.parametrize("start,width", [(0, 1), (0, 5), (3, 1), (3, 5)])
+@pytest.mark.parametrize("start,width", [(0, 1), (0, 2), (0, 3), (0, 5), (3, 1),
+                                         (3, 2), (3, 3), (3, 5)])
 @pytest.mark.parametrize("cls", list(MathieuClass))
-def test_direct_dstebz_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
+def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
                                                          monkeypatch):
     """Each direct LAPACK call returns exactly what scipy's
-    eigvalsh_tridiagonal gives for the same bands and index range, and
-    the converged values are the last of them. Sizes double from the
-    first; at l = 1e4 it is 46 rows plus half the highest order."""
-    calls = _spy_dstebz(monkeypatch)
+    eigvalsh_tridiagonal gives for the same bands: the bisection of the
+    index range for one or two orders, every value by dsterf for three or
+    more. The converged values are the last of them. Sizes double from
+    the first; at l = 1e4 it is 46 rows plus half the highest order."""
+    calls = _spy_lapack(monkeypatch)
     n_lo = cls.lowest + 2 * start
     n_hi = n_lo + 2 * (width - 1)
     values = characteristic_values(cls, n_lo, n_hi, l)
-    for diag, off, got in calls:
-        ref = eigvalsh_tridiagonal(diag, off, select="i",
-                                   select_range=(start, start + width - 1),
-                                   check_finite=False)
+    stop = start + width
+    for kernel, diag, off, out in calls:
+        if width < 3:
+            assert kernel == "dstebz"
+            got = out[1][:out[0]]
+            ref = eigvalsh_tridiagonal(diag, off, select="i",
+                                       select_range=(start, stop - 1),
+                                       check_finite=False)
+        else:
+            assert kernel == "dsterf" and len(out[0]) == len(diag)
+            ref = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf",
+                                       check_finite=False)
+            got, ref = out[0][start:stop], ref[start:stop]
         assert len(got) == width and (got == ref).all()
     assert values == tuple(ref.tolist())
-    sizes = [len(c[0]) for c in calls]
-    assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), start + width + 1)
+    sizes = [len(c[1]) for c in calls]
+    assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), stop + 1)
     assert sizes[1:] == [2 * size for size in sizes[:-1]]
     if l == 1e4:
         assert sizes[0] == 46 + n_hi // 2
 
 
-@pytest.mark.parametrize("fail", ["info", "count"])
-def test_lapack_failure_raises_convergence_error(fail, monkeypatch):
-    real = mathieu.dstebz
+@pytest.mark.parametrize("kernel,fail", [("dstebz", "info"), ("dstebz", "count"),
+                                         ("dsterf", "info"), ("dstein", "info")])
+def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_path):
+    real = getattr(mathieu, kernel)
 
     def failing(*args):
-        found, w, iblock, isplit, info = real(*args)
-        return (found, w, iblock, isplit, 1) if fail == "info" else (
-            found - 1, w, iblock, isplit, info)
+        *out, info = real(*args)
+        if fail == "count":
+            out[0] -= 1
+        return (*out, 1 if fail == "info" else info)
 
-    monkeypatch.setattr(mathieu, "dstebz", failing)
+    monkeypatch.setattr(mathieu, kernel, failing)
     characteristic_values.cache_clear()
+    mathieu._weights.cache_clear()
     with pytest.raises(ConvergenceError):
-        characteristic_values(MathieuClass.CE_EVEN, 0, 4, 2.5)
-    assert main(["characteristics", "--n-max", "2", "--l-min", "0",
-                 "--l-max", "1", "--steps", "2"]) == EXIT_CONVERGENCE
+        if kernel == "dstein":
+            ce_series(2, 2.5)
+        else:
+            characteristic_values(MathieuClass.CE_EVEN, 0, 2 + 2 * (kernel == "dsterf"),
+                                  2.5)
+    argv = (["density", "--family", "phi+", "-n", "2", "-l", "2.5"]
+            if kernel == "dstein" else
+            ["characteristics", "--n-max", "4", "--l-min", "0", "--l-max", "1",
+             "--steps", "2"])
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_CONVERGENCE
 
 
 # Covers LAPACK jitter above the 1e-11 relative tolerance (a_8 and b_9
@@ -235,7 +266,7 @@ def test_values_match_tight_reference(cls):
     top = 20 - (20 - cls.lowest) % 2
     orders = range(cls.lowest, top + 1, 2)
     for l in ACCURACY_GRID:
-        diag, off = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
+        diag, off, _ = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
         found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1,
                                                 len(orders), 1e-300, "E")
         assert info == 0 and found == len(orders)
@@ -307,27 +338,34 @@ def test_build_series_pointwise(cls, n):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """scipy eigh_tridiagonal calls made from a cold weights cache."""
-    calls, real = [], mathieu.eigh_tridiagonal
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    mathieu._weights.cache_clear()
-    monkeypatch.setattr(mathieu, "eigh_tridiagonal", counting)
-    return calls
+def lapack_calls(monkeypatch):
+    return _spy_lapack(monkeypatch)
 
 
-def test_state_families_share_one_eigenvector_solve_per_order(eigh_calls):
+def test_state_families_share_one_eigenvector_solve_per_order(lapack_calls):
     # phi+-, xi, eta and psi+- for n = 1..8 need ce_1..8 and se_1..9 only
     specs = [StateSpec(fam, n, 3.42) for fam in StateFamily for n in range(1, 9)]
     first = [build_state(spec).series for spec in specs]
-    assert len(eigh_calls) == 17
+    kernels = [c[0] for c in lapack_calls]
+    assert kernels.count("dstein") == 17 and "eigh_tridiagonal" not in kernels
     again = [build_state(spec).series for spec in specs]
-    assert len(eigh_calls) == 17
+    assert len(lapack_calls) == len(kernels)  # all cache hits
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("l", [0.0, 1e-6, 7.514, 55.0, 1e4])
+@pytest.mark.parametrize("cls", list(MathieuClass))
+def test_weights_equal_scipy_eigh_tridiagonal(cls, l):
+    """One dstein call on the accepted bisection gives the eigenvector
+    scipy's eigh_tridiagonal gives at the accepted size, bit for bit; at
+    l = 0 the matrix splits into 1x1 blocks."""
+    mathieu._weights.cache_clear()
+    for n in range(cls.lowest, 13, 2):
+        k = cls.eigen_index(n)
+        _, diag, off, _ = mathieu._converge(cls, n, n, l)
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
+        want = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]
+        assert np.array_equal(mathieu._weights(cls, n, l), want), (n, l)
 
 
 def test_cached_weights_are_read_only():
@@ -341,10 +379,11 @@ def test_integer_barrier_gives_float_bands():
     from qpendulum.mathieu import _tridiagonal
 
     for cls in MathieuClass:
-        diag, off = _tridiagonal(cls, 100, 8)
-        ref_diag, ref_off = _tridiagonal(cls, 100.0, 8)
+        diag, off, norm = _tridiagonal(cls, 100, 8)
+        ref_diag, ref_off, ref_norm = _tridiagonal(cls, 100.0, 8)
         assert off.dtype == np.float64
         assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off)
+        assert norm == ref_norm
     assert _tridiagonal(MathieuClass.CE_EVEN, 100, 8)[1][0] == np.sqrt(2.0) * 100.0
 
 
@@ -404,9 +443,10 @@ def test_family_ladders_match_per_family_reference(cls):
     for size in (2, 3, 32, 512):
         assert np.array_equal(cls.harmonics(size), reference_harmonics(cls, size))
         for q in (0.0, 0.7, 11.1, 1e4):
-            diag, off = _tridiagonal(cls, q, size)
+            diag, off, norm = _tridiagonal(cls, q, size)
             ref_diag, ref_off = reference_tridiagonal(cls, q, size)
             assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off)
+            assert norm == np.abs(ref_diag).max() + 2.0 * np.abs(ref_off).max()
     rejected, ref_rejected = set(), set()
     for n in range(13):
         try:
@@ -423,3 +463,13 @@ def test_family_ladders_match_per_family_reference(cls):
     for n in (-2, -1, True, 2.0, np.int64(-1)):
         with pytest.raises(DomainError):
             cls.eigen_index(n)
+
+
+def test_cold_bundle_lapack_budget(lapack_calls):
+    # 2,186 direct calls: 2,170 dstebz/dsterf solves and one dstein per
+    # eigenvector of tables 3-6 (ce_1..8, se_1..8)
+    from qpendulum.report import build_bundle
+
+    build_bundle()
+    kernels = [c[0] for c in lapack_calls]
+    assert 0 < len(kernels) <= 2200 and "eigh_tridiagonal" not in kernels

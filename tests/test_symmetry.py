@@ -288,16 +288,20 @@ def test_relative_gap_pole_is_no_boundary():
 
 
 @pytest.fixture
-def dstebz_calls(monkeypatch):
-    """LAPACK dstebz calls made from a cold values cache."""
-    calls, real = [], mathieu.dstebz
+def lapack_calls(monkeypatch):
+    """Direct LAPACK calls (dstebz, dsterf, dstein) made from cold caches."""
+    calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        return spy
 
     mathieu.characteristic_values.cache_clear()
-    monkeypatch.setattr(mathieu, "dstebz", counting)
+    mathieu._weights.cache_clear()
+    for name in ("dstebz", "dsterf", "dstein"):
+        monkeypatch.setattr(mathieu, name, counting(getattr(mathieu, name)))
     return calls
 
 
@@ -307,18 +311,18 @@ def dstebz_calls(monkeypatch):
     (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 3000),
     (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 3000),
 ], ids=["table2", "calibrate-splitting", "calibrate-merging"])
-def test_cold_solver_call_budget(run, budget, dstebz_calls):
+def test_cold_solver_call_budget(run, budget, lapack_calls):
     # the scan points are shared across thresholds through the values
     # cache; a finer scan or a tighter brentq xtol breaks these budgets
     run()
-    assert 0 < len(dstebz_calls) <= budget
+    assert 0 < len(lapack_calls) <= budget
 
 
-def test_cold_sweep_row_budget(dstebz_calls):
+def test_cold_sweep_row_budget(lapack_calls):
     # rows handed to LAPACK for the n <= 8 sweep over the fig1 grid
     # (26,862): a first size growing as sqrt(l), not l^(1/4), breaks it
     sweep_characteristics(8, np.linspace(0.0, 55.0, 111))
-    assert 0 < sum(len(args[0]) for args in dstebz_calls) <= 30000
+    assert 0 < sum(len(args[0]) for args in lapack_calls) <= 30000
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
@@ -407,7 +411,7 @@ def test_integer_counts_outside_the_engine(bad):
     ("rotor", GapMeasure.RELATIVE), ("well", GapMeasure.ABSOLUTE),
     (PairingKind.ROTOR, "absolute"), (PairingKind.WELL, None),
     (GapMeasure.ABSOLUTE, PairingKind.ROTOR)])
-def test_pairing_and_measure_must_be_their_enums(pairing, measure, dstebz_calls):
+def test_pairing_and_measure_must_be_their_enums(pairing, measure, lapack_calls):
     # a string measure once gave the relative gap under an absolute label
     with pytest.raises(DomainError):
         pair_gap(2, pairing, 1.0, measure)
@@ -418,27 +422,27 @@ def test_pairing_and_measure_must_be_their_enums(pairing, measure, dstebz_calls)
             level_boundary(2, pairing, 0.01)
         with pytest.raises(DomainError):
             calibrate_epsilon({2: 0.2}, pairing)
-    assert dstebz_calls == []
+    assert lapack_calls == []
 
 
 @pytest.mark.parametrize("table", [{}, {2: np.nan}, {2: np.inf}, {2: -0.2},
                                    {2: "0.2"}, {2: None}, {2: 0.2, 0: 1.0},
                                    {2.0: 0.2}, [1, 2]])
-def test_calibration_table_checked_before_solving(table, dstebz_calls):
+def test_calibration_table_checked_before_solving(table, lapack_calls):
     for pairing in PairingKind:
         with pytest.raises(DomainError):
             calibrate_epsilon(table, pairing)
-    assert dstebz_calls == []
+    assert lapack_calls == []
 
 
 @pytest.mark.parametrize("reference", ["7.51", [7.51], np.nan, np.inf, -1.0, True,
                                        1j])
-def test_level_boundary_checks_reference_before_solving(reference, dstebz_calls):
+def test_level_boundary_checks_reference_before_solving(reference, lapack_calls):
     # a string or a list once reached the fallback's arithmetic as TypeError
     for pairing in PairingKind:
         with pytest.raises(DomainError):
             level_boundary(2, pairing, 9.95e-3, reference)
-    assert dstebz_calls == []
+    assert lapack_calls == []
 
 
 def test_level_boundary_reference_accepts_numpy_floats():
