@@ -9,12 +9,13 @@ the modulus k and check its domain.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ellipj, ellipk
 
-from .errors import DomainError, SeparatrixError
+from .errors import DomainError, SeparatrixError, check_type, real_array
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class ClassicalParams:
     E: float
 
     def __post_init__(self):
+        for name in ("omega_prime", "U", "E"):
+            check_type(getattr(self, name), numbers.Real, name)
         if not np.isfinite((self.omega_prime, self.U, self.E)).all():
             raise DomainError(f"parameters must be finite, got {self}")
         if self.U <= 0:
@@ -75,11 +78,17 @@ def trajectory(params: ClassicalParams, t_grid,
 
     Rotation (E > U): dI = A dn(arg, k); libration (E < U):
     dI = A cn(arg, 1/k), where the reciprocal modulus 1/k already lies
-    in (0, 1) because k > 1 on that branch. Returns rows (t, dI).
+    in (0, 1) because k > 1 on that branch. ``convention`` may be given
+    by its value, e.g. ``"dimensional"``. Returns rows (t, dI).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.isfinite(t_grid).all():
-        raise DomainError("time grid must be finite")
+    check_type(params, ClassicalParams, "params")
+    try:
+        convention = ArgConvention(convention)
+    except ValueError:
+        raise DomainError(f"unknown argument convention {convention!r}") from None
+    times = real_array(t_grid, "t_grid")
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise DomainError(f"t_grid must be 1-D and finite, got {t_grid!r}")
     amp = float(np.sqrt((params.E + params.U) * params.omega_prime))
     if params.E == params.U:
         raise SeparatrixError(
@@ -90,8 +99,8 @@ def trajectory(params: ClassicalParams, t_grid,
         rate = params.omega_prime * amp
     k = params.modulus
     if params.E > params.U:
-        vals = ellipj(rate * t_grid, k * k)[2]  # dn
+        vals = ellipj(rate * times, k * k)[2]  # dn
     else:
         kr = 1.0 / k  # k > 1 on the libration branch, so 1/k is in (0, 1)
-        vals = ellipj(rate * t_grid, kr * kr)[1]  # cn
-    return np.column_stack([t_grid, amp * vals])
+        vals = ellipj(rate * times, kr * kr)[1]  # cn
+    return np.column_stack([times, amp * vals])

@@ -132,8 +132,7 @@ def cmd_tables(args) -> int:
 def cmd_density(args) -> int:
     if args.points < 16:
         raise DomainError("points must be >= 16")
-    family = StateFamily(args.family)
-    state = build_state(StateSpec(family, args.n, args.l))
+    state = build_state(StateSpec(args.family, args.n, args.l))
     phi = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     rows = [(float(p), float(d)) for p, d in density(state, phi)]
     total = float(np.trapezoid([d for _, d in rows] + [rows[0][1]],
@@ -149,9 +148,8 @@ def cmd_classical(args) -> int:
         raise DomainError(f"need a finite t_max and steps >= 2, got "
                           f"t_max={args.t_max}, steps={args.steps}")
     t_grid = np.linspace(0.0, args.t_max, args.steps)
-    convention = ArgConvention(args.arg_convention)
     rows = [(float(t), float(v))
-            for t, v in trajectory(params, t_grid, convention)]
+            for t, v in trajectory(params, t_grid, args.arg_convention)]
     _emit(args.out, ["t", "delta_I"], rows, args.format)
     return EXIT_OK
 

@@ -27,12 +27,24 @@ from .symmetry import (
 )
 from .uncertainty import angular_moments
 
-DATA_FILES = (
-    "table1.csv", "table2.csv", "table3.csv", "table4.csv",
-    "table5.csv", "table6.csv",
-    "fig1_characteristics.csv", "fig2_delta_v.csv",
-    "fig3_delta_v2.csv", "fig4_densities.csv",
-)
+HEADERS = {
+    "table1": ["n", "l_split", "reference", "residual"],
+    "table2": ["n", "l_merge", "reference", "residual"],
+    "table3": ["n", "l_c", "dv_pxi", "dv_peta", "dv_mxi", "dv_meta",
+               "ref_pxi", "ref_peta", "ref_mxi", "ref_meta", "residual"],
+    "table4": ["n", "l_c", "dv2_pxi", "dv2_peta", "dv2_mxi", "dv2_meta",
+               "ref_pxi", "ref_peta", "ref_mxi", "ref_meta", "residual"],
+    "table5": ["n", "l_c", "ur_a_phip", "ur_a_phim", "ur_a_xi", "ur_a_eta",
+               "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
+    "table6": ["n", "l_c", "ur_b_phip", "ur_b_phim", "ur_b_xi", "ur_b_eta",
+               "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
+    "fig1_characteristics": ["class", "n", "l", "value"],
+    "fig2_delta_v": ["n", "l_c", "dv_xi", "dv_eta"],
+    "fig3_delta_v2": ["n", "l_c", "dv2_xi", "dv2_eta"],
+    "fig4_densities": ["n", "phi", "density"],
+}
+
+DATA_FILES = tuple(f"{name}.csv" for name in HEADERS)
 
 # Residual gates applied by the report command (absolute, on the cells
 # each table actually emits).
@@ -48,8 +60,7 @@ GATES = {
 
 @dataclass
 class ReportBundle:
-    tables: dict = field(default_factory=dict)   # name -> list of rows
-    figures: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)   # HEADERS key -> list of rows
     metadata: dict = field(default_factory=dict)
     max_residuals: dict = field(default_factory=dict)
     gate_failures: list = field(default_factory=list)
@@ -125,43 +136,31 @@ def build_bundle() -> ReportBundle:
     """
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()
-
-    bundle.tables["table1"] = _boundary_table(
+    data = bundle.data
+    data["table1"] = _boundary_table(
         PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR)
-    bundle.tables["table2"] = _boundary_table(
+    data["table2"] = _boundary_table(
         PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)
-    bundle.tables.update(observable_tables(points))
-    t3, t4 = bundle.tables["table3"], bundle.tables["table4"]
-
-    l_grid = np.linspace(0.0, 55.0, 111)
-    bundle.figures["fig1_characteristics"] = sweep_characteristics(8, l_grid)
-    bundle.figures["fig2_delta_v"] = [
-        (n, points[n], row[2], row[3]) for n, row in zip(ref.LEVELS, t3)
-    ]
-    bundle.figures["fig3_delta_v2"] = [
-        (n, points[n], row[2], row[3]) for n, row in zip(ref.LEVELS, t4)
-    ]
-    dens_rows = []
+    data.update(observable_tables(points))
+    data["fig1_characteristics"] = sweep_characteristics(
+        8, np.linspace(0.0, 55.0, 111))
+    # (n, l_c, phi+ -> xi, phi+ -> eta): the first four cells of table3/4
+    data["fig2_delta_v"] = [row[:4] for row in data["table3"]]
+    data["fig3_delta_v2"] = [row[:4] for row in data["table4"]]
     phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    for n in ref.LEVELS:
-        state = build_state(StateSpec(StateFamily.PHI_PLUS, n, points[n]))
-        for p, d in density(state, phi):
-            dens_rows.append((n, float(p), float(d)))
-    bundle.figures["fig4_densities"] = dens_rows
+    data["fig4_densities"] = [
+        (n, float(p), float(d)) for n in ref.LEVELS for p, d in density(
+            build_state(StateSpec(StateFamily.PHI_PLUS, n, points[n])), phi)]
 
-    for name in ("table1", "table2"):
-        res = [r[3] for r in bundle.tables[name] if isinstance(r[3], float)]
-        nf = [r for r in bundle.tables[name] if r[1] == "not-found"]
-        bundle.max_residuals[name] = max(res) if res else float("inf")
-        if nf:
-            bundle.gate_failures.append(f"{name}: {len(nf)} boundary rows not found")
-    for name in ("table3", "table4", "table5", "table6"):
-        bundle.max_residuals[name] = max(r[-1] for r in bundle.tables[name])
+    over = []  # reported after every not-found message
     for name, gate in GATES.items():
-        if bundle.max_residuals[name] > gate:
-            bundle.gate_failures.append(
-                f"{name}: max residual {bundle.max_residuals[name]:.3g} "
-                f"exceeds gate {gate:g}")
+        found = [row[-1] for row in data[name] if row[-1] != "not-found"]
+        if missing := len(data[name]) - len(found):
+            bundle.gate_failures.append(f"{name}: {missing} boundary rows not found")
+        worst = bundle.max_residuals[name] = max(found, default=float("inf"))
+        if worst > gate:
+            over.append(f"{name}: max residual {worst:.3g} exceeds gate {gate:g}")
+    bundle.gate_failures += over
 
     bundle.metadata = {
         "tool": "qpendulum",
@@ -179,34 +178,12 @@ def build_bundle() -> ReportBundle:
     return bundle
 
 
-HEADERS = {
-    "table1": ["n", "l_split", "reference", "residual"],
-    "table2": ["n", "l_merge", "reference", "residual"],
-    "table3": ["n", "l_c", "dv_pxi", "dv_peta", "dv_mxi", "dv_meta",
-               "ref_pxi", "ref_peta", "ref_mxi", "ref_meta", "residual"],
-    "table4": ["n", "l_c", "dv2_pxi", "dv2_peta", "dv2_mxi", "dv2_meta",
-               "ref_pxi", "ref_peta", "ref_mxi", "ref_meta", "residual"],
-    "table5": ["n", "l_c", "ur_a_phip", "ur_a_phim", "ur_a_xi", "ur_a_eta",
-               "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
-    "table6": ["n", "l_c", "ur_b_phip", "ur_b_phim", "ur_b_xi", "ur_b_eta",
-               "ref_phip", "ref_phim", "ref_xi", "ref_eta", "residual"],
-    "fig1_characteristics": ["class", "n", "l", "value"],
-    "fig2_delta_v": ["n", "l_c", "dv_xi", "dv_eta"],
-    "fig3_delta_v2": ["n", "l_c", "dv2_xi", "dv2_eta"],
-    "fig4_densities": ["n", "phi", "density"],
-}
-
-
 def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     """Write the bundle to disk; returns the data-file paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, rows in {**bundle.tables, **bundle.figures}.items():
-        p = out_dir / f"{name}.csv"
-        write_csv(p, HEADERS[name], rows)
-        if p.name in DATA_FILES:
-            paths.append(p)
+    for name, rows in bundle.data.items():
+        write_csv(out_dir / f"{name}.csv", HEADERS[name], rows)
     (out_dir / "metadata.json").write_text(
         json.dumps(bundle.metadata, indent=2, sort_keys=True) + "\n")
     lines = ["report summary", "=============="]
@@ -216,4 +193,4 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     lines.append("gates: " + ("PASS" if not bundle.gate_failures else "FAIL"))
     lines.extend(f"  {msg}" for msg in bundle.gate_failures)
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    return paths
+    return [out_dir / f"{name}.csv" for name in bundle.data]

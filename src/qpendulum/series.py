@@ -34,7 +34,10 @@ class TrigSeries:
     __array_ufunc__ = None  # numpy operands defer to the methods below
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
+        try:
+            arr = np.array(self.coeffs, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise DomainError(f"non-numeric coefficients {self.coeffs!r}") from None
         if arr.ndim != 1 or len(arr) % 2 == 0:
             raise DomainError(
                 f"coefficients must be 1-D of odd length, got shape {arr.shape}")

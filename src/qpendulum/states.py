@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_type, real_array
-from .mathieu import ce_series, se_series
+from .mathieu import ce_series, check_count, se_series
 from .series import Moments, TrigSeries, eval_series, moments
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -56,6 +56,7 @@ class StateSpec:
             object.__setattr__(self, "family", StateFamily(self.family))
         except ValueError:
             raise DomainError(f"unknown state family {self.family!r}") from None
+        check_count(self.n, 0, "level")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ take one batched solve per parity family and barrier value.
 
 from __future__ import annotations
 
-import importlib.resources
 import numbers
 from dataclasses import dataclass, field
 
@@ -25,6 +24,8 @@ HBAR_SI = 1.054571817e-34  # J s
 
 def reduced_inertia(I1: float, I2: float) -> float:
     """I = I1 I2 / (I1 + I2) for two coaxial rigid parts."""
+    check_type(I1, numbers.Real, "I1")
+    check_type(I2, numbers.Real, "I2")
     if not (0 < I1 < np.inf and 0 < I2 < np.inf):
         raise DomainError("moments of inertia must be positive and finite")
     return I1 * I2 / (I1 + I2)
@@ -46,6 +47,8 @@ class TorsionRotor:
     hbar: float = HBAR_SI
 
     def __post_init__(self):
+        for name in ("I1", "I2", "V0", "hbar"):
+            check_type(getattr(self, name), numbers.Real, name)
         if not (0 < self.I1 < np.inf and 0 < self.I2 < np.inf
                 and 0 <= self.V0 < np.inf and 0 < self.hbar < np.inf):
             raise DomainError("inertias and hbar must be positive and V0 "
@@ -75,7 +78,7 @@ def torsion_to_mathieu(rotor: TorsionRotor) -> UniversalParams:
     energy_scale = n^2 hbar^2 / (8 I). The half-period phase shift that
     flips the cosine sign is recorded in the metadata.
     """
-    I = rotor.reduced
+    I = check_type(rotor, TorsionRotor, "rotor").reduced
     n2 = rotor.n_fold ** 2
     l = 2.0 * I * rotor.V0 / (n2 * rotor.hbar ** 2)
     scale = n2 * rotor.hbar ** 2 / (8.0 * I)
@@ -98,6 +101,9 @@ def lorentz_to_universal(m: float, omega0: float, mu: float,
     l = 8 U / (hbar^2 omega'), in rescaled hbar = 1 units since the
     oscillator parameters are dimensionless there.
     """
+    for name, value in (("m", m), ("omega0", omega0), ("mu", mu),
+                        ("V0", V0), ("I0", I0)):
+        check_type(value, numbers.Real, name)
     if not (0 < m < np.inf and 0 < omega0 < np.inf):
         raise DomainError("m and omega0 must be positive and finite")
     if not 0 < abs(mu) < np.inf:
@@ -147,26 +153,12 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     return out
 
 
+# Ethane internal rotation: two equivalent methyl tops, 3-fold barrier.
+_PRESETS = {"ethane": TorsionRotor(I1=5.3e-47, I2=5.3e-47, V0=2.1e-20, n_fold=3)}
+
+
 def load_preset(name: str) -> TorsionRotor:
-    """Read a molecule preset (key=value text) shipped with the package."""
-    ref = importlib.resources.files("qpendulum.data") / f"{name}.preset"
-    try:
-        text = ref.read_text()
-    except FileNotFoundError:
-        raise DomainError(f"unknown preset {name!r}") from None
-    fields = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        return TorsionRotor(
-            I1=float(fields["I1"]),
-            I2=float(fields["I2"]),
-            V0=float(fields["V0_J"]),
-            n_fold=int(fields["n_fold"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"preset {name!r} missing key {exc}") from None
+    """The molecule preset called ``name`` (today only ``"ethane"``)."""
+    if check_type(name, str, "preset name") not in _PRESETS:
+        raise DomainError(f"unknown preset {name!r}")
+    return _PRESETS[name]

@@ -37,7 +37,7 @@ class UncertaintyReport:
 def angular_moments(state: QuantumState) -> UncertaintyReport:
     """All sin/cos/L_z moments and variances; the state must be unit-norm."""
     m = check_type(state, QuantumState, "state").moments
-    if state.norm_check > 1e-10:
+    if not state.norm_check <= 1e-10:  # NaN fails too
         raise DomainError(f"state not normalised: sum |c_k|^2 = {m.cos2 + m.sin2}")
 
     var_sin = m.sin2 - m.sin ** 2

@@ -117,6 +117,25 @@ def test_trajectory_conventions_differ():
     assert not np.allclose(printed[:, 1], dimensional[:, 1])
 
 
+def test_trajectory_convention_by_value():
+    # "as-printed" once fell through to the dimensional argument
+    params = ClassicalParams(2.0, 1.0, 3.0)
+    by_value = trajectory(params, [0.5], "as-printed")
+    assert by_value[0, 1] == pytest.approx(2.412, abs=1e-3)
+    assert np.array_equal(by_value, trajectory(params, [0.5], ArgConvention.AS_PRINTED))
+    assert np.array_equal(trajectory(params, [0.5], "dimensional"),
+                          trajectory(params, [0.5], ArgConvention.DIMENSIONAL))
+    with pytest.raises(DomainError):
+        trajectory(params, [0.5], "printed")
+
+
+@pytest.mark.parametrize("bad", ["abc", ["1.5"], [None], [[0.0, 1.0]], 0.5])
+def test_trajectory_rejects_malformed_time_grids(bad):
+    # "abc" raised ValueError; ["1.5"] passed; [[0.0, 1.0]] gave a (1, 4) array
+    with pytest.raises(DomainError):
+        trajectory(ClassicalParams(1.0, 1.0, 3.0), bad)
+
+
 def test_trajectory_separatrix_error():
     with pytest.raises(SeparatrixError):
         trajectory(ClassicalParams(1.0, 1.0, 1.0), [0.0])

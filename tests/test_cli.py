@@ -142,6 +142,16 @@ def test_torsion_preset(tmp_path):
     assert set(payload["regions"]) == {str(n) for n in range(1, 9)}
 
 
+def test_torsion_preset_name_is_not_a_path(tmp_path, capsys):
+    # a name was once a path under the package's data folder, so it could
+    # reach any .preset file; "I1 = abc" in one exited 1 with a traceback
+    (tmp_path / "bad.preset").write_text("I1 = abc\n")
+    data = Path(qpendulum.__file__).parent / "data"
+    for name in ("../ethane", os.path.relpath(tmp_path / "bad", data)):
+        assert main(["torsion", "--preset", name]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
+
 def test_torsion_explicit_params(tmp_path):
     out = tmp_path / "custom.json"
     code = main(["torsion", "--I1", "5.3e-47", "--I2", "5.3e-47",
@@ -274,6 +284,17 @@ def test_report_and_table_subcommands_write_only_documented_files(tmp_path):
             assert (out / f"{t}.csv").read_bytes() == (rep / f"{t}.csv").read_bytes()
 
 
+def test_bundle_data_is_one_dict_in_data_file_order():
+    from qpendulum.report import DATA_FILES, HEADERS, build_bundle
+
+    data = build_bundle().data
+    assert list(data) == list(HEADERS)
+    assert [f"{name}.csv" for name in data] == list(DATA_FILES)
+    for fig, table in (("fig2_delta_v", "table3"), ("fig3_delta_v2", "table4")):
+        assert data[fig] == [row[:4] for row in data[table]]
+        assert all(len(row) == len(HEADERS[fig]) for row in data[fig])
+
+
 def test_report_metadata_complete(tmp_path):
     out = tmp_path / "rep"
     assert main(["report", "--out", str(out)]) == EXIT_OK
@@ -295,12 +316,24 @@ def test_report_rejects_unused_truncation_cap(tmp_path):
     assert not out.exists()
 
 
-def test_python_dash_m_runs_from_a_checkout(tmp_path):
+def _run_from_a_checkout(cwd, *argv):
+    """``python -m qpendulum *argv`` in ``cwd``, with only ``src`` on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qpendulum", "regions", "--n-max", "2"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+    return subprocess.run(
+        [sys.executable, "-m", "qpendulum", *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    proc = _run_from_a_checkout(tmp_path, "regions", "--n-max", "2")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[0] == "n,pairing,l_c,epsilon,measure"
     assert len(proc.stdout.splitlines()) == 5
+
+
+def test_python_dash_m_loads_a_preset_from_a_checkout(tmp_path):
+    # presets are a constant of qpendulum.torsion, not package data files
+    proc = _run_from_a_checkout(tmp_path, "torsion", "--preset", "ethane")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["l"] == pytest.approx(11.12, abs=0.1)

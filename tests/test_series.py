@@ -65,7 +65,7 @@ def test_n_harmonics():
     assert TrigSeries([0.0, 1.0, 3.0, 4.0, 0.0]).n_harmonics == 2
 
 
-@pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0])
+@pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0, "abc"])
 def test_coefficients_must_be_1d_odd_length(bad):
     with pytest.raises(DomainError):
         TrigSeries(bad)

@@ -266,3 +266,16 @@ def test_hand_built_state_computes_its_norm_check():
     assert state.moments.Lz2 == pytest.approx(4.0 * good.moments.Lz2, rel=1e-12)
     with pytest.raises(DomainError, match="not normalised"):
         angular_moments(state)
+
+
+def test_nan_state_fails_the_norm_check():
+    from qpendulum.series import TrigSeries
+    from qpendulum.states import QuantumState
+    from qpendulum.uncertainty import angular_moments
+
+    # nan > 1e-10 is False, so this state once gave an all-NaN report
+    state = QuantumState(StateSpec(StateFamily.XI, 1, 1.0),
+                         TrigSeries([np.nan, 1.0, 0.0]))
+    assert np.isnan(state.norm_check)
+    with pytest.raises(DomainError, match="not normalised"):
+        angular_moments(state)

@@ -39,6 +39,17 @@ def test_unknown_preset():
         load_preset("benzene")
 
 
+def test_ethane_preset_is_the_tabulated_rotor():
+    assert load_preset("ethane") == TorsionRotor(5.3e-47, 5.3e-47, 2.1e-20, 3)
+
+
+@pytest.mark.parametrize("name", ["../ethane", None, 3])
+def test_preset_name_is_a_key_not_a_path(name):
+    # a name was once joined onto the package data path
+    with pytest.raises(DomainError):
+        load_preset(name)
+
+
 def test_barrier_scalings():
     base = TorsionRotor(1e-46, 1e-46, 1e-20, 3)
     doubled = TorsionRotor(1e-46, 1e-46, 2e-20, 3)
@@ -186,3 +197,29 @@ def test_nonfinite_physical_inputs_rejected(bad):
         args[i] = bad
         with pytest.raises(DomainError):
             lorentz_to_universal(*args)
+
+
+def _non_numeric_inputs():
+    from qpendulum.classical import ClassicalParams, trajectory
+    from qpendulum.states import StateSpec, build_state, jump_at_boundary
+
+    return {
+        "ClassicalParams-str": lambda: ClassicalParams("1", 1, 3),
+        "ClassicalParams-None": lambda: ClassicalParams(None, 1, 3),
+        "trajectory-params": lambda: trajectory("x", [0.0]),
+        "TorsionRotor-str": lambda: TorsionRotor("1", 1, 1, 3),
+        "TorsionRotor-bool-hbar": lambda: TorsionRotor(1, 1, 1, 3, hbar=True),
+        "reduced_inertia": lambda: reduced_inertia("1", 1),
+        "lorentz_to_universal": lambda: lorentz_to_universal("1", 1, 1, 1, 1),
+        "torsion_to_mathieu": lambda: torsion_to_mathieu("x"),
+        "build_state-level": lambda: build_state(StateSpec("phi+", "2", 1.0)),
+        "jump_at_boundary-level":
+            lambda: jump_at_boundary("2", "phi+", "xi", 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_numeric_inputs()))
+def test_non_numeric_physical_inputs_raise_domain_error(name):
+    # each once raised TypeError or AttributeError, or (hbar=True) passed
+    with pytest.raises(DomainError):
+        _non_numeric_inputs()[name]()
