@@ -9,13 +9,12 @@ the modulus k and check its domain.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ellipj, ellipk
 
-from .errors import DomainError, SeparatrixError, check_type, real_array
+from .errors import DomainError, SeparatrixError, check_real, check_type, real_array
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,9 @@ class ClassicalParams:
     E: float
 
     def __post_init__(self):
-        for name in ("omega_prime", "U", "E"):
-            check_type(getattr(self, name), numbers.Real, name)
-        if not np.isfinite((self.omega_prime, self.U, self.E)).all():
-            raise DomainError(f"parameters must be finite, got {self}")
-        if self.U <= 0:
-            raise DomainError(f"barrier U must be positive, got {self.U}")
-        if self.omega_prime <= 0:
-            raise DomainError(
-                f"omega_prime must be positive, got {self.omega_prime}")
+        for name, low in (("omega_prime", 0.0), ("U", 0.0), ("E", -np.inf)):
+            object.__setattr__(self, name,
+                               check_real(getattr(self, name), name, low, True))
 
     @property
     def modulus(self) -> float:
@@ -87,8 +80,8 @@ def trajectory(params: ClassicalParams, t_grid,
     except ValueError:
         raise DomainError(f"unknown argument convention {convention!r}") from None
     times = real_array(t_grid, "t_grid")
-    if times.ndim != 1 or not np.isfinite(times).all():
-        raise DomainError(f"t_grid must be 1-D and finite, got {t_grid!r}")
+    if times.ndim != 1:
+        raise DomainError(f"t_grid must be 1-D, got {t_grid!r}")
     amp = float(np.sqrt((params.E + params.U) * params.omega_prime))
     if params.E == params.U:
         raise SeparatrixError(

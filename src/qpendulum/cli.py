@@ -19,12 +19,7 @@ import numpy as np
 
 from . import reference as ref
 from .classical import ArgConvention, ClassicalParams, trajectory
-from .errors import (
-    BoundaryNotFoundError,
-    ConvergenceError,
-    DomainError,
-    SeparatrixError,
-)
+from .errors import BoundaryNotFoundError, ConvergenceError, DomainError
 from .report import (
     HEADERS,
     build_bundle,
@@ -263,7 +258,7 @@ def main(argv=None) -> int:
     try:
         args.out = _resolve_out(args.out, args.out_is_dir)
         return args.func(args)
-    except (DomainError, SeparatrixError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:

@@ -51,12 +51,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein, dsterf
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_count, check_real
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
@@ -140,25 +139,6 @@ def initial_truncation(n: int, l: float) -> int:
     return n // 2 + 6 + 4 * math.ceil(max(l, 0.0) ** 0.25)
 
 
-def check_count(n, lowest: int, name: str) -> None:
-    """Raise DomainError unless n is an integer (not a bool) >= lowest."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < lowest:
-        raise DomainError(f"{name} must be an integer >= {lowest}, got {n!r}")
-
-
-def _barrier(l) -> float:
-    """``l`` as a float; raises DomainError unless finite and nonnegative."""
-    value = math.nan
-    if isinstance(l, numbers.Real) and not isinstance(l, bool):
-        try:
-            value = float(l)
-        except OverflowError:
-            value = math.inf
-    if not 0.0 <= value < math.inf:
-        raise DomainError(f"barrier l must be finite and nonnegative, got {l!r}")
-    return value
-
-
 def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     """Values of orders n_lo, n_lo + 2, ..., n_hi at a converged size.
 
@@ -171,7 +151,7 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     k_hi = mathieu_class.eigen_index(n_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty order range {n_lo}..{n_hi}")
-    l = _barrier(l)
+    l = check_real(l, "barrier l", 0.0, False)
     size = min(max(initial_truncation(n_hi, l), k_hi + 2), TRUNCATION_CAP)
     if size == TRUNCATION_CAP:
         size = max(TRUNCATION_CAP // 2, k_hi + 2)

@@ -35,9 +35,14 @@ class TrigSeries:
 
     def __post_init__(self):
         try:
-            arr = np.array(self.coeffs, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise DomainError(f"non-numeric coefficients {self.coeffs!r}") from None
+            arr = np.asarray(self.coeffs)
+            numeric = arr.dtype.kind in "biufc" or (arr.dtype.kind == "O" and all(
+                isinstance(v, numbers.Number) for v in arr.flat))
+            arr = np.array(arr, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
+            raise DomainError(f"non-numeric coefficients {self.coeffs!r}")
         if arr.ndim != 1 or len(arr) % 2 == 0:
             raise DomainError(
                 f"coefficients must be 1-D of odd length, got shape {arr.shape}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_type, real_array
-from .mathieu import ce_series, check_count, se_series
+from .errors import DomainError, check_count, check_type, real_array
+from .mathieu import ce_series, se_series
 from .series import Moments, TrigSeries, eval_series, moments
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -145,10 +145,12 @@ def jump_at_boundary(n: int, from_family: StateFamily,
 
 
 def density(state: QuantumState, grid) -> np.ndarray:
-    """|psi(phi)|^2 sampled on the given angles; shape (len(grid), 2)."""
+    """|psi(phi)|^2 sampled on a 1-D grid of angles; shape (len(grid), 2)."""
     series = check_type(state, QuantumState, "state").series
     phi = real_array(grid, "angles")
-    return np.column_stack([phi, np.abs(np.asarray(eval_series(series, phi))) ** 2])
+    if phi.ndim != 1:
+        raise DomainError(f"angles must be a 1-D grid, got {grid!r}")
+    return np.column_stack([phi, np.abs(eval_series(series, phi)) ** 2])
 
 
 def density_extrema(state: QuantumState) -> tuple[list[float], list[float]]:

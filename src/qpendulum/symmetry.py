@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -54,9 +53,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
-                     check_type, real_array)
-from .mathieu import (MathieuClass, _barrier, a_value, b_value, ce_class,
-                      characteristic_values, check_count, se_class)
+                     check_count, check_real, check_type, real_array)
+from .mathieu import (MathieuClass, a_value, b_value, ce_class,
+                      characteristic_values, se_class)
 from .series import TrigSeries, inner_product
 
 SEARCH_CEILING = 200.0
@@ -236,14 +235,6 @@ def _relative_gap(ea: float, eb: float) -> float:
     return abs(ea - eb) / mean if mean > 0 else math.inf
 
 
-def _check_threshold(epsilon: float) -> None:
-    """Raise DomainError unless epsilon is a real 0 < epsilon < inf."""
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-            or not 0.0 < epsilon < math.inf):
-        raise DomainError(
-            f"gap threshold must be finite and positive, got {epsilon!r}")
-
-
 def find_boundary(
     n: int,
     pairing: PairingKind,
@@ -258,7 +249,7 @@ def find_boundary(
     ``PROBE_DELTA`` when the probe is already below eps. The module
     docstring describes the scan, the Brent root and their limits.
     """
-    _check_threshold(epsilon)
+    epsilon = check_real(epsilon, "gap threshold", 0.0, True)
     excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
     rotor = pairing is PairingKind.ROTOR
     lo = PROBE_DELTA
@@ -293,7 +284,8 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     pinned by it (the absolute gap is monotone through each boundary);
     the result then carries ``GapMeasure.ABSOLUTE`` and that threshold.
     """
-    reference = None if reference is None else _barrier(reference)
+    if reference is not None:
+        reference = check_real(reference, "reference barrier", 0.0, False)
     pair = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
     boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
     if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
@@ -321,8 +313,8 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
     Every level is checked, then all share one solve per parity family.
     """
     levels = check_levels(levels)
-    _check_threshold(epsilon_rotor)
-    _check_threshold(epsilon_well)
+    epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
+    epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
     ce, se = _spectrum(max(levels), l)
     regions = {}
     for n in levels:
@@ -368,8 +360,8 @@ def calibrate_epsilon(reference: dict[int, float],
     The table must be nonempty, its targets finite and nonnegative.
     """
     check_levels(check_type(reference, Mapping, "reference table"))
-    for target in reference.values():
-        _barrier(target)
+    reference = {n: check_real(target, "reference barrier", 0.0, False)
+                 for n, target in reference.items()}
 
     def objective(log_eps: float) -> float:
         eps = 10.0 ** log_eps

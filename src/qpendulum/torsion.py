@@ -10,25 +10,22 @@ take one batched solve per parity family and barrier value.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_type, real_array
-from .mathieu import check_count
+from .errors import DomainError, check_count, check_real, check_type, real_array
 from .symmetry import check_levels, classify_regions
 
 HBAR_SI = 1.054571817e-34  # J s
 
 
 def reduced_inertia(I1: float, I2: float) -> float:
-    """I = I1 I2 / (I1 + I2) for two coaxial rigid parts."""
-    check_type(I1, numbers.Real, "I1")
-    check_type(I2, numbers.Real, "I2")
-    if not (0 < I1 < np.inf and 0 < I2 < np.inf):
-        raise DomainError("moments of inertia must be positive and finite")
-    return I1 * I2 / (I1 + I2)
+    """I = I1 I2 / (I1 + I2) for two coaxial rigid parts, as lo / (1 + lo/hi)
+    so that no product underflows."""
+    lo, hi = sorted((check_real(I1, "I1", 0.0, True), check_real(I2, "I2", 0.0, True)))
+    return lo / (1.0 + lo / hi)
 
 
 @dataclass(frozen=True)
@@ -36,23 +33,17 @@ class TorsionRotor:
     """A molecule with an n-fold internal-rotation barrier.
 
     Units are SI: kg m^2 for the inertias, joules for the barrier.
-    ``hbar`` is fixed to the physical constant; override it only when
-    working in rescaled hbar = 1 units.
     """
 
     I1: float
     I2: float
     V0: float
     n_fold: int
-    hbar: float = HBAR_SI
 
     def __post_init__(self):
-        for name in ("I1", "I2", "V0", "hbar"):
-            check_type(getattr(self, name), numbers.Real, name)
-        if not (0 < self.I1 < np.inf and 0 < self.I2 < np.inf
-                and 0 <= self.V0 < np.inf and 0 < self.hbar < np.inf):
-            raise DomainError("inertias and hbar must be positive and V0 "
-                              f"nonnegative, all finite, got {self}")
+        for name, strict in (("I1", True), ("I2", True), ("V0", False)):
+            object.__setattr__(self, name,
+                               check_real(getattr(self, name), name, 0.0, strict))
         check_count(self.n_fold, 1, "n_fold")
 
     @property
@@ -68,6 +59,11 @@ class UniversalParams:
     energy_scale: float
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("omega_prime", "U", "l", "energy_scale"):
+            object.__setattr__(self, name,
+                               check_real(getattr(self, name), name, -math.inf, False))
+
 
 def torsion_to_mathieu(rotor: TorsionRotor) -> UniversalParams:
     """Map the torsional Hamiltonian to the dimensionless pendulum.
@@ -79,10 +75,11 @@ def torsion_to_mathieu(rotor: TorsionRotor) -> UniversalParams:
     flips the cosine sign is recorded in the metadata.
     """
     I = check_type(rotor, TorsionRotor, "rotor").reduced
-    n2 = rotor.n_fold ** 2
-    l = 2.0 * I * rotor.V0 / (n2 * rotor.hbar ** 2)
-    scale = n2 * rotor.hbar ** 2 / (8.0 * I)
-    omega_prime = n2 * rotor.hbar / (4.0 * I)  # d(dE/dJ)/dJ of the free top
+    n_fold = check_real(rotor.n_fold, "n_fold", 1.0, False)
+    n2 = n_fold * n_fold
+    l = 2.0 * I * rotor.V0 / (n2 * HBAR_SI ** 2)
+    scale = n2 * HBAR_SI ** 2 / (8.0 * I)
+    omega_prime = n2 * HBAR_SI / (4.0 * I)  # d(dE/dJ)/dJ of the free top
     return UniversalParams(
         omega_prime=omega_prime,
         U=rotor.V0 / 2.0,
@@ -99,22 +96,19 @@ def lorentz_to_universal(m: float, omega0: float, mu: float,
 
     omega' = 3 pi mu / (2 m omega0^2), U = V0 sqrt(I0 / (m omega0)),
     l = 8 U / (hbar^2 omega'), in rescaled hbar = 1 units since the
-    oscillator parameters are dimensionless there.
+    oscillator parameters are dimensionless there; m, omega0 and mu are
+    positive, V0 and I0 nonnegative.
     """
-    for name, value in (("m", m), ("omega0", omega0), ("mu", mu),
-                        ("V0", V0), ("I0", I0)):
-        check_type(value, numbers.Real, name)
-    if not (0 < m < np.inf and 0 < omega0 < np.inf):
-        raise DomainError("m and omega0 must be positive and finite")
-    if not 0 < abs(mu) < np.inf:
-        raise DomainError("mu must be finite and nonzero (mu = 0: l undefined)")
-    if not (0 <= I0 < np.inf and np.isfinite(V0)):
-        raise DomainError("I0 must be nonnegative and I0, V0 finite")
-    omega_prime = 3.0 * np.pi * mu / (2.0 * m * omega0 ** 2)
-    U = V0 * np.sqrt(I0 / (m * omega0))
-    l = 8.0 * U / omega_prime
-    return UniversalParams(omega_prime=float(omega_prime), U=float(U),
-                           l=float(l), energy_scale=omega_prime / 8.0)
+    m, omega0, mu = (check_real(value, name, 0.0, True) for name, value in
+                     (("m", m), ("omega0", omega0), ("mu", mu)))
+    V0, I0 = (check_real(value, name, 0.0, False)
+              for name, value in (("V0", V0), ("I0", I0)))
+    # every divisor is a checked positive input, so none is zero
+    omega_prime = 1.5 * math.pi * mu / m / omega0 / omega0
+    U = V0 * math.sqrt(I0 / m / omega0)
+    l = 16.0 * U / (3.0 * math.pi * mu) * m * omega0 * omega0
+    return UniversalParams(omega_prime=omega_prime, U=U, l=l,
+                           energy_scale=omega_prime / 8.0)
 
 
 @dataclass(frozen=True)
@@ -134,10 +128,9 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     classified at the instantaneous barrier; a point is marked as a
     crossing when any level's region differs from the previous time.
     """
-    for name, value in (("l_c", l_c), ("delta_l", delta_l), ("omega", omega)):
-        check_type(value, numbers.Real, name)
-    if not 0 < delta_l < np.inf:
-        raise DomainError("delta_l must be finite and positive")
+    l_c = check_real(l_c, "l_c", -math.inf, False)
+    delta_l = check_real(delta_l, "delta_l", 0.0, True)
+    omega = check_real(omega, "omega", -math.inf, False)
     levels = check_levels(levels)
     times = real_array(t_grid, "t_grid")
     if times.ndim != 1:

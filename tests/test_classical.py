@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
@@ -158,3 +160,8 @@ def test_params_validation():
                 ClassicalParams(*args)
     assert ClassicalParams(1.0, 1.0, 3.0).modulus == pytest.approx(
         np.sqrt(0.5), abs=1e-14)
+    # any real is taken as its float: a Fraction once raised TypeError
+    half = ClassicalParams(Fraction(1, 2), 1, 3)
+    assert half == ClassicalParams(0.5, 1.0, 3.0) and type(half.omega_prime) is float
+    assert np.array_equal(trajectory(half, [0.0, 0.5]),
+                          trajectory(ClassicalParams(0.5, 1.0, 3.0), [0.0, 0.5]))

@@ -161,6 +161,16 @@ def test_torsion_explicit_params(tmp_path):
     assert payload["l"] == pytest.approx(2 * 11.12, abs=0.2)
 
 
+def test_torsion_tiny_rotor_gives_finite_json(capsys):
+    # I1 I2 once underflowed to 0 and the energy scale divided by it
+    code = main(["torsion", "--I1", "1e-300", "--I2", "1e-300",
+                 "--V0", "1e-300", "--n-fold", "1"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert np.isfinite([payload[k] for k in
+                        ("l", "U", "omega_prime", "energy_scale_J")]).all()
+
+
 def test_torsion_missing_params():
     assert main(["torsion"]) == EXIT_VALIDATION
 
@@ -221,6 +231,8 @@ def test_csv_stdout_matches_file(argv, tmp_path, capsys):
     ["regions", "--n-max", "0"],
     ["regions", "--n-max", "-3"],
     ["regions", "--n-max", "13"],
+    # a 401-digit n-fold once raised OverflowError
+    ["torsion", "--I1", "1", "--I2", "1", "--V0", "1", "--n-fold", "1" + "0" * 400],
 ])
 def test_counts_out_of_range_exit_code(argv, capsys):
     assert main(argv) == EXIT_VALIDATION

@@ -65,8 +65,11 @@ def test_n_harmonics():
     assert TrigSeries([0.0, 1.0, 3.0, 4.0, 0.0]).n_harmonics == 2
 
 
-@pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0, "abc"])
+@pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0, "abc",
+                                 [None, 1, 0], ["1"], [[1.0], [1.0, 2.0]],
+                                 np.array([10**400, 1, 0], dtype=object)])
 def test_coefficients_must_be_1d_odd_length(bad):
+    # [None, 1, 0] once held NaN and ["1"] held 1 + 0j
     with pytest.raises(DomainError):
         TrigSeries(bad)
 

@@ -182,6 +182,7 @@ def _wrong_types():
         "local_variance_inequality": lambda: local_variance_inequality(1),
         "density_maxima": lambda: density_maxima(1),
         "density": lambda: density(state, "x"),
+        "density-2d": lambda: density(state, [[0.0, 1.0]]),
         "density-state": lambda: density(1, GRID),
         "apply_group_element": lambda: qp.apply_group_element(s, "A"),
         "apply_group_element-series": lambda: qp.apply_group_element(1, G.A),
@@ -198,12 +199,14 @@ def test_wrong_argument_types_raise_domain_error(name):
         _wrong_types()[name]()
 
 
-@pytest.mark.parametrize("bad", [None, [None, 0.0], "1.5", ["1.0", "2.0"]],
-                         ids=["None", "None-in-list", "string", "strings"])
+@pytest.mark.parametrize("bad", [None, [None, 0.0], "1.5", ["1.0", "2.0"],
+                                 [0.0, np.inf], [np.nan]],
+                         ids=["None", "None-in-list", "string", "strings",
+                              "inf", "nan"])
 @pytest.mark.parametrize("name", ["eval_series", "density", "sweep_characteristics",
                                   "modulation_schedule"])
 def test_none_and_numeric_strings_are_not_real_grids(name, bad):
-    # None once read as NaN and "1.5" as 1.5
+    # None once read as NaN and "1.5" as 1.5; inf once gave nan+nanj
     import qpendulum as qp
 
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 1.0))

@@ -326,8 +326,9 @@ def test_cold_sweep_row_budget(lapack_calls):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
-                                 None, True])
+                                 None, True, pytest.param(10**400, id="10**400")])
 def test_thresholds_must_be_finite_and_positive(bad):
+    # 10**400 once raised OverflowError from the first gap comparison
     for pairing in PairingKind:
         with pytest.raises(DomainError):
             find_boundary(3, pairing, bad, GapMeasure.RELATIVE)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ def test_reduced_inertia():
     assert reduced_inertia(1.0, 1.0) == 0.5
     assert reduced_inertia(5.3e-47, 5.3e-47) == pytest.approx(2.65e-47)
     assert reduced_inertia(2.0, 1e12) == pytest.approx(2.0, rel=1e-11)
+    # I1 I2 once underflowed to 0 here
+    assert reduced_inertia(1e-300, 1e-300) == 5e-301
     with pytest.raises(DomainError):
         reduced_inertia(-1.0, 1.0)
 
@@ -74,14 +78,12 @@ def test_free_rotor_round_trip():
 
 
 def test_dimensionless_l_invariance():
-    # expressing the same rotor in different (consistent) unit systems
-    # leaves l unchanged: scale lengths by 10, masses by 1e3 etc. via a
-    # single energy/inertia rescale with hbar rescaled accordingly
+    # l = 2 I V0 / (n^2 hbar^2) sees I and V0 only through their
+    # product: scaling the inertias by s and the barrier by 1/s keeps it
     rotor_si = TorsionRotor(5.3e-47, 5.3e-47, 2.1e-20, 3)
     scale = 1e20
     rotor_scaled = TorsionRotor(5.3e-47 * scale, 5.3e-47 * scale,
-                                2.1e-20 * scale, 3,
-                                hbar=HBAR_SI * scale)
+                                2.1e-20 / scale, 3)
     assert torsion_to_mathieu(rotor_si).l == pytest.approx(
         torsion_to_mathieu(rotor_scaled).l, rel=1e-14)
 
@@ -91,6 +93,9 @@ def test_lorentz_unit_inputs():
     assert params.omega_prime == pytest.approx(3 * np.pi / 2, abs=1e-14)
     assert params.U == pytest.approx(1.0, abs=1e-14)
     assert params.l == pytest.approx(16 / (3 * np.pi), abs=1e-14)
+    # a Fraction once raised TypeError
+    assert lorentz_to_universal(Fraction(1, 2), 1, 1, 1, 1) == \
+        lorentz_to_universal(0.5, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_lorentz_scalings():
@@ -99,8 +104,11 @@ def test_lorentz_scalings():
     assert half.l == pytest.approx(base.l / 2, rel=1e-14)
     quad = lorentz_to_universal(1.0, 1.0, 1.0, 1.0, 4.0)
     assert quad.U == pytest.approx(2 * base.U, rel=1e-14)
-    with pytest.raises(DomainError):
-        lorentz_to_universal(1.0, 1.0, 0.0, 1.0, 1.0)
+    # mu = 0 leaves l undefined; mu = -1 or V0 = -1 once gave l < 0
+    for args in ((1.0, 1.0, 0.0, 1.0, 1.0), (1.0, 1.0, -1.0, 1.0, 1.0),
+                 (1.0, 1.0, 1.0, -1.0, 1.0)):
+        with pytest.raises(DomainError):
+            lorentz_to_universal(*args)
 
 
 def test_modulation_schedule_constant_when_amplitude_vanishing():
@@ -183,13 +191,14 @@ def test_rotor_validation():
     assert TorsionRotor(1.0, 1.0, 1.0, np.int64(3)).n_fold == 3
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 pytest.param(10**400, id="10**400")])
 def test_nonfinite_physical_inputs_rejected(bad):
+    # an int too large for a float once raised OverflowError
     for args in ((bad, 1.0), (1.0, bad)):
         with pytest.raises(DomainError):
             reduced_inertia(*args)
-    for args in ((bad, 1.0, 1.0, 3), (1.0, bad, 1.0, 3), (1.0, 1.0, bad, 3),
-                 (1.0, 1.0, 1.0, 3, bad)):
+    for args in ((bad, 1.0, 1.0, 3), (1.0, bad, 1.0, 3), (1.0, 1.0, bad, 3)):
         with pytest.raises(DomainError):
             TorsionRotor(*args)
     for i in range(5):
@@ -206,9 +215,13 @@ def _non_numeric_inputs():
     return {
         "ClassicalParams-str": lambda: ClassicalParams("1", 1, 3),
         "ClassicalParams-None": lambda: ClassicalParams(None, 1, 3),
+        "ClassicalParams-huge-int": lambda: ClassicalParams(10**400, 1, 3),
         "trajectory-params": lambda: trajectory("x", [0.0]),
         "TorsionRotor-str": lambda: TorsionRotor("1", 1, 1, 3),
-        "TorsionRotor-bool-hbar": lambda: TorsionRotor(1, 1, 1, 3, hbar=True),
+        "torsion_to_mathieu-huge-n_fold":
+            lambda: torsion_to_mathieu(TorsionRotor(1, 1, 1, 10**400)),
+        "modulation_schedule-huge-int": lambda: modulation_schedule(
+            10**400, 0.1, 1.0, [0.0], [1], EPS_R, EPS_W),
         "reduced_inertia": lambda: reduced_inertia("1", 1),
         "lorentz_to_universal": lambda: lorentz_to_universal("1", 1, 1, 1, 1),
         "torsion_to_mathieu": lambda: torsion_to_mathieu("x"),
@@ -220,6 +233,6 @@ def _non_numeric_inputs():
 
 @pytest.mark.parametrize("name", list(_non_numeric_inputs()))
 def test_non_numeric_physical_inputs_raise_domain_error(name):
-    # each once raised TypeError or AttributeError, or (hbar=True) passed
+    # each once raised TypeError, AttributeError or OverflowError
     with pytest.raises(DomainError):
         _non_numeric_inputs()[name]()
