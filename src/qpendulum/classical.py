@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipj, ellipk
 
-from .errors import DomainError, SeparatrixError, check_real, check_type, real_array
+from .errors import DomainError, SeparatrixError, check_real, check_type, real_grid
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,16 @@ class ArgConvention(enum.Enum):
 
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind K(k), 0 <= k < 1."""
-    if not 0.0 <= k < 1.0:
+    if (k := check_real(k, "modulus k", 0.0, False)) >= 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k}")
     return float(ellipk(k * k))
 
 
 def jacobi_cn_dn(u: float, k: float) -> tuple[float, float]:
     """Jacobi cn(u, k) and dn(u, k), 0 <= k <= 1."""
-    if not 0.0 <= k <= 1.0:
+    if (k := check_real(k, "modulus k", 0.0, False)) > 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k}")
-    _, cn, dn, _ = ellipj(u, k * k)
+    _, cn, dn, _ = ellipj(check_real(u, "argument u", -np.inf, False), k * k)
     return float(cn), float(dn)
 
 
@@ -79,18 +79,16 @@ def trajectory(params: ClassicalParams, t_grid,
         convention = ArgConvention(convention)
     except ValueError:
         raise DomainError(f"unknown argument convention {convention!r}") from None
-    times = real_array(t_grid, "t_grid")
-    if times.ndim != 1:
-        raise DomainError(f"t_grid must be 1-D, got {t_grid!r}")
-    amp = float(np.sqrt((params.E + params.U) * params.omega_prime))
+    times = real_grid(t_grid, "t_grid")
+    k = params.modulus  # checks E + U > 0 before the square root below
     if params.E == params.U:
         raise SeparatrixError(
             "E = U sits on the separatrix; the envelope there is "
             "A sech(arg) — evaluate jacobi_cn_dn with k = 1 instead")
+    amp = float(np.sqrt((params.E + params.U) * params.omega_prime))
     rate = amp
     if convention is ArgConvention.AS_PRINTED:
         rate = params.omega_prime * amp
-    k = params.modulus
     if params.E > params.U:
         vals = ellipj(rate * times, k * k)[2]  # dn
     else:

@@ -118,7 +118,7 @@ def cmd_regions(args) -> int:
 
 def cmd_tables(args) -> int:
     """The subcommand's ``tables``, as the report writes them."""
-    tables = observable_tables(dict(ref.OBSERVABLE_EVAL_POINTS))
+    tables = observable_tables()
     for name in args.tables:
         write_csv(args.out / f"{name}.csv", HEADERS[name], tables[name])
     return EXIT_OK

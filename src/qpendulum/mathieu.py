@@ -55,7 +55,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein, dsterf
 
-from .errors import ConvergenceError, DomainError, check_count, check_real
+from .errors import ConvergenceError, DomainError, check_count, check_real, check_type
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
@@ -86,8 +86,11 @@ class MathieuClass(enum.Enum):
         return self.lowest + 2 * np.arange(size)
 
     def eigen_index(self, n: int) -> int:
-        """Position (n - p)/2 of order n in its family's ascending spectrum."""
+        """Position (n - p)/2 of order n; ConvergenceError beyond the cap."""
         check_count(n, self.lowest, "order")
+        if n - self.lowest >= 2 * (TRUNCATION_CAP - 2):
+            raise ConvergenceError(f"truncation cap {TRUNCATION_CAP} holds {self.value}"
+                                   f" orders to {self.lowest + 2 * TRUNCATION_CAP - 6}")
         if (n - self.lowest) % 2:
             raise DomainError(f"{self.value} admits orders {self.lowest}, "
                               f"{self.lowest + 2}, ..., got {n!r}")
@@ -147,18 +150,14 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     those values, or None from a ``dsterf`` solve; see the module
     docstring for the rule.
     """
-    k_lo = mathieu_class.eigen_index(n_lo)
+    k_lo = check_type(mathieu_class, MathieuClass, "family").eigen_index(n_lo)
     k_hi = mathieu_class.eigen_index(n_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty order range {n_lo}..{n_hi}")
     l = check_real(l, "barrier l", 0.0, False)
     size = min(max(initial_truncation(n_hi, l), k_hi + 2), TRUNCATION_CAP)
-    if size == TRUNCATION_CAP:
+    if size == TRUNCATION_CAP:  # k_hi + 2 < TRUNCATION_CAP: see eigen_index
         size = max(TRUNCATION_CAP // 2, k_hi + 2)
-        if size >= TRUNCATION_CAP:
-            raise ConvergenceError(
-                f"truncation cap {TRUNCATION_CAP} leaves no smaller size to "
-                f"compare with for ({mathieu_class.value}, n={n_lo}..{n_hi}, l={l})")
     count = k_hi - k_lo + 1
     prev = None
     while True:

@@ -97,8 +97,8 @@ def _residual(computed: float, target: float, relative: bool) -> float:
     return abs(computed - target) / (max(abs(target), 1.0) if relative else 1.0)
 
 
-def observable_tables(points: dict) -> dict[str, list]:
-    """Tables 3-6 at the given barriers, keyed by table name.
+def observable_tables() -> dict[str, list]:
+    """Tables 3-6 at ``OBSERVABLE_EVAL_POINTS``, keyed by table name.
 
     Each level builds phi+, phi-, xi and eta once and reads their
     :func:`angular_moments` records. Tables 3 and 4 hold the jumps of
@@ -109,7 +109,7 @@ def observable_tables(points: dict) -> dict[str, list]:
     """
     tables = {"table3": [], "table4": [], "table5": [], "table6": []}
     for n in ref.LEVELS:
-        l_c = points[n]
+        l_c = ref.OBSERVABLE_EVAL_POINTS[n]
         phip, phim, xi, eta = reports = [
             angular_moments(build_state(StateSpec(f, n, l_c)))
             for f in ("phi+", "phi-", "xi", "eta")]
@@ -141,7 +141,7 @@ def build_bundle() -> ReportBundle:
         PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR)
     data["table2"] = _boundary_table(
         PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)
-    data.update(observable_tables(points))
+    data.update(observable_tables())
     data["fig1_characteristics"] = sweep_characteristics(
         8, np.linspace(0.0, 55.0, 111))
     # (n, l_c, phi+ -> xi, phi+ -> eta): the first four cells of table3/4
@@ -178,8 +178,8 @@ def build_bundle() -> ReportBundle:
     return bundle
 
 
-def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
-    """Write the bundle to disk; returns the data-file paths."""
+def write_bundle(bundle: ReportBundle, out_dir: Path) -> None:
+    """Write the bundle's data files, metadata and summary to ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in bundle.data.items():
@@ -193,4 +193,3 @@ def write_bundle(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     lines.append("gates: " + ("PASS" if not bundle.gate_failures else "FAIL"))
     lines.extend(f"  {msg}" for msg in bundle.gate_failures)
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    return [out_dir / f"{name}.csv" for name in bundle.data]

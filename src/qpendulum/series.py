@@ -36,8 +36,9 @@ class TrigSeries:
     def __post_init__(self):
         try:
             arr = np.asarray(self.coeffs)
-            numeric = arr.dtype.kind in "biufc" or (arr.dtype.kind == "O" and all(
-                isinstance(v, numbers.Number) for v in arr.flat))
+            numeric = arr.dtype.kind in "iufc" or (arr.dtype.kind == "O" and all(
+                isinstance(v, numbers.Number) and not isinstance(v, bool)
+                for v in arr.flat))
             arr = np.array(arr, dtype=np.complex128)
         except (TypeError, ValueError, OverflowError):
             numeric = False

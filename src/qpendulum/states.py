@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_type, real_array
+from .errors import DomainError, check_count, check_real, check_type, real_grid
 from .mathieu import ce_series, se_series
 from .series import Moments, TrigSeries, eval_series, moments
 
@@ -57,6 +57,7 @@ class StateSpec:
         except ValueError:
             raise DomainError(f"unknown state family {self.family!r}") from None
         check_count(self.n, 0, "level")
+        object.__setattr__(self, "l", check_real(self.l, "barrier l", 0.0, False))
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,7 @@ def jump_at_boundary(n: int, from_family: StateFamily,
 def density(state: QuantumState, grid) -> np.ndarray:
     """|psi(phi)|^2 sampled on a 1-D grid of angles; shape (len(grid), 2)."""
     series = check_type(state, QuantumState, "state").series
-    phi = real_array(grid, "angles")
-    if phi.ndim != 1:
-        raise DomainError(f"angles must be a 1-D grid, got {grid!r}")
+    phi = real_grid(grid, "angles")
     return np.column_stack([phi, np.abs(eval_series(series, phi)) ** 2])
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
-                     check_count, check_real, check_type, real_array)
+                     check_count, check_levels, check_real, check_type, real_grid)
 from .mathieu import (MathieuClass, a_value, b_value, ce_class,
                       characteristic_values, se_class)
 from .series import TrigSeries, inner_product
@@ -197,11 +197,10 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     Each family costs one :func:`characteristic_values` solve per l.
     """
     check_count(n_max, 0, "n_max")
-    grid = real_array(l_grid, "l_grid")
-    if grid.ndim != 1 or not grid.size:
-        raise DomainError(f"l_grid must be a nonempty sequence, got {l_grid!r}")
-    if (grid < 0).any() or (np.diff(grid) <= 0).any():
-        raise DomainError("l_grid must be nonnegative and strictly ascending")
+    grid = real_grid(l_grid, "l_grid")
+    if not grid.size or (grid < 0).any() or (np.diff(grid) <= 0).any():
+        raise DomainError("l_grid must be nonempty, nonnegative and strictly ascending")
+    ce_class(n_max).eigen_index(n_max)  # the cap must hold n_max: no huge lists
     order = [(ce_class(n).value, n) for n in range(0, n_max + 1)]
     order += [(se_class(n).value, n) for n in range(1, n_max + 1)]
     rows = []
@@ -294,16 +293,6 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
 
 
-def check_levels(levels) -> list[int]:
-    """``levels`` as a list of ints; DomainError unless nonempty, each >= 1."""
-    levels = list(levels)
-    if not levels:
-        raise DomainError("at least one level is required")
-    for n in levels:
-        check_count(n, 1, "level")
-    return [int(n) for n in levels]
-
-
 def classify_regions(levels, l: float, epsilon_rotor: float,
                      epsilon_well: float) -> dict[int, Subgroup]:
     """Symmetry region of each level at barrier l, by relative gaps.
@@ -313,6 +302,8 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
     Every level is checked, then all share one solve per parity family.
     """
     levels = check_levels(levels)
+    l = check_real(l, "barrier l", 0.0, False)
+    ce_class(max(levels)).eigen_index(max(levels))  # the cap must hold every level
     epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
     epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
     ce, se = _spectrum(max(levels), l)
@@ -322,8 +313,8 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
         well = _relative_gap(ce[n - 1], se[n]) < epsilon_well
         if rotor and well:
             raise AmbiguityError(
-                f"level n={n} at l={l} looks degenerate in both pairings",
-                samples=dict(l=l, eps_rotor=epsilon_rotor, eps_well=epsilon_well))
+                f"level n={n} at l={l} looks degenerate in both pairings "
+                f"(eps_rotor={epsilon_rotor}, eps_well={epsilon_well})")
         regions[n] = (Subgroup.G_MINUS if rotor else
                       Subgroup.G_PLUS if well else Subgroup.G_ZERO)
     return regions

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DomainError, check_count, check_real, check_type, real_array
-from .symmetry import check_levels, classify_regions
+from .errors import (DomainError, check_count, check_levels, check_real, check_type,
+                     real_grid)
+from .symmetry import classify_regions
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -132,16 +131,15 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     delta_l = check_real(delta_l, "delta_l", 0.0, True)
     omega = check_real(omega, "omega", -math.inf, False)
     levels = check_levels(levels)
-    times = real_array(t_grid, "t_grid")
-    if times.ndim != 1:
-        raise DomainError(f"t_grid must be a sequence of times, got {t_grid!r}")
+    times = real_grid(t_grid, "t_grid")
     out: list[SchedulePoint] = []
     prev: dict | None = None
-    for t in times:
-        l_t = max(l_c + delta_l * np.cos(omega * t), 0.0)
+    for t in times.tolist():  # Python floats: an overflow is inf, not a warning
+        phase = check_real(omega * t, "omega t", -math.inf, False)
+        l_t = max(l_c + delta_l * math.cos(phase), 0.0)
         regions = classify_regions(levels, l_t, eps_rotor, eps_well)
         crossing = prev is not None and regions != prev
-        out.append(SchedulePoint(float(t), float(l_t), regions, crossing))
+        out.append(SchedulePoint(t, l_t, regions, crossing))
         prev = regions
     return out
 

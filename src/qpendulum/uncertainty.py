@@ -64,40 +64,28 @@ class LocalInequality:
     holds: bool
 
 
-def _local_second_moment(state: QuantumState, phi_m: float,
-                         lo: float, hi: float) -> float:
-    """<(phi - phi_m)^2> of |psi|^2 restricted to (lo, hi), renormalized."""
-    phi = np.linspace(lo, hi, _WINDOW_POINTS)
-    rho = density(state, np.mod(phi, 2.0 * np.pi))[:, 1]
-    weight = np.trapezoid(rho, phi)
-    if weight <= 0:
-        raise DomainError("density vanishes on the local window")
-    return float(np.trapezoid(rho * (phi - phi_m) ** 2, phi) / weight)
-
-
 def local_variance_inequality(state: QuantumState) -> list[LocalInequality]:
     """Small-angle uncertainty check near each density maximum.
 
     <phi^2> is the second moment of |psi|^2 about the maximum over the
-    window bounded by the adjacent density minima; when no usable minima
-    exist the window falls back to +-pi/(2n). lhs = dLz * <phi^2>,
-    rhs = (1 - <phi^2>/2)/4.
+    window from the density minimum below it to the one above it, read
+    around the circle (one minimum bounds a full period), renormalized to
+    the window. lhs = dLz * <phi^2>, rhs = (1 - <phi^2>/2)/4.
     """
     maxima, minima = density_extrema(state)
-    if not maxima:
-        raise DomainError("state has no strict density maxima")
-    n = max(state.spec.n, 1)
+    if not (maxima and minima):
+        raise DomainError("state needs a strict density maximum and minimum")
     dlz = float(np.sqrt(max(angular_moments(state).var_Lz, 0.0)))
     out = []
     for phi_m in maxima:
-        lo = hi = None
-        if len(minima) >= 2:
-            below = [m for m in minima if m < phi_m] or [minima[-1] - 2 * np.pi]
-            above = [m for m in minima if m > phi_m] or [minima[0] + 2 * np.pi]
-            lo, hi = max(below), min(above)
-        if lo is None or hi - lo < 1e-6:
-            lo, hi = phi_m - np.pi / (2 * n), phi_m + np.pi / (2 * n)
-        phi2 = _local_second_moment(state, phi_m, lo, hi)
+        lo = max([m for m in minima if m < phi_m] or [minima[-1] - 2 * np.pi])
+        hi = min([m for m in minima if m > phi_m] or [minima[0] + 2 * np.pi])
+        phi = np.linspace(lo, hi, _WINDOW_POINTS)
+        rho = density(state, np.mod(phi, 2.0 * np.pi))[:, 1]
+        weight = np.trapezoid(rho, phi)
+        if weight <= 0:
+            raise DomainError("density vanishes on the local window")
+        phi2 = float(np.trapezoid(rho * (phi - phi_m) ** 2, phi) / weight)
         lhs = dlz * phi2
         rhs = 0.25 * (1.0 - 0.5 * phi2)
         out.append(LocalInequality(phi_m, (lo, hi), phi2, lhs, rhs, lhs >= rhs))

@@ -46,6 +46,18 @@ def test_elliptic_K_domain():
         elliptic_K(-0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: elliptic_K(10**5000),
+    lambda: jacobi_cn_dn(np.inf, 0.5),
+    lambda: jacobi_cn_dn(np.nan, 0.5),
+    lambda: jacobi_cn_dn(0.5, 10**5000),
+], ids=["K-huge-int", "cn_dn-inf", "cn_dn-nan", "cn_dn-huge-int"])
+def test_elliptic_arguments_must_be_finite_reals(call):
+    # cn_dn(inf, k) once returned (nan, nan); a 5001-digit k raised ValueError
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_cn_dn_limits():
     for u in np.linspace(0.0, 5.0, 21):
         cn, dn = jacobi_cn_dn(u, 0.0)

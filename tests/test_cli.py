@@ -344,6 +344,14 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
     assert len(proc.stdout.splitlines()) == 5
 
 
+def test_classical_below_the_well_bottom_only_errors(tmp_path):
+    # E + U < 0 once printed a RuntimeWarning from sqrt before the error
+    proc = _run_from_a_checkout(tmp_path, "classical", "--E", "-3", "--U", "1")
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stdout == ""
+    assert proc.stderr == "error: E + U must be positive\n"
+
+
 def test_python_dash_m_loads_a_preset_from_a_checkout(tmp_path):
     # presets are a constant of qpendulum.torsion, not package data files
     proc = _run_from_a_checkout(tmp_path, "torsion", "--preset", "ethane")

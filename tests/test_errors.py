@@ -15,13 +15,14 @@ from qpendulum.errors import DomainError, check_real
     (None, 0.0, False),
     (1.5j, 0.0, False),
     (10**400, 0.0, False),
+    (10**5000, 0.0, False),
     (-10**400, -math.inf, False),
     (math.nan, -math.inf, False),
     (math.inf, 0.0, False),
     (-math.inf, -math.inf, False),
     (-1e-300, 0.0, False),
     (0.0, 0.0, True),
-], ids=["bool", "Decimal", "str", "None", "complex", "10**400", "-10**400",
+], ids=["bool", "Decimal", "str", "None", "complex", "10**400", "10**5000", "-10**400",
         "nan", "inf", "-inf", "below-low", "at-low-strict"])
 def test_check_real_rejects(value, low, strict):
     with pytest.raises(DomainError):

@@ -168,6 +168,43 @@ def test_convergence_error_reports_iterates(monkeypatch):
         ("dstebz", TRUNCATION_CAP // 2), ("dstebz", TRUNCATION_CAP)]
 
 
+def test_highest_order_the_cap_holds():
+    # index 509 leaves room for a comparison size of 511; index 510 does not
+    assert a_value(1018, 0.0) == pytest.approx(1018.0 ** 2, rel=1e-12)
+    with pytest.raises(ConvergenceError):
+        a_value(1020, 0.0)
+
+
+def _beyond_the_cap():
+    import qpendulum as qp
+
+    huge, eps = 10**5000, (4.989e-3, 9.95e-3)
+    return {
+        "a_value": lambda: a_value(huge, 1.0),
+        "b_value": lambda: b_value(huge, 1.0),
+        "characteristic_values-range":
+            lambda: characteristic_values(MathieuClass.CE_EVEN, 0, huge, 1.0),
+        "characteristic_values-parity":
+            lambda: characteristic_values(MathieuClass.CE_EVEN, huge + 1, huge + 1, 1.0),
+        "build_state": lambda: build_state(StateSpec("xi", huge, 1.0)),
+        "classify_regions": lambda: qp.classify_regions([huge], 1.0, *eps),
+        "classify_regions-1e9": lambda: qp.classify_regions([10**9], 1.0, *eps),
+        "sweep_characteristics": lambda: qp.sweep_characteristics(huge, [0.0]),
+        "sweep_characteristics-1e9": lambda: qp.sweep_characteristics(10**9, [0.0]),
+        "level_boundary": lambda: qp.level_boundary(huge, qp.PairingKind.ROTOR, 0.005),
+    }
+
+
+@pytest.mark.parametrize("name", list(_beyond_the_cap()))
+def test_orders_beyond_the_cap_raise_before_any_solve(name, monkeypatch):
+    # a 5001-digit order once raised ValueError from its own error message,
+    # and a sweep or region label to it built per-order lists first
+    calls = _spy_lapack(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        _beyond_the_cap()[name]()
+    assert calls == []
+
+
 @pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
 @pytest.mark.parametrize("start,width", [(0, 1), (0, 2), (0, 3), (0, 5), (3, 1),
                                          (3, 2), (3, 3), (3, 5)])

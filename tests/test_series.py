@@ -67,9 +67,11 @@ def test_n_harmonics():
 
 @pytest.mark.parametrize("bad", [[], [1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0, "abc",
                                  [None, 1, 0], ["1"], [[1.0], [1.0, 2.0]],
-                                 np.array([10**400, 1, 0], dtype=object)])
+                                 np.array([10**400, 1, 0], dtype=object),
+                                 np.array([True, False, True]), [True, False, True],
+                                 np.array([True, 1.0, 0], dtype=object)])
 def test_coefficients_must_be_1d_odd_length(bad):
-    # [None, 1, 0] once held NaN and ["1"] held 1 + 0j
+    # [None, 1, 0] once held NaN, ["1"] held 1 + 0j and bools 1 and 0
     with pytest.raises(DomainError):
         TrigSeries(bad)
 

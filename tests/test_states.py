@@ -167,7 +167,20 @@ def _wrong_types():
     s = qp.ce_series(2, 3.0)
     state = build_state(StateSpec(StateFamily.XI, 2, 3.0))
     G, S = qp.GroupElement, qp.Subgroup
+    eps = (4.989e-3, 9.95e-3)
     return {
+        "classify_regions-int-levels": lambda: qp.classify_regions(3, 1.0, *eps),
+        "classify_regions-None-levels": lambda: qp.classify_regions(None, 1.0, *eps),
+        "classify_regions-list-l": lambda: qp.classify_regions([1], [1.0], *eps),
+        "modulation_schedule-int-levels":
+            lambda: qp.modulation_schedule(1.0, 0.1, 1.0, [0.0], 3, *eps),
+        "characteristic_values-str-family":
+            lambda: qp.characteristic_values("ce_even", 0, 2, 1.0),
+        "StateSpec-list-l": lambda: build_state(StateSpec("xi", 1, [1.0])),
+        "jump_at_boundary-list-l":
+            lambda: qp.jump_at_boundary(1, "phi+", "xi", [1.0]),
+        "elliptic_K-str": lambda: qp.elliptic_K("x"),
+        "jacobi_cn_dn-str": lambda: qp.jacobi_cn_dn("x", 0.5),
         "inner_product": lambda: qp.inner_product(s, 1),
         "inner_product-left": lambda: qp.inner_product(1, s),
         "moments": lambda: qp.moments(1),
@@ -200,13 +213,15 @@ def test_wrong_argument_types_raise_domain_error(name):
 
 
 @pytest.mark.parametrize("bad", [None, [None, 0.0], "1.5", ["1.0", "2.0"],
-                                 [0.0, np.inf], [np.nan]],
+                                 [0.0, np.inf], [np.nan], True, [False, True],
+                                 np.array([True, 0.5], dtype=object)],
                          ids=["None", "None-in-list", "string", "strings",
-                              "inf", "nan"])
+                              "inf", "nan", "bool", "bools", "bool-in-objects"])
 @pytest.mark.parametrize("name", ["eval_series", "density", "sweep_characteristics",
-                                  "modulation_schedule"])
+                                  "modulation_schedule", "trajectory"])
 def test_none_and_numeric_strings_are_not_real_grids(name, bad):
-    # None once read as NaN and "1.5" as 1.5; inf once gave nan+nanj
+    # None once read as NaN and "1.5" as 1.5; inf once gave nan+nanj;
+    # [False, True] once read as the grid 0, 1
     import qpendulum as qp
 
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 1.0))
@@ -216,6 +231,7 @@ def test_none_and_numeric_strings_are_not_real_grids(name, bad):
         "sweep_characteristics": lambda: qp.sweep_characteristics(1, bad),
         "modulation_schedule": lambda: qp.modulation_schedule(
             1.0, 0.1, 1.0, bad, [1], 4.989e-3, 9.95e-3),
+        "trajectory": lambda: qp.trajectory(qp.ClassicalParams(1.0, 1.0, 3.0), bad),
     }[name]
     with pytest.raises(DomainError):
         call()
@@ -243,10 +259,9 @@ def calls(monkeypatch):
 
 
 def test_report_tables_build_four_states_per_level(calls):
-    from qpendulum import reference as ref
     from qpendulum.report import observable_tables
 
-    observable_tables(ref.OBSERVABLE_EVAL_POINTS)
+    observable_tables()
     assert calls == {"build_state": 32, "moments": 32}
 
 

@@ -384,6 +384,11 @@ def test_classify_regions_raises_on_ambiguity():
         classify_regions([2], 1.0, 0.9, 0.9)[2]
 
 
+def test_ambiguity_message_names_both_thresholds():
+    with pytest.raises(AmbiguityError, match=r"eps_rotor=0\.9, eps_well=0\.8"):
+        classify_regions([2], 1.0, 0.9, 0.8)
+
+
 @pytest.mark.parametrize("levels", [[], [1, 0], [1, 2.0], [True], [1, "2"],
                                     [1, None]])
 def test_classify_regions_checks_levels_before_solving(levels, monkeypatch):

@@ -222,6 +222,13 @@ def _non_numeric_inputs():
             lambda: torsion_to_mathieu(TorsionRotor(1, 1, 1, 10**400)),
         "modulation_schedule-huge-int": lambda: modulation_schedule(
             10**400, 0.1, 1.0, [0.0], [1], EPS_R, EPS_W),
+        # these three once warned of an overflow or raised ValueError
+        "torsion_to_mathieu-5001-digit-n_fold":
+            lambda: torsion_to_mathieu(TorsionRotor(1e-47, 1e-47, 1e-20, 10**5000)),
+        "modulation_schedule-overflowing-barrier": lambda: modulation_schedule(
+            1e308, 1e308, 1.0, [0.0], [1], EPS_R, EPS_W),
+        "modulation_schedule-overflowing-phase": lambda: modulation_schedule(
+            1.0, 0.5, 1e308, [0.0, 10.0], [1], EPS_R, EPS_W),
         "reduced_inertia": lambda: reduced_inertia("1", 1),
         "lorentz_to_universal": lambda: lorentz_to_universal("1", 1, 1, 1, 1),
         "torsion_to_mathieu": lambda: torsion_to_mathieu("x"),

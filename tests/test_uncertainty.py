@@ -141,6 +141,27 @@ def test_local_inequality_dominant_maxima_hold():
     assert all(r.holds for r in dominant)
 
 
+def test_local_inequality_one_minimum_window_is_the_full_period():
+    # |psi|^2 = (1 + cos phi)/(2 pi): one maximum at 0, one minimum at pi.
+    # The window runs around the circle from pi - 2 pi to pi; it was +-pi/2.
+    c = 1.0 / np.sqrt(2.0)
+    state = QuantumState(StateSpec(StateFamily.XI, 1, 0.0), TrigSeries([0.0, c, c]))
+    (res,) = local_variance_inequality(state)
+    assert res.phi_max == 0.0
+    assert res.window == (-np.pi, np.pi)
+    assert res.phi2 == pytest.approx(np.pi ** 2 / 3 - 2, abs=1e-5)
+    assert res.lhs == pytest.approx(0.5 * res.phi2, abs=1e-12)
+
+
+def test_local_inequality_needs_a_strict_minimum(monkeypatch):
+    from qpendulum import uncertainty
+
+    state = build_state(StateSpec(StateFamily.XI, 1, 0.0))
+    monkeypatch.setattr(uncertainty, "density_extrema", lambda s: ([0.0], []))
+    with pytest.raises(DomainError):
+        local_variance_inequality(state)
+
+
 def test_local_inequality_flat_density_errors():
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 1, 0.0))
     with pytest.raises(DomainError):
