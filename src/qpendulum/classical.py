@@ -62,6 +62,8 @@ def jacobi_cn_dn(u: float, k: float) -> tuple[float, float]:
     if (k := check_real(k, "modulus k", 0.0, False)) > 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k}")
     _, cn, dn, _ = ellipj(check_real(u, "argument u", -np.inf, False), k * k)
+    if not np.isfinite([cn, dn]).all():
+        raise DomainError(f"cn and dn are NaN at u = {u!r}: |u| is too large")
     return float(cn), float(dn)
 
 
@@ -89,9 +91,13 @@ def trajectory(params: ClassicalParams, t_grid,
     rate = amp
     if convention is ArgConvention.AS_PRINTED:
         rate = params.omega_prime * amp
+    with np.errstate(over="ignore", invalid="ignore"):  # ellipj maps inf to NaN
+        arg = rate * times
     if params.E > params.U:
-        vals = ellipj(rate * times, k * k)[2]  # dn
+        vals = ellipj(arg, k * k)[2]  # dn
     else:
         kr = 1.0 / k  # k > 1 on the libration branch, so 1/k is in (0, 1)
-        vals = ellipj(rate * times, kr * kr)[1]  # cn
+        vals = ellipj(arg, kr * kr)[1]  # cn
+    if not np.isfinite(vals).all():
+        raise DomainError(f"elliptic argument rate * t too large: rate {rate:g}")
     return np.column_stack([times, amp * vals])

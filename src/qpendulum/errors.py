@@ -85,14 +85,23 @@ def check_levels(levels) -> list[int]:
     return [int(n) for n in levels]
 
 
+def _holds_bool(values) -> bool:
+    """Whether the (nested) sequence ``values`` has a bool entry, which NumPy
+    reads as 0 or 1 among numbers; an ndarray's dtype tells without this scan."""
+    return not {bool, np.bool_}.isdisjoint(
+        map(type, np.asarray(values, dtype=object).flat))
+
+
 def real_array(values, name: str) -> np.ndarray:
     """``values`` (an iterator too) as a float array; DomainError unless every
     entry is a finite real number, not None, a bool or a numeric string."""
     try:
-        array = np.asarray(list(values) if isinstance(values, Iterator) else values)
+        entries = list(values) if isinstance(values, Iterator) else values
+        array = np.asarray(entries)
         real = array.dtype.kind in "iuf" or (array.dtype.kind == "O" and all(
             isinstance(v, numbers.Real) and not isinstance(v, bool)
             for v in array.flat))
+        real = real and (isinstance(entries, np.ndarray) or not _holds_bool(entries))
         if real:
             array = array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):

@@ -18,12 +18,16 @@ plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 
 Convergence rule
 ----------------
-The first size is :func:`initial_truncation` of the highest order,
-n // 2 + 6 + 4 ceil(l^(1/4)) rows: a low level of the well is an
-oscillator of frequency 2 sqrt(l) (DLMF 28.8) whose weights spread over
-about l^(1/4) harmonics. It is clamped to the fixed ``TRUNCATION_CAP``;
-when it already is the cap (l above about 2.5e8), it is compared with half
-the cap instead. Each step doubles the size (at most to the cap) and
+The first size is :func:`initial_truncation` of the highest order n,
+the larger of what two regimes need (DLMF 28.8). On the rotor side
+order n sits at index n // 2, so n // 2 + 3 + ceil(1.4 l^(1/4)) rows.
+Deep in the well level n is an oscillator state whose weights spread
+over about sqrt(2n + 1) l^(1/4) harmonics, so
+3 + ceil(0.6 l^(1/4) (4.5 + sqrt(2n + 1))) rows. For every order up to
+64 and l up to 1e5 its double confirms it: a solve takes two sizes. It
+is clamped to the fixed ``TRUNCATION_CAP``; when it already is the cap
+(l above about 5.6e8 for order 0), it is compared with half the cap
+instead. Each step doubles the size (at most to the cap) and
 accepts once every value of the range moved by less than
 ``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
 where ||T|| = max|diag| + 2 max|off| bounds the norm of the larger
@@ -35,15 +39,16 @@ worst order's last two iterates, a nonzero LAPACK status without them.
 
 Caches
 ------
-Two typed caches of 16,384 entries each: :func:`characteristic_values`
-keeps the values of one (family, order range, l), ``_weights`` the
-read-only eigenvector weights of one (family, order, l) from one
-``dstein`` inverse iteration on the accepted size's bisection (a complex
-plane-wave series would take eight times the memory). Inputs are
-validated inside the cached functions, so a hit is one lookup, and
-``True`` or ``2.0`` never hit an entry made for ``1`` or ``2``. The
-q-free bands of each (family, size), at most 4 x 512 read-only pairs,
-are built once.
+Two typed caches of 16,384 entries each: ``_values`` keeps the values
+of one (family, order range, l), ``_weights`` the read-only eigenvector
+weights of one (family, order, l) from one ``dstein`` inverse iteration
+on the accepted size's bisection (a complex plane-wave series would take
+eight times the memory). Inputs are validated inside the cached
+functions, so a hit is one lookup, hashed in C (families hash by
+identity), and ``True`` or ``2.0`` never hit an entry made for ``1`` or
+``2``; an unhashable argument turns the lookup's TypeError into
+DomainError. The read-only q-free bands of each family are built at
+import at the cap; each size slices them.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ EIGENVALUE_TOL = 1e-11  # relative
 JITTER_FACTOR = 4.0
 TRUNCATION_CAP = 512  # largest matrix size
 CACHE_SIZE = 16384
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 class MathieuClass(enum.Enum):
@@ -81,6 +86,8 @@ class MathieuClass(enum.Enum):
         member.is_cosine = is_cosine
         member.lowest = lowest
         return member
+
+    __hash__ = object.__hash__  # identity, hashed in C: cache keys and _BANDS
 
     def harmonics(self, size: int) -> np.ndarray:
         return self.lowest + 2 * np.arange(size)
@@ -107,16 +114,18 @@ def se_class(n: int) -> MathieuClass:
     return MathieuClass.SE_EVEN if n % 2 == 0 else MathieuClass.SE_ODD
 
 
-@functools.cache
-def _bands(mathieu_class: MathieuClass, size: int):
-    """Read-only q-free bands: the squared ladder and the unit off-diagonal."""
-    ladder = mathieu_class.harmonics(size) ** 2.0
-    unit = np.ones(size - 1)
+def _cap_bands(mathieu_class: MathieuClass):
+    """Read-only q-free bands at the cap: squared ladder, unit off-diagonal."""
+    ladder = mathieu_class.harmonics(TRUNCATION_CAP) ** 2.0
+    unit = np.ones(TRUNCATION_CAP - 1)
     if mathieu_class.lowest == 0:
         unit[0] = np.sqrt(2.0)
     ladder.setflags(write=False)
     unit.setflags(write=False)
     return ladder, unit
+
+
+_BANDS = {cls: _cap_bands(cls) for cls in MathieuClass}
 
 
 def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
@@ -129,26 +138,29 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
     ||T|| = max|diag| + 2 max|off| for q >= 0; only the first diagonal
     entry can exceed the last in size.
     """
-    diag, unit = _bands(mathieu_class, size)
+    ladder, unit = _BANDS[mathieu_class]
+    diag, unit = ladder[:size], unit[:size - 1]
     if mathieu_class.lowest == 1:
         diag = diag.copy()
         diag[0] += q if mathieu_class.is_cosine else -q
     off = q * unit
-    return diag, off, max(abs(diag[0]), diag[-1]) + 2.0 * q * unit[0]
+    return diag, off, float(max(abs(diag[0]), diag[-1]) + 2.0 * q * unit[0])
 
 
 def initial_truncation(n: int, l: float) -> int:
     """First matrix size for orders up to n; see the module docstring."""
-    return n // 2 + 6 + 4 * math.ceil(max(l, 0.0) ** 0.25)
+    root = max(l, 0.0) ** 0.25
+    return max(n // 2 + 3 + math.ceil(1.4 * root),
+               3 + math.ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
 
 
 def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
     """Values of orders n_lo, n_lo + 2, ..., n_hi at a converged size.
 
-    Validates every input. Returns the values and the matrix bands of
-    the accepted size, and the ``dstebz`` block data (iblock, isplit) of
-    those values, or None from a ``dsterf`` solve; see the module
-    docstring for the rule.
+    Validates every input. Returns the values as a list of floats, the
+    matrix bands of the accepted size, and the ``dstebz`` block data
+    (iblock, isplit) of those values, or None from a ``dsterf`` solve;
+    see the module docstring for the rule.
     """
     k_lo = check_type(mathieu_class, MathieuClass, "family").eigen_index(n_lo)
     k_hi = mathieu_class.eigen_index(n_hi)
@@ -173,25 +185,25 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
             raise ConvergenceError(
                 f"{'dsterf' if split is None else 'dstebz'} info={info}, "
                 f"{found} values at size {size} for ({mathieu_class.value}, l={l})")
+        values = values.tolist()
         if prev is not None:
-            tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(values)),
-                             JITTER_FACTOR * _EPS * norm)
-            excess = np.abs(values - prev) / tol
-            if excess.max() < 1.0:
+            floor = JITTER_FACTOR * _EPS * norm
+            excess = [abs(v - p) / max(EIGENVALUE_TOL * max(1.0, abs(v)), floor)
+                      for v, p in zip(values, prev)]
+            if max(excess) < 1.0:
                 return values, diag, off, split
             if size >= TRUNCATION_CAP:
-                worst = int(excess.argmax())
+                worst = excess.index(max(excess))
                 raise ConvergenceError(
                     f"eigenvalue not converged at truncation cap "
                     f"{TRUNCATION_CAP} for ({mathieu_class.value}, "
                     f"n={n_lo + 2 * worst}, l={l})",
-                    last_iterates=(float(prev[worst]), float(values[worst])),
+                    last_iterates=(prev[worst], values[worst]),
                 )
         prev = values
         size = min(2 * size, TRUNCATION_CAP)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
                           l: float) -> tuple[float, ...]:
     """Characteristic values of orders n_lo, n_lo + 2, ..., n_hi in one solve.
@@ -199,8 +211,17 @@ def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
     Both orders must belong to the family. The values cache holds one
     tuple per exact argument list.
     """
-    values, _, _, _ = _converge(mathieu_class, n_lo, n_hi, l)
-    return tuple(values.tolist())
+    try:
+        return _values(mathieu_class, n_lo, n_hi, l)
+    except TypeError:  # the cache could not hash an argument
+        raise DomainError(f"need a family, integer orders and a real barrier, "
+                          f"got {(mathieu_class, n_lo, n_hi, l)!r}") from None
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
+            l: float) -> tuple[float, ...]:
+    return tuple(_converge(mathieu_class, n_lo, n_hi, l)[0])
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -224,7 +245,10 @@ def _eigen_series(mathieu_class: MathieuClass, n: int, l: float) -> TrigSeries:
     and +i w/sqrt(2) on c_{-h}; the constant keeps c_0 = w, the same fact
     as the sqrt(2) corner of :func:`_tridiagonal`.
     """
-    weights = _weights(mathieu_class, n, l)
+    try:
+        weights = _weights(mathieu_class, n, l)
+    except TypeError:  # an unhashable barrier: the order is checked
+        raise DomainError(f"barrier l must be a finite real, got {l!r}") from None
     harm = mathieu_class.harmonics(len(weights))
     top = int(harm[-1])
     w = weights / np.sqrt(2.0)

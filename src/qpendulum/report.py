@@ -69,8 +69,9 @@ class ReportBundle:
 def format_csv(header, rows) -> str:
     """CSV text with a header line; every cell as str, so a Python float
     is its repr and a NumPy scalar its value."""
+    line = ",".join(["%s"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
+    lines += [line % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

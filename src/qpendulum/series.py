@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import DomainError, check_type, real_array
+from .errors import DomainError, _holds_bool, check_type, real_array
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class TrigSeries:
             numeric = arr.dtype.kind in "iufc" or (arr.dtype.kind == "O" and all(
                 isinstance(v, numbers.Number) and not isinstance(v, bool)
                 for v in arr.flat))
+            numeric = numeric and (isinstance(self.coeffs, np.ndarray)
+                                   or not _holds_bool(self.coeffs))
             arr = np.array(arr, dtype=np.complex128)
         except (TypeError, ValueError, OverflowError):
             numeric = False

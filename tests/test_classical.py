@@ -51,9 +51,16 @@ def test_elliptic_K_domain():
     lambda: jacobi_cn_dn(np.inf, 0.5),
     lambda: jacobi_cn_dn(np.nan, 0.5),
     lambda: jacobi_cn_dn(0.5, 10**5000),
-], ids=["K-huge-int", "cn_dn-inf", "cn_dn-nan", "cn_dn-huge-int"])
+    lambda: jacobi_cn_dn(1e308, 0.5),
+    lambda: trajectory(ClassicalParams(1.0, 1.0, 3.0), [1e308]),
+    lambda: trajectory(ClassicalParams(1.0, 1.0, 3.0), [1e307]),
+    lambda: trajectory(ClassicalParams(1e300, 1.0, 1e300), [0.0, 1.0]),
+], ids=["K-huge-int", "cn_dn-inf", "cn_dn-nan", "cn_dn-huge-int", "cn_dn-1e308",
+        "trajectory-overflow", "trajectory-ellipj-nan", "trajectory-rate-inf"])
 def test_elliptic_arguments_must_be_finite_reals(call):
-    # cn_dn(inf, k) once returned (nan, nan); a 5001-digit k raised ValueError
+    # cn_dn(inf, k) once returned (nan, nan); a 5001-digit k raised ValueError;
+    # cn_dn(1e308, k) returned (nan, nan), and the trajectories an overflow
+    # warning, NaN rows (ellipj of 2e307) or NaN rows from inf * 0
     with pytest.raises(DomainError):
         call()
 

@@ -22,6 +22,7 @@ from qpendulum.mathieu import (
 )
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum.states import StateFamily, StateSpec, build_state
+from qpendulum.symmetry import GapMeasure, PairingKind, pair_gap
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
 
@@ -151,7 +152,7 @@ def _spy_lapack(monkeypatch):
         if hasattr(module, "eigh_tridiagonal"):
             monkeypatch.setattr(module, "eigh_tridiagonal",
                                 spy("eigh_tridiagonal", module.eigh_tridiagonal))
-    characteristic_values.cache_clear()
+    mathieu._values.cache_clear()
     mathieu._weights.cache_clear()
     return calls
 
@@ -166,6 +167,25 @@ def test_convergence_error_reports_iterates(monkeypatch):
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
     assert [(c[0], len(c[1])) for c in calls] == [
         ("dstebz", TRUNCATION_CAP // 2), ("dstebz", TRUNCATION_CAP)]
+
+
+def test_first_size_is_confirmed_by_its_double(monkeypatch):
+    """Every order up to 64 of each family, and the family ranges of a
+    sweep to n_max 7, 8, 12, 16 and 24, at l = 0 and 81 barriers from 1e-3
+    to 1e5: each solve accepts its second size, two LAPACK calls."""
+    calls = _spy_lapack(monkeypatch)
+    solves = [(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 65, 2)]
+    solves += [(cls, cls.lowest, n_max - (n_max - cls.lowest) % 2)
+               for n_max in (7, 8, 12, 16, 24) for cls in MathieuClass]
+    third = []
+    for l in [0.0] + np.logspace(-3, 5, 81).tolist():
+        for solve in solves:
+            mathieu._values.cache_clear()
+            calls.clear()
+            characteristic_values(*solve, l)
+            if len(calls) != 2:
+                third.append((*solve, l))
+    assert len(solves) == 149 and not third, f"{len(third)} solves: {third[:3]}"
 
 
 def test_highest_order_the_cap_holds():
@@ -215,7 +235,8 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
     eigvalsh_tridiagonal gives for the same bands: the bisection of the
     index range for one or two orders, every value by dsterf for three or
     more. The converged values are the last of them. Sizes double from
-    the first; at l = 1e4 it is 46 rows plus half the highest order."""
+    the first; at l = 1e4, where l^(1/4) = 10, the well term sets it:
+    3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows for the highest order n."""
     calls = _spy_lapack(monkeypatch)
     n_lo = cls.lowest + 2 * start
     n_hi = n_lo + 2 * (width - 1)
@@ -239,7 +260,7 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
     assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), stop + 1)
     assert sizes[1:] == [2 * size for size in sizes[:-1]]
     if l == 1e4:
-        assert sizes[0] == 46 + n_hi // 2
+        assert sizes[0] == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n_hi + 1)))
 
 
 @pytest.mark.parametrize("kernel,fail", [("dstebz", "info"), ("dstebz", "count"),
@@ -254,7 +275,7 @@ def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_
         return (*out, 1 if fail == "info" else info)
 
     monkeypatch.setattr(mathieu, kernel, failing)
-    characteristic_values.cache_clear()
+    mathieu._values.cache_clear()
     mathieu._weights.cache_clear()
     with pytest.raises(ConvergenceError):
         if kernel == "dstein":
@@ -316,14 +337,30 @@ def test_values_match_tight_reference(cls):
 
 @pytest.mark.parametrize("n,l", [(2, math.nan), (2, math.inf), (True, 1.0),
                                  (2.0, 1.0), (2, True), (2, "1.0"), ("2", 1.0),
-                                 (None, 1.0)])
+                                 (None, 1.0), (2, [1.0]), (2, np.array(1.0)),
+                                 ([2], 1.0)])
 def test_rejects_nonfinite_barriers_and_non_integer_orders(n, l):
     # cached entries for the equal keys 1, 2 and 1.0 must not answer these;
-    # a string or None order once raised TypeError from the family choice
+    # a string or None order once raised TypeError from the family choice,
+    # and an unhashable barrier TypeError from the solve cache
     a_value(1, 1.0), a_value(2, 1.0)
     for fn in (a_value, b_value, ce_series, se_series):
         with pytest.raises(DomainError):
             fn(n, l)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 0, [1.0]),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, [0], 0, 1.0),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, [2], 1.0),
+    lambda: characteristic_values([MathieuClass.CE_EVEN], 0, 0, 1.0),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 4, np.array(1.0)),
+    lambda: pair_gap(1, PairingKind.ROTOR, [1.0], GapMeasure.RELATIVE),
+], ids=["barrier", "n_lo", "n_hi", "family", "0-d-array", "pair_gap"])
+def test_unhashable_solve_arguments_raise_domain_error(call):
+    # each once raised TypeError: unhashable type, from the solve cache
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_numpy_scalars_accepted_and_values_are_floats():

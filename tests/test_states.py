@@ -214,14 +214,16 @@ def test_wrong_argument_types_raise_domain_error(name):
 
 @pytest.mark.parametrize("bad", [None, [None, 0.0], "1.5", ["1.0", "2.0"],
                                  [0.0, np.inf], [np.nan], True, [False, True],
-                                 np.array([True, 0.5], dtype=object)],
+                                 np.array([True, 0.5], dtype=object), [0.25, True],
+                                 [[0.25, np.True_]]],
                          ids=["None", "None-in-list", "string", "strings",
-                              "inf", "nan", "bool", "bools", "bool-in-objects"])
+                              "inf", "nan", "bool", "bools", "bool-in-objects",
+                              "bool-in-floats", "numpy-bool-in-nested-floats"])
 @pytest.mark.parametrize("name", ["eval_series", "density", "sweep_characteristics",
                                   "modulation_schedule", "trajectory"])
 def test_none_and_numeric_strings_are_not_real_grids(name, bad):
     # None once read as NaN and "1.5" as 1.5; inf once gave nan+nanj;
-    # [False, True] once read as the grid 0, 1
+    # [False, True] once read as the grid 0, 1 and [0.25, True] as 0.25, 1
     import qpendulum as qp
 
     state = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 1.0))

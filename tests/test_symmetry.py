@@ -298,7 +298,7 @@ def lapack_calls(monkeypatch):
             return real(*args)
         return spy
 
-    mathieu.characteristic_values.cache_clear()
+    mathieu._values.cache_clear()
     mathieu._weights.cache_clear()
     for name in ("dstebz", "dsterf", "dstein"):
         monkeypatch.setattr(mathieu, name, counting(getattr(mathieu, name)))

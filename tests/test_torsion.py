@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpendulum import symmetry
+from qpendulum import mathieu, symmetry
 from qpendulum.errors import DomainError
 from qpendulum.mathieu import a_value, characteristic_values
 from qpendulum.symmetry import Subgroup
@@ -146,13 +146,13 @@ def test_modulation_schedule_solves_once_per_family_and_time(monkeypatch):
         return characteristic_values(*args)
 
     monkeypatch.setattr(symmetry, "characteristic_values", spy)
-    characteristic_values.cache_clear()
+    mathieu._values.cache_clear()
     t = np.linspace(0.0, 3.0, 40)  # omega t < pi: every barrier is distinct
     sched = modulation_schedule(25.0, 10.0, 1.0, t, list(range(1, 9)),
                                 EPS_R, EPS_W)
     assert len({p.l for p in sched}) == len(t)
     assert len(calls) == 4 * len(t)
-    assert characteristic_values.cache_info().misses == 4 * len(t)
+    assert mathieu._values.cache_info().misses == 4 * len(t)
 
 
 def test_modulation_schedule_validation():
