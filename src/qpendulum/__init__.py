@@ -68,7 +68,6 @@ from .torsion import (
     TorsionRotor,
     UniversalParams,
     load_preset,
-    lorentz_to_universal,
     modulation_schedule,
     reduced_inertia,
     torsion_to_mathieu,

@@ -88,8 +88,9 @@ UR_B = {
 
 LEVELS = tuple(range(1, 9))
 
-# Relative-gap thresholds calibrated against the boundary tables above
-# (least-squares over all eight rows; see symmetry.calibrate_epsilon).
+# Relative-gap thresholds for the boundary tables above, not a least-squares
+# fit: symmetry.calibrate_epsilon (the median row gap) gives 4.98901e-3 and
+# 9.9563e-3; these stay because they fix the report's bytes.
 # The merging table's n=2 row is the one row no single threshold fits:
 # the pair mean crosses zero near that boundary, so the relative gap is
 # non-monotone there. Its documented fallback is the absolute-gap

@@ -19,11 +19,12 @@ A ROTOR pair is degenerate (gap < eps) below its boundary, a WELL pair
 above it. Both scan upward over l = ``PROBE_DELTA`` + k ``SCAN_STEP``;
 the pairing only sets the sign of gap - eps the scan starts from. The
 first cell where that sign flips goes to ``brentq``, whose root is l_c.
-The scan points do not depend on eps, so calibration reuses their
-cached solves. Two limits follow: a stretch narrower than ``SCAN_STEP``
-on the far side of eps can be stepped over; and a pole of the relative
-gap, where the pair mean crosses zero, is +inf on both sides, so it is
-no sign change of gap - eps and brentq cannot return it.
+The scan points do not depend on eps, so searches at different
+thresholds share their cached solves. Two limits follow: a stretch
+narrower than ``SCAN_STEP`` on the far side of eps can be stepped over;
+and a pole of the relative gap, where the pair mean crosses zero, is
++inf on both sides, so it is no sign change of gap - eps and brentq
+cannot return it.
 
 Degeneracy criterion
 --------------------
@@ -33,13 +34,13 @@ measures are supported:
 * ``absolute``: |E_a - E_b| < eps
 * ``relative``: |E_a - E_b| / |(E_a + E_b)/2| < eps
 
-Calibration against the reference splitting points shows the relative
-measure reproduces them with a single threshold near 0.5 percent, and
-the merging points with a single threshold near 1 percent when the
+Each tabulated row fixes its own relative threshold: the gap of its pair
+at the tabulated barrier. Those row gaps sit at 4.97-5.00e-3 on the
+splitting table and at 9.94-10.03e-3 on the merging table, when the
 merging pair for table row n is taken as (ce_{n-1}, se_n), i.e. the
-well doublet of index n-1. See :func:`calibrate_epsilon`.
-:func:`level_boundary` is the one place that maps a table row to its
-pair, searches it, and applies the per-row fallback.
+well doublet of index n-1; :func:`calibrate_epsilon` takes their median.
+:func:`level_boundary` searches a row's pair and applies the per-row
+fallback; both map a row to its pair through ``_row_pair``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
                      check_count, check_levels, check_real, check_type, real_grid)
@@ -68,7 +69,6 @@ INVARIANCE_TOL = 1e-10
 # A table row whose relative-threshold boundary misses the tabulated
 # value by more than this falls back to a per-row absolute threshold.
 ROW_TOLERANCE = 0.1
-CALIBRATION_LOG10_BOUNDS = (-4.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,11 @@ def well_pair_for_level(n: int) -> int:
     return n - 1
 
 
+def _row_pair(n: int, pairing: PairingKind) -> int:
+    """Pair index of table row n: the level itself, or its well pair."""
+    return n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
+
+
 def level_boundary(n: int, pairing: PairingKind, epsilon: float,
                    reference: float | None = None) -> RegionBoundary:
     """Splitting (ROTOR) or merging (WELL) boundary of level n.
@@ -285,7 +290,7 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     """
     if reference is not None:
         reference = check_real(reference, "reference barrier", 0.0, False)
-    pair = n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
+    pair = _row_pair(n, pairing)
     boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
     if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
         return boundary
@@ -344,29 +349,24 @@ class CalibrationResult:
 
 def calibrate_epsilon(reference: dict[int, float],
                       pairing: PairingKind) -> CalibrationResult:
-    """Least-squares fit of one relative gap threshold to a boundary table.
+    """One relative gap threshold for a boundary table: the median row gap.
 
-    Rows the global fit misses by more than ``ROW_TOLERANCE`` get the
-    per-row absolute threshold of the :func:`level_boundary` fallback.
-    The table must be nonempty, its targets finite and nonnegative.
+    Each row votes the relative gap of its pair at its tabulated barrier,
+    the threshold whose boundary falls on that barrier; the median of the
+    votes (the mean of the middle two for an even count) is the fit. A
+    row at l = 0 fixes no threshold and does not vote. Rows the fit
+    misses by more than ``ROW_TOLERANCE`` get the per-row absolute
+    threshold of the :func:`level_boundary` fallback. The table must be
+    nonempty, its targets finite and nonnegative, and one target above 0.
     """
     check_levels(check_type(reference, Mapping, "reference table"))
     reference = {n: check_real(target, "reference barrier", 0.0, False)
                  for n, target in reference.items()}
-
-    def objective(log_eps: float) -> float:
-        eps = 10.0 ** log_eps
-        total = 0.0
-        for n, target in reference.items():
-            try:
-                total += (level_boundary(n, pairing, eps).l_c - target) ** 2
-            except BoundaryNotFoundError:
-                total += SEARCH_CEILING ** 2
-        return total
-
-    fit = minimize_scalar(objective, bounds=CALIBRATION_LOG10_BOUNDS,
-                          method="bounded", options={"xatol": 1e-5})
-    epsilon = float(10.0 ** fit.x)
+    if not any(reference.values()):
+        raise DomainError("a calibration needs a reference row above l = 0")
+    epsilon = float(np.median([
+        pair_gap(_row_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
+        for n, target in reference.items() if target > 0.0]))
     computed = {n: level_boundary(n, pairing, epsilon).l_c for n in reference}
     residuals = {n: computed[n] - reference[n] for n in reference}
     per_row = {

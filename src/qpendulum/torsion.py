@@ -1,17 +1,17 @@
 """Parameter maps onto the dimensionless pendulum barrier l.
 
-Two physical front ends feed the Mathieu machinery: hindered internal
+One physical front end feeds the Mathieu machinery: hindered internal
 rotation of a symmetric-top molecule (reduced inertia + n-fold cosine
-barrier) and the driven Lorentz-model nonlinear oscillator. Both
-produce a barrier strength l and an energy scale converting Mathieu
-characteristic values back to physical energies. Schedule region labels
-take one batched solve per parity family and barrier value.
+barrier). It produces a barrier strength l and an energy scale
+converting Mathieu characteristic values back to physical energies.
+Schedule region labels take one batched solve per parity family and
+barrier value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (DomainError, check_count, check_levels, check_real, check_type,
                      real_grid)
@@ -56,7 +56,7 @@ class UniversalParams:
     U: float
     l: float
     energy_scale: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def __post_init__(self):
         for name in ("omega_prime", "U", "l", "energy_scale"):
@@ -87,27 +87,6 @@ def torsion_to_mathieu(rotor: TorsionRotor) -> UniversalParams:
         metadata={"phase_shift": "phi -> phi + pi/2",
                   "offset": rotor.V0 / 2.0},
     )
-
-
-def lorentz_to_universal(m: float, omega0: float, mu: float,
-                         V0: float, I0: float) -> UniversalParams:
-    """Driven anharmonic-oscillator reduction to the universal pendulum.
-
-    omega' = 3 pi mu / (2 m omega0^2), U = V0 sqrt(I0 / (m omega0)),
-    l = 8 U / (hbar^2 omega'), in rescaled hbar = 1 units since the
-    oscillator parameters are dimensionless there; m, omega0 and mu are
-    positive, V0 and I0 nonnegative.
-    """
-    m, omega0, mu = (check_real(value, name, 0.0, True) for name, value in
-                     (("m", m), ("omega0", omega0), ("mu", mu)))
-    V0, I0 = (check_real(value, name, 0.0, False)
-              for name, value in (("V0", V0), ("I0", I0)))
-    # every divisor is a checked positive input, so none is zero
-    omega_prime = 1.5 * math.pi * mu / m / omega0 / omega0
-    U = V0 * math.sqrt(I0 / m / omega0)
-    l = 16.0 * U / (3.0 * math.pi * mu) * m * omega0 * omega0
-    return UniversalParams(omega_prime=omega_prime, U=U, l=l,
-                           energy_scale=omega_prime / 8.0)
 
 
 @dataclass(frozen=True)

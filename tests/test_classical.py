@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from scipy.special import ellipj
 
 from qpendulum.classical import (
     ArgConvention,
@@ -63,6 +64,42 @@ def test_elliptic_arguments_must_be_finite_reals(call):
     # warning, NaN rows (ellipj of 2e307) or NaN rows from inf * 0
     with pytest.raises(DomainError):
         call()
+
+
+def test_cn_dn_refuse_arguments_past_the_phase_bound():
+    # jacobi_cn_dn(1e15, 0.5) once returned (-0.1488, 1.0), where mpmath
+    # gives (-0.1580, 0.8696): ellipj had lost the phase
+    bound = 1e8 * elliptic_K(0.5)
+    assert jacobi_cn_dn(-bound, 0.5) == jacobi_cn_dn(bound, 0.5)
+    for u in (np.nextafter(bound, np.inf), -1e15, 1e15):
+        with pytest.raises(DomainError):
+            jacobi_cn_dn(u, 0.5)
+    params = ClassicalParams(2.0, 1.0, 3.0)
+    t_max = 1e8 * elliptic_K(params.modulus) / (2.0 * np.sqrt(8.0))  # / omega' A
+    trajectory(params, [0.999 * t_max])
+    with pytest.raises(DomainError):
+        trajectory(params, [0.0, 1.001 * t_max])
+
+
+@pytest.mark.parametrize("k", [0.5, 0.999])
+def test_cn_dn_near_the_phase_bound_against_mpmath(k):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    u = 0.99e8 * elliptic_K(k)
+    cn, dn = jacobi_cn_dn(u, k)
+    m = mp.mpf(k) ** 2
+    assert abs(cn - float(mp.ellipfun("cn", mp.mpf(u), m=m))) < 1e-6
+    assert abs(dn - float(mp.ellipfun("dn", mp.mpf(u), m=m))) < 1e-6
+
+
+@pytest.mark.parametrize("E", [3.0, 0.2], ids=["rotation", "libration"])
+def test_trajectory_is_ellipj_below_the_bound(E):
+    params = ClassicalParams(1.5, 1.0, E)
+    t = np.linspace(0.0, 60.0, 301)
+    amp = np.sqrt((E + 1.0) * 1.5)
+    m = params.modulus ** 2 if E > 1.0 else (1.0 / params.modulus) ** 2
+    want = ellipj(1.5 * amp * t, m)[2 if E > 1.0 else 1]
+    assert np.array_equal(trajectory(params, t)[:, 1], amp * want)
 
 
 def test_cn_dn_limits():

@@ -308,8 +308,8 @@ def lapack_calls(monkeypatch):
 @pytest.mark.parametrize("run,budget", [
     (lambda: [level_boundary(n, PairingKind.WELL, ref.CALIBRATED_EPS_WELL, l)
               for n, l in ref.MERGING_POINTS.items()], 1200),
-    (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 3000),
-    (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 3000),
+    (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 700),
+    (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 1200),
 ], ids=["table2", "calibrate-splitting", "calibrate-merging"])
 def test_cold_solver_call_budget(run, budget, lapack_calls):
     # the scan points are shared across thresholds through the values
@@ -433,7 +433,7 @@ def test_pairing_and_measure_must_be_their_enums(pairing, measure, lapack_calls)
 
 @pytest.mark.parametrize("table", [{}, {2: np.nan}, {2: np.inf}, {2: -0.2},
                                    {2: "0.2"}, {2: None}, {2: 0.2, 0: 1.0},
-                                   {2.0: 0.2}, [1, 2]])
+                                   {2.0: 0.2}, [1, 2], {1: 0.0}])
 def test_calibration_table_checked_before_solving(table, lapack_calls):
     for pairing in PairingKind:
         with pytest.raises(DomainError):
@@ -481,12 +481,29 @@ def test_calibrate_epsilon_well_flags_unfittable_row():
     # row 2 sits where the pair mean crosses zero; no single relative
     # threshold fits it, so it alone gets a per-row absolute fallback
     assert res.epsilon == pytest.approx(1.0e-2, rel=0.05)
-    assert set(res.per_row_epsilon) == {2}
+    assert res.per_row_epsilon == {2: pytest.approx(0.0602796, rel=1e-5)}
     assert all(abs(res.residuals[n]) < 0.1 for n in res.residuals if n != 2)
     eps2 = res.per_row_epsilon[2]
     b = find_boundary(well_pair_for_level(2), PairingKind.WELL, eps2,
                       GapMeasure.ABSOLUTE)
     assert b.l_c == pytest.approx(7.51, abs=0.01)
+
+
+@pytest.mark.parametrize("table,pairing,constant", [
+    (ref.SPLITTING_POINTS, PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR),
+    (ref.MERGING_POINTS, PairingKind.WELL, ref.CALIBRATED_EPS_WELL),
+], ids=["splitting", "merging"])
+def test_calibration_fit_is_the_median_row_gap(table, pairing, constant):
+    # each row above l = 0 votes the relative gap of its pair at its own
+    # barrier; the pole row 2 of the merging table cannot drag the median
+    votes = [pair_gap(n if pairing is PairingKind.ROTOR else well_pair_for_level(n),
+                      pairing, l, GapMeasure.RELATIVE)
+             for n, l in table.items() if l > 0]
+    res = calibrate_epsilon(table, pairing)
+    assert res.epsilon == np.median(votes)
+    assert res.epsilon == pytest.approx(constant, rel=1e-3)
+    assert all(abs(res.residuals[n]) <= 0.01
+               for n in table if n not in res.per_row_epsilon)
 
 
 def test_well_pair_for_level():

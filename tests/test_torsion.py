@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from qpendulum.torsion import (
     HBAR_SI,
     TorsionRotor,
     load_preset,
-    lorentz_to_universal,
     modulation_schedule,
     reduced_inertia,
     torsion_to_mathieu,
@@ -86,29 +83,6 @@ def test_dimensionless_l_invariance():
                                 2.1e-20 / scale, 3)
     assert torsion_to_mathieu(rotor_si).l == pytest.approx(
         torsion_to_mathieu(rotor_scaled).l, rel=1e-14)
-
-
-def test_lorentz_unit_inputs():
-    params = lorentz_to_universal(1.0, 1.0, 1.0, 1.0, 1.0)
-    assert params.omega_prime == pytest.approx(3 * np.pi / 2, abs=1e-14)
-    assert params.U == pytest.approx(1.0, abs=1e-14)
-    assert params.l == pytest.approx(16 / (3 * np.pi), abs=1e-14)
-    # a Fraction once raised TypeError
-    assert lorentz_to_universal(Fraction(1, 2), 1, 1, 1, 1) == \
-        lorentz_to_universal(0.5, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_lorentz_scalings():
-    base = lorentz_to_universal(1.0, 1.0, 1.0, 1.0, 1.0)
-    half = lorentz_to_universal(1.0, 1.0, 2.0, 1.0, 1.0)
-    assert half.l == pytest.approx(base.l / 2, rel=1e-14)
-    quad = lorentz_to_universal(1.0, 1.0, 1.0, 1.0, 4.0)
-    assert quad.U == pytest.approx(2 * base.U, rel=1e-14)
-    # mu = 0 leaves l undefined; mu = -1 or V0 = -1 once gave l < 0
-    for args in ((1.0, 1.0, 0.0, 1.0, 1.0), (1.0, 1.0, -1.0, 1.0, 1.0),
-                 (1.0, 1.0, 1.0, -1.0, 1.0)):
-        with pytest.raises(DomainError):
-            lorentz_to_universal(*args)
 
 
 def test_modulation_schedule_constant_when_amplitude_vanishing():
@@ -201,11 +175,6 @@ def test_nonfinite_physical_inputs_rejected(bad):
     for args in ((bad, 1.0, 1.0, 3), (1.0, bad, 1.0, 3), (1.0, 1.0, bad, 3)):
         with pytest.raises(DomainError):
             TorsionRotor(*args)
-    for i in range(5):
-        args = [1.0] * 5
-        args[i] = bad
-        with pytest.raises(DomainError):
-            lorentz_to_universal(*args)
 
 
 def _non_numeric_inputs():
@@ -230,7 +199,6 @@ def _non_numeric_inputs():
         "modulation_schedule-overflowing-phase": lambda: modulation_schedule(
             1.0, 0.5, 1e308, [0.0, 10.0], [1], EPS_R, EPS_W),
         "reduced_inertia": lambda: reduced_inertia("1", 1),
-        "lorentz_to_universal": lambda: lorentz_to_universal("1", 1, 1, 1, 1),
         "torsion_to_mathieu": lambda: torsion_to_mathieu("x"),
         "build_state-level": lambda: build_state(StateSpec("phi+", "2", 1.0)),
         "jump_at_boundary-level":
