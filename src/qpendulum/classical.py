@@ -93,14 +93,10 @@ def trajectory(params: ClassicalParams, t_grid,
 
     Rotation (E > U): dI = A dn(arg, k); libration (E < U):
     dI = A cn(arg, 1/k), where the reciprocal modulus 1/k already lies
-    in (0, 1) because k > 1 on that branch. ``convention`` may be given
-    by its value, e.g. ``"dimensional"``. Returns rows (t, dI).
+    in (0, 1) because k > 1 on that branch. Returns rows (t, dI).
     """
     check_type(params, ClassicalParams, "params")
-    try:
-        convention = ArgConvention(convention)
-    except ValueError:
-        raise DomainError(f"unknown argument convention {convention!r}") from None
+    check_type(convention, ArgConvention, "argument convention")
     times = real_grid(t_grid, "t_grid")
     k = params.modulus  # checks E + U > 0 before the square root below
     if params.E == params.U:

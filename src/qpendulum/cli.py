@@ -19,7 +19,8 @@ import numpy as np
 
 from . import reference as ref
 from .classical import ArgConvention, ClassicalParams, trajectory
-from .errors import BoundaryNotFoundError, ConvergenceError, DomainError
+from .errors import (BoundaryNotFoundError, ConvergenceError, DomainError, check_count,
+                     check_real)
 from .report import (
     HEADERS,
     build_bundle,
@@ -76,8 +77,7 @@ def _emit(out: Path | None, header, rows, fmt: str) -> None:
 
 
 def cmd_characteristics(args) -> int:
-    if args.steps < 2:
-        raise DomainError("steps must be >= 2")
+    check_count(args.steps, 2, "steps")
     grid = np.unique(np.linspace(args.l_min, args.l_max, args.steps))
     rows = sweep_characteristics(args.n_max, grid)
     _emit(args.out, HEADERS["fig1_characteristics"], rows, args.format)
@@ -125,9 +125,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.points < 16:
-        raise DomainError("points must be >= 16")
-    state = build_state(StateSpec(args.family, args.n, args.l))
+    check_count(args.points, 16, "points")
+    state = build_state(StateSpec(StateFamily(args.family), args.n, args.l))
     phi = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     rows = [(float(p), float(d)) for p, d in density(state, phi)]
     total = float(np.trapezoid([d for _, d in rows] + [rows[0][1]],
@@ -139,12 +138,11 @@ def cmd_density(args) -> int:
 
 def cmd_classical(args) -> int:
     params = ClassicalParams(args.omega_prime, args.U, args.E)
-    if not np.isfinite(args.t_max) or args.steps < 2:
-        raise DomainError(f"need a finite t_max and steps >= 2, got "
-                          f"t_max={args.t_max}, steps={args.steps}")
-    t_grid = np.linspace(0.0, args.t_max, args.steps)
-    rows = [(float(t), float(v))
-            for t, v in trajectory(params, t_grid, args.arg_convention)]
+    check_count(args.steps, 2, "steps")
+    t_grid = np.linspace(0.0, check_real(args.t_max, "t_max", -np.inf, False),
+                         args.steps)
+    rows = [(float(t), float(v)) for t, v in
+            trajectory(params, t_grid, ArgConvention(args.arg_convention))]
     _emit(args.out, ["t", "delta_I"], rows, args.format)
     return EXIT_OK
 
@@ -161,7 +159,7 @@ def cmd_torsion(args) -> int:
                 f"(missing: {', '.join(missing)})")
         rotor = TorsionRotor(args.I1, args.I2, args.V0, args.n_fold)
     params = torsion_to_mathieu(rotor)
-    regions = classify_regions(range(1, 9), params.l, ref.CALIBRATED_EPS_ROTOR,
+    regions = classify_regions(ref.LEVELS, params.l, ref.CALIBRATED_EPS_ROTOR,
                                ref.CALIBRATED_EPS_WELL)
     payload = {
         "l": params.l,

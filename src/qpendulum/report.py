@@ -18,7 +18,8 @@ from . import __version__
 from . import reference as ref
 from .errors import BoundaryNotFoundError
 from .mathieu import TRUNCATION_CAP
-from .states import StateFamily, StateSpec, build_state, density
+from .states import (StateFamily, StateSpec, build_state, density, velocity_expect,
+                     velocity_sq_expect)
 from .symmetry import (
     ROW_TOLERANCE,
     PairingKind,
@@ -101,25 +102,26 @@ def _residual(computed: float, target: float, relative: bool) -> float:
 def observable_tables() -> dict[str, list]:
     """Tables 3-6 at ``OBSERVABLE_EVAL_POINTS``, keyed by table name.
 
-    Each level builds phi+, phi-, xi and eta once and reads their
-    :func:`angular_moments` records. Tables 3 and 4 hold the jumps of
-    <v> = 2<L_z> and <v^2> = 4<L_z^2> over phi+ -> xi, phi+ -> eta,
-    phi- -> xi and phi- -> eta as (from - to), the orientation of the
-    reference columns (:class:`ObservableJump` keeps (to - from));
-    tables 5 and 6 hold ur_a and ur_b of the four states.
+    Each level builds phi+, phi-, xi and eta once. Tables 3 and 4 hold
+    the jumps of :func:`velocity_expect` and :func:`velocity_sq_expect`
+    over phi+ -> xi, phi+ -> eta, phi- -> xi and phi- -> eta as
+    (from - to), the orientation of the reference columns; tables 5 and
+    6 hold the ur_a and ur_b of the four states' :func:`angular_moments`.
     """
     tables = {"table3": [], "table4": [], "table5": [], "table6": []}
     for n in ref.LEVELS:
         l_c = ref.OBSERVABLE_EVAL_POINTS[n]
-        phip, phim, xi, eta = reports = [
-            angular_moments(build_state(StateSpec(f, n, l_c)))
-            for f in ("phi+", "phi-", "xi", "eta")]
+        phip, phim, xi, eta = states = [
+            build_state(StateSpec(f, n, l_c)) for f in (
+                StateFamily.PHI_PLUS, StateFamily.PHI_MINUS, StateFamily.XI,
+                StateFamily.ETA)]
+        reports = [angular_moments(state) for state in states]
         pairs = ((phip, xi), (phip, eta), (phim, xi), (phim, eta))
         for name, computed, target, relative in (
-            ("table3", [2.0 * a.exp_Lz - 2.0 * b.exp_Lz for a, b in pairs],
+            ("table3", [velocity_expect(a) - velocity_expect(b) for a, b in pairs],
              ref.DELTA_V[n], False),
-            ("table4", [4.0 * a.exp_Lz2 - 4.0 * b.exp_Lz2 for a, b in pairs],
-             ref.DELTA_V2[n], False),
+            ("table4", [velocity_sq_expect(a) - velocity_sq_expect(b)
+                        for a, b in pairs], ref.DELTA_V2[n], False),
             ("table5", [r.ur_a for r in reports], ref.UR_A[n], True),
             ("table6", [r.ur_b for r in reports], ref.UR_B[n], True),
         ):

@@ -45,17 +45,14 @@ _PSI = (StateFamily.PSI_PLUS, StateFamily.PSI_MINUS)  # partner se_{n+1}
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One state: ``family`` may be given by its value, e.g. ``"xi"``."""
+    """One state of a family at level n and barrier l."""
 
     family: StateFamily
     n: int
     l: float
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "family", StateFamily(self.family))
-        except ValueError:
-            raise DomainError(f"unknown state family {self.family!r}") from None
+        check_type(self.family, StateFamily, "state family")
         check_count(self.n, 0, "level")
         object.__setattr__(self, "l", check_real(self.l, "barrier l", 0.0, False))
 
@@ -63,7 +60,7 @@ class StateSpec:
 @dataclass(frozen=True)
 class QuantumState:
     """A state whose ``moments`` are contracted once, on construction;
-    ``norm_check`` is |sum |c_k|^2 - 1| = |<cos^2> + <sin^2> - 1|."""
+    ``norm_check`` = |sum |c_k|^2 - 1| = |<cos^2> + <sin^2> - 1| must be finite."""
 
     spec: StateSpec
     series: TrigSeries
@@ -75,6 +72,8 @@ class QuantumState:
         m = moments(self.series)
         object.__setattr__(self, "moments", m)
         object.__setattr__(self, "norm_check", abs(m.cos2 + m.sin2 - 1.0))
+        if not self.norm_check < np.inf:  # NaN fails too
+            raise DomainError(f"non-finite state: sum |c_k|^2 = {m.cos2 + m.sin2}")
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,13 @@ def jump_at_boundary(n: int, from_family: StateFamily,
     evaluated at l_c itself; building them checks l_c.
     """
     specs = StateSpec(from_family, n, l_c), StateSpec(to_family, n, l_c)
-    pair = (specs[0].family, specs[1].family)
+    pair = from_family, to_family
     if pair not in _TRANSITIONS:
         raise DomainError(
             f"invalid symmetry-switch transition {pair[0]} -> {pair[1]}")
-    src, dst = (build_state(spec).moments for spec in specs)
-    delta_v = 2.0 * (dst.Lz - src.Lz)
-    delta_v2 = 4.0 * (dst.Lz2 - src.Lz2)
+    src, dst = (build_state(spec) for spec in specs)
+    delta_v = velocity_expect(dst) - velocity_expect(src)
+    delta_v2 = velocity_sq_expect(dst) - velocity_sq_expect(src)
     radicand = delta_v2 - delta_v ** 2
     return ObservableJump(n, pair, l_c, delta_v, delta_v2,
                           radicand, radicand >= 0.0)

@@ -40,7 +40,7 @@ splitting table and at 9.94-10.03e-3 on the merging table, when the
 merging pair for table row n is taken as (ce_{n-1}, se_n), i.e. the
 well doublet of index n-1; :func:`calibrate_epsilon` takes their median.
 :func:`level_boundary` searches a row's pair and applies the per-row
-fallback; both map a row to its pair through ``_row_pair``.
+fallback; both map a row to its pair through :func:`level_pair`.
 """
 
 from __future__ import annotations
@@ -124,11 +124,15 @@ def subgroup_invariance_check(
 
     Returns the verdict (within ``INVARIANCE_TOL``) and the fitted phase
     per element; the phase is meaningful only where the verdict holds.
+    Both are taken on the series scaled to largest coefficient magnitude
+    1, so neither depends on its scale.
     """
     check_type(subgroup, Subgroup, "subgroup")
+    top = np.abs(check_type(series, TrigSeries, "series").coeffs).max()
+    if not 0.0 < top < math.inf:  # NaN fails too
+        raise DomainError(f"no symmetry phase: largest coefficient magnitude {top}")
+    series = TrigSeries(series.coeffs / top)
     nrm2 = inner_product(series, series).real
-    if nrm2 == 0.0:
-        raise DomainError("the zero series has no symmetry phase")
     phases: dict[GroupElement, complex] = {}
     ok = True
     for g in subgroup.elements:
@@ -136,7 +140,7 @@ def subgroup_invariance_check(
         lam = inner_product(series, mapped) / nrm2
         residual = (mapped - series * lam).norm()
         phases[g] = complex(lam)
-        if residual > INVARIANCE_TOL or abs(abs(lam) - 1.0) > INVARIANCE_TOL:
+        if not (residual <= INVARIANCE_TOL and abs(abs(lam) - 1.0) <= INVARIANCE_TOL):
             ok = False
     return ok, phases
 
@@ -151,14 +155,11 @@ class PairingKind(enum.Enum):
     ROTOR(n): (ce_n, se_n), degenerate at low barrier (phi+- states).
     WELL(n): (ce_n, se_{n+1}), degenerate at high barrier (psi+- states).
     Reference merging-table row n corresponds to WELL(n-1); see
-    :func:`well_pair_for_level`.
+    :func:`level_pair`.
     """
 
     ROTOR = "rotor"
     WELL = "well"
-
-    def validate(self, n: int) -> None:
-        check_count(n, int(self is PairingKind.ROTOR), "pair index")
 
 
 class GapMeasure(enum.Enum):
@@ -218,10 +219,9 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
     The relative measure is +inf where the pair mean vanishes. Inputs are
     checked before any solve; find_boundary relies on that.
     """
-    if not (isinstance(pairing, PairingKind) and isinstance(measure, GapMeasure)):
-        raise DomainError(f"need a PairingKind and a GapMeasure, got "
-                          f"{pairing!r} and {measure!r}")
-    pairing.validate(n)
+    check_type(pairing, PairingKind, "pairing")
+    check_type(measure, GapMeasure, "gap measure")
+    check_count(n, int(pairing is PairingKind.ROTOR), "pair index")
     ea, eb = a_value(n, l), b_value(n + (pairing is PairingKind.WELL), l)
     if measure is GapMeasure.ABSOLUTE:
         return abs(ea - eb)
@@ -265,32 +265,27 @@ def find_boundary(
                                 f"eps={epsilon} below l={SEARCH_CEILING}")
 
 
-def well_pair_for_level(n: int) -> int:
-    """Well-pair index whose merging bounds level n: pair (ce_{n-1}, se_n)."""
+def level_pair(n: int, pairing: PairingKind) -> int:
+    """Index of the pair that bounds level n >= 1: n for the rotor pair
+    (ce_n, se_n), n - 1 for the well pair (ce_{n-1}, se_n); both end in se_n."""
     check_count(n, 1, "level")
-    return n - 1
-
-
-def _row_pair(n: int, pairing: PairingKind) -> int:
-    """Pair index of table row n: the level itself, or its well pair."""
-    return n if pairing is PairingKind.ROTOR else well_pair_for_level(n)
+    return n - (check_type(pairing, PairingKind, "pairing") is PairingKind.WELL)
 
 
 def level_boundary(n: int, pairing: PairingKind, epsilon: float,
                    reference: float | None = None) -> RegionBoundary:
     """Splitting (ROTOR) or merging (WELL) boundary of level n.
 
-    ROTOR searches the pair (ce_n, se_n), WELL the pair
-    :func:`well_pair_for_level` (n), both under the relative gap
-    threshold ``epsilon``. Given a tabulated ``reference`` (checked as a
-    barrier before any solve) that this misses by more than
-    ``ROW_TOLERANCE``, the row falls back to the absolute-gap threshold
+    Both search the pair :func:`level_pair` (n, pairing) under the
+    relative gap threshold ``epsilon``. Given a tabulated ``reference``
+    (checked as a barrier before any solve) that this misses by more
+    than ``ROW_TOLERANCE``, the row falls back to the absolute-gap threshold
     pinned by it (the absolute gap is monotone through each boundary);
     the result then carries ``GapMeasure.ABSOLUTE`` and that threshold.
     """
     if reference is not None:
         reference = check_real(reference, "reference barrier", 0.0, False)
-    pair = _row_pair(n, pairing)
+    pair = level_pair(n, pairing)
     boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
     if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
         return boundary
@@ -305,6 +300,8 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
     Level n is G- while the rotor pair (ce_n, se_n) is degenerate, G+ once
     the well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
     Every level is checked, then all share one solve per parity family.
+    The pair indices are those of :func:`level_pair`, written out: two
+    calls per level and barrier would add a third to a warm schedule.
     """
     levels = check_levels(levels)
     l = check_real(l, "barrier l", 0.0, False)
@@ -365,7 +362,7 @@ def calibrate_epsilon(reference: dict[int, float],
     if not any(reference.values()):
         raise DomainError("a calibration needs a reference row above l = 0")
     epsilon = float(np.median([
-        pair_gap(_row_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
+        pair_gap(level_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
         for n, target in reference.items() if target > 0.0]))
     computed = {n: level_boundary(n, pairing, epsilon).l_c for n in reference}
     residuals = {n: computed[n] - reference[n] for n in reference}

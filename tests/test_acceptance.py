@@ -55,8 +55,8 @@ from qpendulum.symmetry import (
     apply_group_element,
     compose,
     find_boundary,
+    level_pair,
     pair_gap,
-    well_pair_for_level,
 )
 from qpendulum.torsion import HBAR_SI, TorsionRotor, torsion_to_mathieu
 from qpendulum.uncertainty import angular_moments
@@ -173,7 +173,7 @@ def test_criterion_06_boundary_tables():
         splits[n] = find_boundary(n, PairingKind.ROTOR,
                                   ref.CALIBRATED_EPS_ROTOR,
                                   GapMeasure.RELATIVE).l_c
-        pair = well_pair_for_level(n)
+        pair = level_pair(n, PairingKind.WELL)
         l_c = find_boundary(pair, PairingKind.WELL,
                             ref.CALIBRATED_EPS_WELL, GapMeasure.RELATIVE).l_c
         if abs(l_c - ref.MERGING_POINTS[n]) > 0.1:

@@ -173,18 +173,8 @@ def test_trajectory_conventions_differ():
     printed = trajectory(params, t, ArgConvention.AS_PRINTED)
     dimensional = trajectory(params, t, ArgConvention.DIMENSIONAL)
     assert not np.allclose(printed[:, 1], dimensional[:, 1])
-
-
-def test_trajectory_convention_by_value():
-    # "as-printed" once fell through to the dimensional argument
-    params = ClassicalParams(2.0, 1.0, 3.0)
-    by_value = trajectory(params, [0.5], "as-printed")
-    assert by_value[0, 1] == pytest.approx(2.412, abs=1e-3)
-    assert np.array_equal(by_value, trajectory(params, [0.5], ArgConvention.AS_PRINTED))
-    assert np.array_equal(trajectory(params, [0.5], "dimensional"),
-                          trajectory(params, [0.5], ArgConvention.DIMENSIONAL))
-    with pytest.raises(DomainError):
-        trajectory(params, [0.5], "printed")
+    # AS_PRINTED once fell through to the dimensional argument
+    assert trajectory(params, [0.5])[0, 1] == pytest.approx(2.412, abs=1e-3)
 
 
 @pytest.mark.parametrize("bad", ["abc", ["1.5"], [None], [[0.0, 1.0]], 0.5])

@@ -206,7 +206,7 @@ def _beyond_the_cap():
             lambda: characteristic_values(MathieuClass.CE_EVEN, 0, huge, 1.0),
         "characteristic_values-parity":
             lambda: characteristic_values(MathieuClass.CE_EVEN, huge + 1, huge + 1, 1.0),
-        "build_state": lambda: build_state(StateSpec("xi", huge, 1.0)),
+        "build_state": lambda: build_state(StateSpec(StateFamily.XI, huge, 1.0)),
         "classify_regions": lambda: qp.classify_regions([huge], 1.0, *eps),
         "classify_regions-1e9": lambda: qp.classify_regions([10**9], 1.0, *eps),
         "sweep_characteristics": lambda: qp.sweep_characteristics(huge, [0.0]),

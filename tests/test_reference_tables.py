@@ -16,8 +16,8 @@ from qpendulum.symmetry import (
     GapMeasure,
     PairingKind,
     find_boundary,
+    level_pair,
     pair_gap,
-    well_pair_for_level,
 )
 from qpendulum.uncertainty import angular_moments
 
@@ -31,7 +31,7 @@ def test_splitting_points(n):
 
 @pytest.mark.parametrize("n", ref.LEVELS)
 def test_merging_points(n):
-    pair = well_pair_for_level(n)
+    pair = level_pair(n, PairingKind.WELL)
     b = find_boundary(pair, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
                       GapMeasure.RELATIVE)
     if abs(b.l_c - ref.MERGING_POINTS[n]) > 0.1:

@@ -9,6 +9,7 @@ from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum import reference as ref
+from qpendulum.classical import ArgConvention, ClassicalParams, trajectory
 from qpendulum.symmetry import (
     PROBE_DELTA,
     SCAN_STEP,
@@ -22,12 +23,12 @@ from qpendulum.symmetry import (
     compose,
     find_boundary,
     level_boundary,
+    level_pair,
     pair_gap,
     subgroup_invariance_check,
     sweep_characteristics,
-    well_pair_for_level,
 )
-from qpendulum.states import StateFamily, StateSpec, build_state
+from qpendulum.states import StateFamily, StateSpec, build_state, jump_at_boundary
 
 RNG = np.random.default_rng(7)
 GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -118,8 +119,21 @@ def test_phi_states_not_invariant_under_other_subgroups():
 
 @pytest.mark.parametrize("subgroup", list(Subgroup))
 def test_zero_series_has_no_invariance_phase(subgroup):
-    with pytest.raises(DomainError):
-        subgroup_invariance_check(TrigSeries(np.zeros(5)), subgroup)
+    for coeffs in (np.zeros(5), [np.nan, 1.0, 0.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(DomainError):
+            subgroup_invariance_check(TrigSeries(coeffs), subgroup)
+
+
+@pytest.mark.parametrize("subgroup", list(Subgroup))
+def test_invariance_check_does_not_depend_on_scale(subgroup):
+    # at scale 1e200 the squared coefficients once overflowed into a True
+    # verdict for every subgroup; at 1e-170 they underflowed to zero
+    for coeffs in ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]):
+        checks = [subgroup_invariance_check(TrigSeries(np.array(coeffs) * scale),
+                                            subgroup)
+                  for scale in (1e-170, 1.0, 1e200)]
+        assert checks[0] == checks[1] == checks[2]
+        assert checks[1][0] is (coeffs[1] == 0.0)
 
 
 def test_sweep_characteristics_shape_and_order():
@@ -352,7 +366,7 @@ def test_classify_region_progression():
 def _classify_by_pair_gaps(n, l, epsilon_rotor, epsilon_well):
     """Reference: the per-level rule as four single-order solves."""
     rotor = pair_gap(n, PairingKind.ROTOR, l, GapMeasure.RELATIVE) < epsilon_rotor
-    well = pair_gap(well_pair_for_level(n), PairingKind.WELL, l,
+    well = pair_gap(level_pair(n, PairingKind.WELL), PairingKind.WELL, l,
                     GapMeasure.RELATIVE) < epsilon_well
     if rotor and well:
         raise AmbiguityError(f"level n={n} at l={l}")
@@ -404,11 +418,9 @@ def test_classify_regions_checks_levels_before_solving(levels, monkeypatch):
 def test_integer_counts_outside_the_engine(bad):
     with pytest.raises(DomainError):
         sweep_characteristics(bad, [0.0])
-    with pytest.raises(DomainError):
-        well_pair_for_level(bad)
     for pairing in PairingKind:
         with pytest.raises(DomainError):
-            pairing.validate(bad)
+            level_pair(bad, pairing)
         with pytest.raises(DomainError):
             pair_gap(bad, pairing, 1.0, GapMeasure.ABSOLUTE)
 
@@ -428,6 +440,46 @@ def test_pairing_and_measure_must_be_their_enums(pairing, measure, lapack_calls)
             level_boundary(2, pairing, 0.01)
         with pytest.raises(DomainError):
             calibrate_epsilon({2: 0.2}, pairing)
+    assert lapack_calls == []
+
+
+def _enum_arguments():
+    """Per enum parameter: a member, and a call that passes its argument."""
+    s, params = TrigSeries([1.0, 0.0, 1.0]), ClassicalParams(2.0, 1.0, 3.0)
+    return {
+        "StateSpec": (StateFamily.XI, lambda f: StateSpec(f, 1, 1.0)),
+        "jump_at_boundary-from": (StateFamily.PHI_PLUS, lambda f: jump_at_boundary(
+            2, f, StateFamily.XI, 0.5)),
+        "jump_at_boundary-to": (StateFamily.XI, lambda f: jump_at_boundary(
+            2, StateFamily.PHI_PLUS, f, 0.5)),
+        "trajectory": (ArgConvention.DIMENSIONAL,
+                       lambda c: trajectory(params, [0.5], c)),
+        "pair_gap-pairing": (PairingKind.ROTOR,
+                             lambda p: pair_gap(2, p, 1.0, GapMeasure.ABSOLUTE)),
+        "pair_gap-measure": (GapMeasure.ABSOLUTE,
+                             lambda m: pair_gap(2, PairingKind.ROTOR, 1.0, m)),
+        "find_boundary-pairing": (PairingKind.WELL, lambda p: find_boundary(
+            1, p, 0.01, GapMeasure.RELATIVE)),
+        "find_boundary-measure": (GapMeasure.RELATIVE, lambda m: find_boundary(
+            1, PairingKind.WELL, 0.01, m)),
+        "level_boundary": (PairingKind.WELL, lambda p: level_boundary(2, p, 0.01)),
+        "calibrate_epsilon": (PairingKind.ROTOR,
+                              lambda p: calibrate_epsilon({2: 0.2}, p)),
+        "characteristic_values": (MathieuClass.CE_EVEN,
+                                  lambda c: characteristic_values(c, 0, 2, 1.0)),
+        "apply_group_element": (GroupElement.A, lambda g: apply_group_element(s, g)),
+        "subgroup_invariance_check": (Subgroup.G_ZERO,
+                                      lambda g: subgroup_invariance_check(s, g)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_enum_arguments()))
+def test_enum_arguments_refuse_their_values(name, lapack_calls):
+    # StateSpec and trajectory once coerced a value to its member, while
+    # every other entry point refused it; now all take members only
+    member, call = _enum_arguments()[name]
+    with pytest.raises(DomainError, match=f"must be a {type(member).__name__}"):
+        call(member.value)
     assert lapack_calls == []
 
 
@@ -458,12 +510,12 @@ def test_level_boundary_reference_accepts_numpy_floats():
 
 
 def test_integer_counts_accept_numpy_integers_and_check_range():
-    assert well_pair_for_level(np.int64(3)) == 2
+    assert level_pair(np.int64(3), PairingKind.WELL) == 2
     assert len(sweep_characteristics(np.int64(1), [0.0])) == 3
-    PairingKind.WELL.validate(0)
+    assert pair_gap(0, PairingKind.WELL, 1.0, GapMeasure.ABSOLUTE) > 0.0
     for pairing, low in ((PairingKind.ROTOR, 0), (PairingKind.WELL, -1)):
         with pytest.raises(DomainError):
-            pairing.validate(low)
+            pair_gap(low, pairing, 1.0, GapMeasure.ABSOLUTE)
     regions = classify_regions(np.arange(1, 4), 3.0, 4.989e-3, 9.95e-3)
     assert list(regions) == [1, 2, 3]
 
@@ -484,7 +536,7 @@ def test_calibrate_epsilon_well_flags_unfittable_row():
     assert res.per_row_epsilon == {2: pytest.approx(0.0602796, rel=1e-5)}
     assert all(abs(res.residuals[n]) < 0.1 for n in res.residuals if n != 2)
     eps2 = res.per_row_epsilon[2]
-    b = find_boundary(well_pair_for_level(2), PairingKind.WELL, eps2,
+    b = find_boundary(level_pair(2, PairingKind.WELL), PairingKind.WELL, eps2,
                       GapMeasure.ABSOLUTE)
     assert b.l_c == pytest.approx(7.51, abs=0.01)
 
@@ -496,8 +548,7 @@ def test_calibrate_epsilon_well_flags_unfittable_row():
 def test_calibration_fit_is_the_median_row_gap(table, pairing, constant):
     # each row above l = 0 votes the relative gap of its pair at its own
     # barrier; the pole row 2 of the merging table cannot drag the median
-    votes = [pair_gap(n if pairing is PairingKind.ROTOR else well_pair_for_level(n),
-                      pairing, l, GapMeasure.RELATIVE)
+    votes = [pair_gap(level_pair(n, pairing), pairing, l, GapMeasure.RELATIVE)
              for n, l in table.items() if l > 0]
     res = calibrate_epsilon(table, pairing)
     assert res.epsilon == np.median(votes)
@@ -506,8 +557,10 @@ def test_calibration_fit_is_the_median_row_gap(table, pairing, constant):
                for n in table if n not in res.per_row_epsilon)
 
 
-def test_well_pair_for_level():
-    assert well_pair_for_level(1) == 0
-    assert well_pair_for_level(8) == 7
-    with pytest.raises(DomainError):
-        well_pair_for_level(0)
+def test_level_pair():
+    # both pairs of level n end in se_n: (ce_n, se_n) and (ce_{n-1}, se_n)
+    assert [level_pair(n, PairingKind.ROTOR) for n in (1, 8)] == [1, 8]
+    assert [level_pair(n, PairingKind.WELL) for n in (1, 8)] == [0, 7]
+    for pairing in PairingKind:
+        with pytest.raises(DomainError):
+            level_pair(0, pairing)

@@ -179,7 +179,7 @@ def test_nonfinite_physical_inputs_rejected(bad):
 
 def _non_numeric_inputs():
     from qpendulum.classical import ClassicalParams, trajectory
-    from qpendulum.states import StateSpec, build_state, jump_at_boundary
+    from qpendulum.states import StateFamily, StateSpec, build_state, jump_at_boundary
 
     return {
         "ClassicalParams-str": lambda: ClassicalParams("1", 1, 3),
@@ -200,9 +200,10 @@ def _non_numeric_inputs():
             1.0, 0.5, 1e308, [0.0, 10.0], [1], EPS_R, EPS_W),
         "reduced_inertia": lambda: reduced_inertia("1", 1),
         "torsion_to_mathieu": lambda: torsion_to_mathieu("x"),
-        "build_state-level": lambda: build_state(StateSpec("phi+", "2", 1.0)),
+        "build_state-level":
+            lambda: build_state(StateSpec(StateFamily.PHI_PLUS, "2", 1.0)),
         "jump_at_boundary-level":
-            lambda: jump_at_boundary("2", "phi+", "xi", 1.0),
+            lambda: jump_at_boundary("2", StateFamily.PHI_PLUS, StateFamily.XI, 1.0),
     }
 
 
