@@ -7,10 +7,10 @@ phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
 engine, :func:`_converge`, serves every entry point: it solves one family
 at one barrier for a range of orders, values only, doubling the matrix
-size until the values settle. Each size costs one direct LAPACK call:
-``dsterf`` (root-free QR, every value, O(N^2)) for three or more orders,
-and the ``dstebz`` bisection of the index range, whose cost grows as
-rows times requested values, for one or two. An eigenvector holds the
+size until two bounds on every value meet. Each size costs two direct
+LAPACK calls: ``dsterf`` (root-free QR, every value, O(N^2)) for three or
+more orders, and the ``dstebz`` bisection of the index range, whose cost
+grows as rows times requested values, for one or two. An eigenvector holds the
 weights of the orthonormal functions cos(h phi) or sin(h phi) over
 sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
 :func:`ce_series` and :func:`se_series` alone move it onto the
@@ -18,37 +18,41 @@ plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 
 Convergence rule
 ----------------
-The first size is :func:`initial_truncation` of the highest order n,
+The first size N is :func:`initial_truncation` of the highest order n,
 the larger of what two regimes need (DLMF 28.8). On the rotor side
 order n sits at index n // 2, so n // 2 + 3 + ceil(1.4 l^(1/4)) rows.
 Deep in the well level n is an oscillator state whose weights spread
 over about sqrt(2n + 1) l^(1/4) harmonics, so
-3 + ceil(0.6 l^(1/4) (4.5 + sqrt(2n + 1))) rows. For every order up to
-64 and l up to 1e5 its double confirms it: a solve takes two sizes. It
-is clamped to the fixed ``TRUNCATION_CAP``; when it already is the cap
-(l above about 5.6e8 for order 0), it is compared with half the cap
-instead. Each step doubles the size (at most to the cap) and
-accepts once every value of the range moved by less than
-``max(EIGENVALUE_TOL * max(1, |v|), JITTER_FACTOR * eps * ||T||)``,
-where ||T|| = max|diag| + 2 max|off| bounds the norm of the larger
-matrix: below that floor LAPACK itself jitters. Its own accuracy is
-about eps * ||T|| too, and ||T|| grows as the squared size, so a
-needlessly large first size costs accuracy as well as time. A range
-still moving at the cap raises :class:`ConvergenceError` with the
-worst order's last two iterates, a nonzero LAPACK status without them.
+3 + ceil(0.6 l^(1/4) (4.5 + sqrt(2n + 1))) rows, at most the fixed
+``TRUNCATION_CAP``. By min-max the first N rows T bound each value from
+above. The tail past them has diagonal d_j = (p + 2j)^2, j >= N, and
+off-diagonal l, so by its Schur complement each value v is one of
+T - l^2 g(v) e_N e_N^T, with g its (1, 1) resolvent entry, increasing.
+For t the largest upper bound, one continued-fraction level and the
+constant chain on d_{N+1} below the rest bound l^2 g(t) by
+c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t,
+if a > 2 l and the denominator is positive: T with its last diagonal
+entry lowered by c bounds each value from below. A size whose bounds
+all differ by less than ``max(EIGENVALUE_TOL * max(1, |v|),
+JITTER_FACTOR * eps * (||T|| + c))`` returns its lower bounds; else the
+size doubles. ||T|| = max|diag| + 2 max|off|; LAPACK jitters below that
+floor, and ||T|| grows as the squared size. Every order up to 64 and
+l up to 1e5 tested closes at its first size. Bounds apart at the cap
+raise :class:`ConvergenceError` with the worst order's two bounds (-inf
+below without a valid c), a nonzero LAPACK status without them.
 
 Caches
 ------
 Two typed caches of 16,384 entries each: ``_values`` keeps the values
 of one (family, order range, l), ``_weights`` the read-only eigenvector
 weights of one (family, order, l) from one ``dstein`` inverse iteration
-on the accepted size's bisection (a complex plane-wave series would take
-eight times the memory). Inputs are validated inside the cached
-functions, so a hit is one lookup, hashed in C (families hash by
-identity), and ``True`` or ``2.0`` never hit an entry made for ``1`` or
-``2``; an unhashable argument turns the lookup's TypeError into
-DomainError. The read-only q-free bands of each family are built at
-import at the cap; each size slices them.
+on the upper bisection, started at twice the first size (a complex
+plane-wave series would take eight times the memory). Inputs are
+validated inside the cached functions, so a hit is one lookup, hashed in
+C (families hash by identity), and ``True`` or ``2.0`` never hit an
+entry made for ``1`` or ``2``; an unhashable argument turns the lookup's
+TypeError into DomainError. The read-only q-free bands of each family
+are built at import at the cap; each size slices them.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ from .errors import ConvergenceError, DomainError, check_count, check_real, chec
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
-# Multiple of eps * ||T|| below which a change in value is LAPACK jitter;
-# measured jitter between converged sizes stays below 0.6 of eps * ||T||.
+# Multiple of eps * ||T|| below which two bounds count as met: LAPACK
+# jitter. On the module docstring's grid a lower bound came out above its
+# upper bound by up to 13 eps * ||T||, which the one-sided test passes.
 JITTER_FACTOR = 4.0
 TRUNCATION_CAP = 512  # largest matrix size
 CACHE_SIZE = 16384
@@ -154,26 +159,23 @@ def initial_truncation(n: int, l: float) -> int:
                3 + math.ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
 
 
-def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
-    """Values of orders n_lo, n_lo + 2, ..., n_hi at a converged size.
-
-    Validates every input. Returns the values as a list of floats, the
-    matrix bands of the accepted size, and the ``dstebz`` block data
-    (iblock, isplit) of those values, or None from a ``dsterf`` solve;
-    see the module docstring for the rule.
+def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
+              widen: int):
+    """Values of orders n_lo, n_lo + 2, ..., n_hi, from ``widen`` times the
+    first size; validates every input. Returns the lower bounds as a list of
+    floats and the ``dstein`` inputs of the accepted size: its bands, the
+    upper bounds and their ``dstebz`` block data (iblock, isplit), or None
+    from a ``dsterf`` solve. See the module docstring for the rule.
     """
     k_lo = check_type(mathieu_class, MathieuClass, "family").eigen_index(n_lo)
     k_hi = mathieu_class.eigen_index(n_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty order range {n_lo}..{n_hi}")
     l = check_real(l, "barrier l", 0.0, False)
-    size = min(max(initial_truncation(n_hi, l), k_hi + 2), TRUNCATION_CAP)
-    if size == TRUNCATION_CAP:  # k_hi + 2 < TRUNCATION_CAP: see eigen_index
-        size = max(TRUNCATION_CAP // 2, k_hi + 2)
+    size = min(widen * max(initial_truncation(n_hi, l), k_hi + 2), TRUNCATION_CAP)
     count = k_hi - k_lo + 1
-    prev = None
-    while True:
-        diag, off, norm = _tridiagonal(mathieu_class, l, size)
+
+    def spectrum(diag, off):
         if count >= 3:  # all values by root-free QR beat bisecting three
             every, info = dsterf(diag, off)
             values, found, split = every[k_lo:k_hi + 1], count, None
@@ -185,22 +187,32 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float):
             raise ConvergenceError(
                 f"{'dsterf' if split is None else 'dstebz'} info={info}, "
                 f"{found} values at size {size} for ({mathieu_class.value}, l={l})")
-        values = values.tolist()
-        if prev is not None:
-            floor = JITTER_FACTOR * _EPS * norm
-            excess = [abs(v - p) / max(EIGENVALUE_TOL * max(1.0, abs(v)), floor)
-                      for v, p in zip(values, prev)]
+        return values.tolist(), split
+
+    while True:
+        diag, off, norm = _tridiagonal(mathieu_class, l, size)
+        upper, split = spectrum(diag, off)
+        lower, excess = [-math.inf] * count, [math.inf] * count
+        edge = mathieu_class.lowest + 2 * size  # tail diagonal edge^2, (edge + 2)^2, ...
+        a = (edge + 2) ** 2 - upper[-1]
+        gap = (edge ** 2 - upper[-1] - 2.0 * l * l / (a + math.sqrt(
+            (a - 2.0 * l) * (a + 2.0 * l))) if a > 2.0 * l else 0.0)
+        if gap > 0.0:
+            shift = l * l / gap
+            lowered = diag.copy()
+            lowered[-1] -= shift
+            lower = spectrum(lowered, off)[0]
+            floor = JITTER_FACTOR * _EPS * (norm + shift)
+            excess = [(u - v) / max(EIGENVALUE_TOL * max(1.0, abs(v)), floor)
+                      for u, v in zip(upper, lower)]
             if max(excess) < 1.0:
-                return values, diag, off, split
-            if size >= TRUNCATION_CAP:
-                worst = excess.index(max(excess))
-                raise ConvergenceError(
-                    f"eigenvalue not converged at truncation cap "
-                    f"{TRUNCATION_CAP} for ({mathieu_class.value}, "
-                    f"n={n_lo + 2 * worst}, l={l})",
-                    last_iterates=(prev[worst], values[worst]),
-                )
-        prev = values
+                return lower, (diag, off, upper, split)
+        if size >= TRUNCATION_CAP:
+            worst = excess.index(max(excess))
+            raise ConvergenceError(
+                f"eigenvalue bounds apart at truncation cap {TRUNCATION_CAP} for "
+                f"({mathieu_class.value}, n={n_lo + 2 * worst}, l={l})",
+                last_iterates=(lower[worst], upper[worst]))
         size = min(2 * size, TRUNCATION_CAP)
 
 
@@ -221,14 +233,14 @@ def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
             l: float) -> tuple[float, ...]:
-    return tuple(_converge(mathieu_class, n_lo, n_hi, l)[0])
+    return tuple(_converge(mathieu_class, n_lo, n_hi, l, 1)[0])
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     """Read-only basis weights of order n, order-matching harmonic positive."""
-    values, diag, off, split = _converge(mathieu_class, n, n, l)
-    vecs, info = dstein(diag, off, values, *split)
+    diag, off, upper, split = _converge(mathieu_class, n, n, l, 2)[1]
+    vecs, info = dstein(diag, off, upper, *split)
     if info:
         raise ConvergenceError(f"dstein info={info} for ({mathieu_class.value}, "
                                f"n={n}, l={l})")

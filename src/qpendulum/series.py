@@ -108,6 +108,7 @@ class Moments(NamedTuple):
     sin2: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moments(s: TrigSeries) -> Moments:
     """Every angular moment of ``s``, straight from its coefficients.
 
@@ -115,7 +116,7 @@ def moments(s: TrigSeries) -> Moments:
     sum k^p w_k, <cos phi> = Re S_1, <sin phi> = -Im S_1, and
     cos^2 phi = (1 + cos 2 phi)/2 gives (sum w +- Re S_2)/2 for
     <cos^2 phi> and <sin^2 phi>. Unnormalised series give sum w times
-    the normalised moments.
+    the normalised moments; one whose squares overflow, infinite or NaN ones.
     """
     c = check_type(s, TrigSeries, "series").coeffs
     k = np.arange(-s.n_harmonics, s.n_harmonics + 1)

@@ -25,12 +25,10 @@ the phi+- uncertainty products depend only on variances.
 """
 
 import numpy as np
-import pytest
 
 from qpendulum import reference as ref
 from qpendulum.classical import elliptic_K, jacobi_cn_dn
 from qpendulum.mathieu import (
-    MathieuClass,
     a_value,
     b_value,
     ce_class,

@@ -176,8 +176,9 @@ def test_torsion_missing_params():
 
 
 def test_convergence_exit_code():
-    # at l = 1e11 the size-512 value is still 2.2e-6 (relative) off the
-    # size-2048 one; l = 1e5 converges after sizes 78 and 156
+    # at l = 1e11 no lower bound holds at the size-512 cap: the tail's
+    # diagonal starts less than 2 l above the value; l = 1e5 closes its
+    # bounds at sizes 62 (order 0) and 70 (order 1)
     code = main(["characteristics", "--n-max", "1", "--l-min", "1e11",
                  "--l-max", "1e11", "--steps", "2"])
     assert code == EXIT_CONVERGENCE

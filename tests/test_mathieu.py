@@ -158,38 +158,76 @@ def _spy_lapack(monkeypatch):
 
 
 def test_convergence_error_reports_iterates(monkeypatch):
-    """At l = 1e11 the first size is above the cap, so half the cap is
-    solved first; sizes 256 and 512 still disagree."""
+    """At l = 1e11 the first size is above the cap, so the cap is solved
+    first; its tail diagonal starts less than 2 l above the value, so no
+    lower bound holds there: one call, and -inf below. At l = 1e9 both
+    bounds hold at the cap but are still 3.6e-2 apart."""
     calls = _spy_lapack(monkeypatch)
     with pytest.raises(ConvergenceError) as err:
         characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
-    assert err.value.last_iterates is not None
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
-    assert [(c[0], len(c[1])) for c in calls] == [
-        ("dstebz", TRUNCATION_CAP // 2), ("dstebz", TRUNCATION_CAP)]
+    assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)]
+    assert err.value.last_iterates == (-math.inf, calls[0][3][1][0])
+    calls.clear()
+    with pytest.raises(ConvergenceError) as err:
+        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e9)[0]
+    assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)] * 2
+    lower, upper = err.value.last_iterates
+    assert (lower, upper) == (calls[1][3][1][0], calls[0][3][1][0])
+    assert 1e-11 * abs(upper) < upper - lower < 0.1
 
 
-def test_first_size_is_confirmed_by_its_double(monkeypatch):
-    """Every order up to 64 of each family, and the family ranges of a
-    sweep to n_max 7, 8, 12, 16 and 24, at l = 0 and 81 barriers from 1e-3
-    to 1e5: each solve accepts its second size, two LAPACK calls."""
+# Every order up to 64 of each family, and the family ranges of a sweep
+# to n_max 7, 8, 12, 16 and 24, at l = 0 and 81 barriers from 1e-3 to 1e5.
+GRID_SOLVES = ([(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 65, 2)]
+               + [(cls, cls.lowest, n_max - (n_max - cls.lowest) % 2)
+                  for n_max in (7, 8, 12, 16, 24) for cls in MathieuClass])
+GRID_BARRIERS = [0.0] + np.logspace(-3, 5, 81).tolist()
+
+
+def test_first_size_closes_its_bounds(monkeypatch):
+    """Each grid solve accepts its first size: two LAPACK calls on it, the
+    upper bound and the lower one, whose bands differ in the last
+    diagonal entry only."""
     calls = _spy_lapack(monkeypatch)
-    solves = [(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 65, 2)]
-    solves += [(cls, cls.lowest, n_max - (n_max - cls.lowest) % 2)
-               for n_max in (7, 8, 12, 16, 24) for cls in MathieuClass]
-    third = []
-    for l in [0.0] + np.logspace(-3, 5, 81).tolist():
-        for solve in solves:
+    second = []
+    for l in GRID_BARRIERS:
+        for solve in GRID_SOLVES:
             mathieu._values.cache_clear()
             calls.clear()
             characteristic_values(*solve, l)
+            (_, diag, off, _), (_, lowered, lowered_off, _) = calls[:2]
+            assert np.array_equal(diag[:-1], lowered[:-1]) and lowered[-1] <= diag[-1]
+            assert np.array_equal(off, lowered_off)
             if len(calls) != 2:
-                third.append((*solve, l))
-    assert len(solves) == 149 and not third, f"{len(third)} solves: {third[:3]}"
+                second.append((*solve, l))
+    assert len(GRID_SOLVES) == 149 and not second, f"{len(second)} solves: {second[:3]}"
+
+
+def test_bounds_enclose_tight_reference():
+    """On every grid solve the lower bound is below, and the upper one
+    above, a size-512 dstebz bisection at ABSTOL 1e-300, up to LAPACK
+    jitter: each call returns its values to a small multiple of eps ||T||
+    (up to 16 on this grid), so 32 eps ||T|| of the accepted size."""
+    eps = np.finfo(float).eps
+    for l in GRID_BARRIERS:
+        refs = {}
+        for cls in MathieuClass:
+            diag, off, _ = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
+            found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1, 33,
+                                                    1e-300, "E")
+            assert info == 0 and found == 33
+            refs[cls] = ref[:found]
+        for cls, n_lo, n_hi in GRID_SOLVES:
+            lower, (diag, _, upper, _) = mathieu._converge(cls, n_lo, n_hi, l, 1)
+            ref = refs[cls][cls.eigen_index(n_lo):cls.eigen_index(n_hi) + 1]
+            jitter = 32 * eps * mathieu._tridiagonal(cls, l, len(diag))[2]
+            assert (np.array(lower) - jitter <= ref).all(), (cls, n_lo, n_hi, l)
+            assert (ref <= np.array(upper) + jitter).all(), (cls, n_lo, n_hi, l)
 
 
 def test_highest_order_the_cap_holds():
-    # index 509 leaves room for a comparison size of 511; index 510 does not
+    # index 509 leaves room for a first size of 511; index 510 does not
     assert a_value(1018, 0.0) == pytest.approx(1018.0 ** 2, rel=1e-12)
     with pytest.raises(ConvergenceError):
         a_value(1020, 0.0)
@@ -234,8 +272,11 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
     """Each direct LAPACK call returns exactly what scipy's
     eigvalsh_tridiagonal gives for the same bands: the bisection of the
     index range for one or two orders, every value by dsterf for three or
-    more. The converged values are the last of them. Sizes double from
-    the first; at l = 1e4, where l^(1/4) = 10, the well term sets it:
+    more. Calls come in pairs on one size, the upper bound on the bands and
+    the lower bound with the last diagonal entry lowered by
+    c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t;
+    the values are the last lower bounds. Sizes double from the first; at
+    l = 1e4, where l^(1/4) = 10, the well term sets it:
     3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows for the highest order n."""
     calls = _spy_lapack(monkeypatch)
     n_lo = cls.lowest + 2 * start
@@ -256,7 +297,17 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
             got, ref = out[0][start:stop], ref[start:stop]
         assert len(got) == width and (got == ref).all()
     assert values == tuple(ref.tolist())
-    sizes = [len(c[1]) for c in calls]
+    assert len(calls) % 2 == 0
+    for (_, diag, off, out), (_, lowered, lowered_off, _) in zip(calls[::2], calls[1::2]):
+        size = len(diag)
+        top = float((out[1][:out[0]] if width < 3 else out[0][start:stop])[-1])
+        a = (cls.lowest + 2 * size + 2) ** 2 - top
+        c = l * l / ((cls.lowest + 2 * size) ** 2 - top
+                     - 2 * l * l / (a + math.sqrt(a * a - 4 * l * l)))
+        assert np.array_equal(off, lowered_off) and np.array_equal(diag[:-1], lowered[:-1])
+        assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9, abs=np.spacing(diag[-1]))
+    sizes = [len(c[1]) for c in calls[::2]]
+    assert [len(c[1]) for c in calls[1::2]] == sizes
     assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), stop + 1)
     assert sizes[1:] == [2 * size for size in sizes[:-1]]
     if l == 1e4:
@@ -429,17 +480,22 @@ def test_state_families_share_one_eigenvector_solve_per_order(lapack_calls):
 
 @pytest.mark.parametrize("l", [0.0, 1e-6, 7.514, 55.0, 1e4])
 @pytest.mark.parametrize("cls", list(MathieuClass))
-def test_weights_equal_scipy_eigh_tridiagonal(cls, l):
-    """One dstein call on the accepted bisection gives the eigenvector
-    scipy's eigh_tridiagonal gives at the accepted size, bit for bit; at
-    l = 0 the matrix splits into 1x1 blocks."""
-    mathieu._weights.cache_clear()
+def test_weights_equal_scipy_eigh_tridiagonal(cls, l, lapack_calls):
+    """An eigenvector takes three calls at twice the first size: both
+    bounds, then one dstein on the upper bound's bisection, which gives
+    the eigenvector scipy's eigh_tridiagonal gives at that size, bit for
+    bit; at l = 0 the matrix splits into 1x1 blocks."""
     for n in range(cls.lowest, 13, 2):
         k = cls.eigen_index(n)
-        _, diag, off, _ = mathieu._converge(cls, n, n, l)
+        size = min(2 * max(mathieu.initial_truncation(n, l), k + 2), TRUNCATION_CAP)
+        lapack_calls.clear()
+        weights = mathieu._weights(cls, n, l)
+        assert [(c[0], len(c[1])) for c in lapack_calls] == [
+            ("dstebz", size), ("dstebz", size), ("dstein", size)]
+        diag, off, _ = mathieu._tridiagonal(cls, l, size)
         _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
         want = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]
-        assert np.array_equal(mathieu._weights(cls, n, l), want), (n, l)
+        assert np.array_equal(weights, want), (n, l)
 
 
 def test_cached_weights_are_read_only():
@@ -540,10 +596,11 @@ def test_family_ladders_match_per_family_reference(cls):
 
 
 def test_cold_bundle_lapack_budget(lapack_calls):
-    # 2,186 direct calls: 2,170 dstebz/dsterf solves and one dstein per
-    # eigenvector of tables 3-6 (ce_1..8, se_1..8)
+    # 2,190 direct calls on 28,916 rows: 2,174 dstebz/dsterf calls, two per
+    # solve, and one dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8)
     from qpendulum.report import build_bundle
 
     build_bundle()
     kernels = [c[0] for c in lapack_calls]
     assert 0 < len(kernels) <= 2200 and "eigh_tridiagonal" not in kernels
+    assert sum(len(c[1]) for c in lapack_calls) <= 30000

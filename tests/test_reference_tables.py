@@ -7,7 +7,6 @@ the documented per-row fallback for the one merging row no single
 threshold fits).
 """
 
-import numpy as np
 import pytest
 
 from qpendulum import reference as ref

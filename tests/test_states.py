@@ -278,8 +278,10 @@ def test_nan_state_fails_the_norm_check():
     from qpendulum.series import TrigSeries
     from qpendulum.states import QuantumState
 
-    # a NaN coefficient once gave an all-NaN moment report, and an
-    # infinite one an infinite <v> and <v^2> and no density maxima
-    for coeffs in ([np.nan, 1.0, 0.0], [0.0, 1.0, np.inf]):
+    # a NaN coefficient once gave an all-NaN moment report, an infinite
+    # one an infinite <v> and <v^2> and no density maxima, and a finite
+    # one whose square overflows a RuntimeWarning from the moments
+    for coeffs in ([np.nan, 1.0, 0.0], [0.0, 1.0, np.inf], [1e200, 0.0, 0.0],
+                   [1e200, 1e200, 1e200]):
         with pytest.raises(DomainError, match="non-finite state"):
             QuantumState(StateSpec(StateFamily.XI, 1, 1.0), TrigSeries(coeffs))

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from qpendulum import mathieu, symmetry
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
-from qpendulum.series import TrigSeries, eval_series, inner_product
+from qpendulum.series import TrigSeries, eval_series
 from qpendulum import reference as ref
 from qpendulum.classical import ArgConvention, ClassicalParams, trajectory
 from qpendulum.symmetry import (
