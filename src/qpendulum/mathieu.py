@@ -5,14 +5,16 @@ The four parity families are the characters of Klein's four-group
 phi -> -phi, and its lowest harmonic p, whose parity is that under
 phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
-engine, :func:`_converge`, serves every entry point: it solves one family
-at one barrier for a range of orders, values only, doubling the matrix
-size until two bounds on every value meet. Each size costs two direct
-LAPACK calls: ``dsterf`` (root-free QR, every value, O(N^2)) for three or
-more orders, and the ``dstebz`` bisection of the index range, whose cost
-grows as rows times requested values, for one or two. An eigenvector holds the
-weights of the orthonormal functions cos(h phi) or sin(h phi) over
-sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
+engine, :func:`_converge`, solves one family at one barrier for a range
+of orders, values only, doubling the matrix size until two bounds on
+every value meet. Each size costs two direct LAPACK calls: ``dsterf``
+(root-free QR, every value, O(N^2)) for three or more orders, and the
+``dstebz`` bisection of the index range, whose cost grows as rows times
+requested values, for one or two. :func:`_converge_grid` gives the same
+bits for a barrier grid, with the Python work of each first size done
+once as array operations; a batch of one costs several solves. An
+eigenvector holds the weights of the orthonormal functions cos(h phi) or
+sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
 :func:`ce_series` and :func:`se_series` alone move it onto the
 plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
 
@@ -51,8 +53,9 @@ plane-wave series would take eight times the memory). Inputs are
 validated inside the cached functions, so a hit is one lookup, hashed in
 C (families hash by identity), and ``True`` or ``2.0`` never hit an
 entry made for ``1`` or ``2``; an unhashable argument turns the lookup's
-TypeError into DomainError. The read-only q-free bands of each family
-are built at import at the cap; each size slices them.
+TypeError into DomainError. Grids are cached by their caller,
+:mod:`qpendulum.symmetry`. The read-only q-free bands of each family are
+built at import at the cap; each size slices them.
 """
 
 from __future__ import annotations
@@ -159,6 +162,24 @@ def initial_truncation(n: int, l: float) -> int:
                3 + math.ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
 
 
+def _kernel(diag, off, k_lo: int, k_hi: int, mathieu_class: MathieuClass, l: float):
+    """Values k_lo..k_hi of the bands, and the (iblock, isplit) of a
+    ``dstebz`` call or None, from one LAPACK call; see the module docstring."""
+    count = k_hi - k_lo + 1
+    if count >= 3:  # all values by root-free QR beat bisecting three
+        every, info = dsterf(diag, off)
+        found, values, split = count, every[k_lo:k_hi + 1], None
+    else:
+        found, values, iblock, isplit, info = dstebz(
+            diag, off, 2, 0.0, 0.0, k_lo + 1, k_hi + 1, 0.0, "E")
+        values, split = values[:found], (iblock, isplit)
+    if info or found < count:
+        raise ConvergenceError(
+            f"{'dstebz' if split else 'dsterf'} info={info}, {found} values at size "
+            f"{len(diag)} for ({mathieu_class.value}, l={l})")
+    return values, split
+
+
 def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
               widen: int):
     """Values of orders n_lo, n_lo + 2, ..., n_hi, from ``widen`` times the
@@ -172,26 +193,12 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
     if k_hi < k_lo:
         raise DomainError(f"empty order range {n_lo}..{n_hi}")
     l = check_real(l, "barrier l", 0.0, False)
-    size = min(widen * max(initial_truncation(n_hi, l), k_hi + 2), TRUNCATION_CAP)
+    size = min(widen * initial_truncation(n_hi, l), TRUNCATION_CAP)
     count = k_hi - k_lo + 1
-
-    def spectrum(diag, off):
-        if count >= 3:  # all values by root-free QR beat bisecting three
-            every, info = dsterf(diag, off)
-            values, found, split = every[k_lo:k_hi + 1], count, None
-        else:
-            found, values, iblock, isplit, info = dstebz(
-                diag, off, 2, 0.0, 0.0, k_lo + 1, k_hi + 1, 0.0, "E")
-            values, split = values[:found], (iblock, isplit)
-        if info or found < count:
-            raise ConvergenceError(
-                f"{'dsterf' if split is None else 'dstebz'} info={info}, "
-                f"{found} values at size {size} for ({mathieu_class.value}, l={l})")
-        return values.tolist(), split
-
     while True:
         diag, off, norm = _tridiagonal(mathieu_class, l, size)
-        upper, split = spectrum(diag, off)
+        upper, split = _kernel(diag, off, k_lo, k_hi, mathieu_class, l)
+        upper = upper.tolist()
         lower, excess = [-math.inf] * count, [math.inf] * count
         edge = mathieu_class.lowest + 2 * size  # tail diagonal edge^2, (edge + 2)^2, ...
         a = (edge + 2) ** 2 - upper[-1]
@@ -201,7 +208,7 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
             shift = l * l / gap
             lowered = diag.copy()
             lowered[-1] -= shift
-            lower = spectrum(lowered, off)[0]
+            lower = _kernel(lowered, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
             floor = JITTER_FACTOR * _EPS * (norm + shift)
             excess = [(u - v) / max(EIGENVALUE_TOL * max(1.0, abs(v)), floor)
                       for u, v in zip(upper, lower)]
@@ -214,6 +221,49 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
                 f"({mathieu_class.value}, n={n_lo + 2 * worst}, l={l})",
                 last_iterates=(lower[worst], upper[worst]))
         size = min(2 * size, TRUNCATION_CAP)
+
+
+def _converge_grid(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
+                   barriers: tuple[float, ...]) -> np.ndarray:
+    """:func:`_converge` values bit for bit, one row per barrier (checked by
+    the caller; a repeat is solved once). The barriers of one first size
+    share 2-D bands and one array pass for the tail shift, the norm floor
+    and the acceptance test; one not accepted goes on to :func:`_converge`."""
+    k_lo, k_hi = mathieu_class.eigen_index(n_lo), mathieu_class.eigen_index(n_hi)
+    grid, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
+    sizes = np.array([min(initial_truncation(n_hi, l), TRUNCATION_CAP)
+                      for l in grid.tolist()], dtype=int)
+    ladder, unit = _BANDS[mathieu_class]
+    out = np.empty((grid.size, k_hi - k_lo + 1))
+
+    def solve(diag, off, q):  # one kernel call per row
+        return np.reshape([_kernel(d, e, k_lo, k_hi, mathieu_class, l)[0] for d, e, l
+                           in zip(diag, off, q.tolist())], (q.size, out.shape[1]))
+
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        q, edge = grid[rows], mathieu_class.lowest + 2 * size
+        with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
+            diag = np.tile(ladder[:size], (q.size, 1))
+            if mathieu_class.lowest == 1:
+                diag[:, 0] += q if mathieu_class.is_cosine else -q
+            off = q[:, None] * unit[:size - 1]
+            norm = np.maximum(np.abs(diag[:, 0]), diag[:, -1]) + 2.0 * q * unit[0]
+            upper = solve(diag, off, q)
+            a = (edge + 2) ** 2 - upper[:, -1]
+            gap = edge ** 2 - upper[:, -1] - 2.0 * q * q / (a + np.sqrt(
+                (a - 2.0 * q) * (a + 2.0 * q)))
+            shift = q * q / gap
+            diag[:, -1] -= shift
+            valid = (a > 2.0 * q) & (gap > 0.0)
+            lower = np.full_like(upper, np.nan)
+            lower[valid] = solve(diag[valid], off[valid], q[valid])
+            excess = (upper - lower) / np.maximum(EIGENVALUE_TOL * np.maximum(
+                1.0, np.abs(lower)), JITTER_FACTOR * _EPS * (norm + shift)[:, None])
+        out[rows] = lower
+        for i in rows[~(excess.max(axis=1) < 1.0)].tolist():
+            out[i] = _converge(mathieu_class, n_lo, n_hi, float(grid[i]), 1)[0]
+    return out[inverse]
 
 
 def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,

@@ -129,9 +129,13 @@ def moments(s: TrigSeries) -> Moments:
                    0.5 * (total + re_s2), 0.5 * (total - re_s2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_series(s: TrigSeries, phi) -> complex | np.ndarray:
-    """Pointwise value of the series: Horner's rule in z = e^{i phi}."""
+    """Pointwise value of the series: Horner's rule in z = e^{i phi}.
+    DomainError where a value is not finite, as when a sum overflows."""
     check_type(s, TrigSeries, "series")
     z = np.exp(1j * real_array(phi, "angles"))
     out = polyval(z, s.coeffs) * z ** -s.n_harmonics / np.sqrt(2.0 * np.pi)
+    if not np.isfinite(out).all():
+        raise DomainError("series value not finite: its sum overflows")
     return complex(out) if np.ndim(out) == 0 else out

@@ -3,7 +3,8 @@
 Covers the Klein four-group of angle maps acting on trig series, the
 characteristic-curve sweep E_n(l), and the splitting / merging points
 that bound the three symmetry regions of each level; sweep rows and
-region labels take one batched solve per parity family and barrier.
+region labels take one batched solve per parity family over a whole
+barrier grid, and the last four grids stay cached.
 
 Klein four-group
 ----------------
@@ -46,6 +47,7 @@ fallback; both map a row to its pair through :func:`level_pair`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -55,8 +57,7 @@ from scipy.optimize import brentq
 
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
                      check_count, check_levels, check_real, check_type, real_grid)
-from .mathieu import (MathieuClass, a_value, b_value, ce_class,
-                      characteristic_values, se_class)
+from .mathieu import MathieuClass, _converge_grid, a_value, b_value, ce_class, se_class
 from .series import TrigSeries, inner_product
 
 SEARCH_CEILING = 200.0
@@ -180,22 +181,25 @@ class RegionBoundary:
     measure: GapMeasure
 
 
-def _spectrum(n_max: int, l: float) -> tuple[list[float], list[float]]:
-    """[a_0..a_{n_max}] and [nan, b_1..b_{n_max}] at l: one solve per family."""
-    ce, se = [math.nan] * (n_max + 1), [math.nan] * (n_max + 1)
+@functools.lru_cache(maxsize=4)  # the last few sweeps and schedules
+def _spectra(n_max: int, barriers: tuple[float, ...]) -> np.ndarray:
+    """Read-only rows [a_0..a_{n_max}] (ce) and [nan, b_1..b_{n_max}] (se),
+    one per barrier: one batched solve per parity family over the grid."""
+    spectra = np.full((2, len(barriers), n_max + 1), math.nan)
     for cls in MathieuClass:
         if cls.lowest <= n_max:
             top = n_max - (n_max - cls.lowest) % 2
-            (ce if cls.is_cosine else se)[cls.lowest:top + 1:2] = (
-                characteristic_values(cls, cls.lowest, top, l))
-    return ce, se
+            spectra[int(not cls.is_cosine), :, cls.lowest:top + 1:2] = (
+                _converge_grid(cls, cls.lowest, top, barriers))
+    spectra.setflags(write=False)
+    return spectra
 
 
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
     """Characteristic values for every class/order up to n_max on a grid.
 
     Rows are ordered by (l, class, n); class labels are the enum values.
-    Each family costs one :func:`characteristic_values` solve per l.
+    Each family costs one batched solve over the grid.
     """
     check_count(n_max, 0, "n_max")
     grid = real_grid(l_grid, "l_grid")
@@ -204,11 +208,11 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     ce_class(n_max).eigen_index(n_max)  # the cap must hold n_max: no huge lists
     order = [(ce_class(n).value, n) for n in range(0, n_max + 1)]
     order += [(se_class(n).value, n) for n in range(1, n_max + 1)]
+    barriers = tuple(grid.tolist())
+    ce, se = _spectra(n_max, barriers)
     rows = []
-    for l in grid.tolist():
-        ce, se = _spectrum(n_max, l)
-        rows.extend((label, n, l, value)
-                    for (label, n), value in zip(order, ce + se[1:]))
+    for l, values in zip(barriers, np.hstack((ce, se[:, 1:])).tolist()):
+        rows.extend((label, n, l, value) for (label, n), value in zip(order, values))
     return rows
 
 
@@ -299,27 +303,39 @@ def classify_regions(levels, l: float, epsilon_rotor: float,
 
     Level n is G- while the rotor pair (ce_n, se_n) is degenerate, G+ once
     the well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
-    Every level is checked, then all share one solve per parity family.
-    The pair indices are those of :func:`level_pair`, written out: two
-    calls per level and barrier would add a third to a warm schedule.
+    The one-barrier case of :func:`_classify_grid`.
     """
+    return _classify_grid(levels, (l,), epsilon_rotor, epsilon_well)[0]
+
+
+def _classify_grid(levels, barriers, epsilon_rotor: float,
+                   epsilon_well: float) -> list[dict[int, Subgroup]]:
+    """:func:`classify_regions` at each barrier: every input is checked,
+    then one batched solve per family. The pairs are those of
+    :func:`level_pair` and the gaps :func:`_relative_gap`, over arrays."""
     levels = check_levels(levels)
-    l = check_real(l, "barrier l", 0.0, False)
+    barriers = tuple(check_real(l, "barrier l", 0.0, False) for l in barriers)
     ce_class(max(levels)).eigen_index(max(levels))  # the cap must hold every level
     epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
     epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
-    ce, se = _spectrum(max(levels), l)
-    regions = {}
-    for n in levels:
-        rotor = _relative_gap(ce[n], se[n]) < epsilon_rotor
-        well = _relative_gap(ce[n - 1], se[n]) < epsilon_well
-        if rotor and well:
-            raise AmbiguityError(
-                f"level n={n} at l={l} looks degenerate in both pairings "
-                f"(eps_rotor={epsilon_rotor}, eps_well={epsilon_well})")
-        regions[n] = (Subgroup.G_MINUS if rotor else
-                      Subgroup.G_PLUS if well else Subgroup.G_ZERO)
-    return regions
+    ce, se = _spectra(max(levels), barriers)
+    n = np.array(levels)
+
+    def relative_gap(ea, eb):
+        mean = np.abs(0.5 * (ea + eb))
+        return np.divide(np.abs(ea - eb), mean, out=np.full_like(mean, math.inf),
+                         where=mean > 0)
+
+    rotor = relative_gap(ce[:, n], se[:, n]) < epsilon_rotor
+    well = relative_gap(ce[:, n - 1], se[:, n]) < epsilon_well
+    if (rotor & well).any():
+        i, j = np.argwhere(rotor & well)[0].tolist()
+        raise AmbiguityError(
+            f"level n={levels[j]} at l={barriers[i]} looks degenerate in both "
+            f"pairings (eps_rotor={epsilon_rotor}, eps_well={epsilon_well})")
+    labels = (Subgroup.G_ZERO, Subgroup.G_MINUS, Subgroup.G_PLUS)
+    return [dict(zip(levels, map(labels.__getitem__, codes)))
+            for codes in (rotor + 2 * well).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ One physical front end feeds the Mathieu machinery: hindered internal
 rotation of a symmetric-top molecule (reduced inertia + n-fold cosine
 barrier). It produces a barrier strength l and an energy scale
 converting Mathieu characteristic values back to physical energies.
-Schedule region labels take one batched solve per parity family and
-barrier value.
+A schedule labels every barrier of its grid at once: one batched solve
+per parity family.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (DomainError, check_count, check_levels, check_real, check_type,
-                     real_grid)
-from .symmetry import classify_regions
+from .errors import DomainError, check_count, check_real, check_type, real_grid
+from .symmetry import _classify_grid
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -105,22 +104,17 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     For each time the symmetry region of every requested level is
     classified at the instantaneous barrier; a point is marked as a
     crossing when any level's region differs from the previous time.
+    Every omega t and barrier is checked before any solve.
     """
     l_c = check_real(l_c, "l_c", -math.inf, False)
     delta_l = check_real(delta_l, "delta_l", 0.0, True)
     omega = check_real(omega, "omega", -math.inf, False)
-    levels = check_levels(levels)
-    times = real_grid(t_grid, "t_grid")
-    out: list[SchedulePoint] = []
-    prev: dict | None = None
-    for t in times.tolist():  # Python floats: an overflow is inf, not a warning
-        phase = check_real(omega * t, "omega t", -math.inf, False)
-        l_t = max(l_c + delta_l * math.cos(phase), 0.0)
-        regions = classify_regions(levels, l_t, eps_rotor, eps_well)
-        crossing = prev is not None and regions != prev
-        out.append(SchedulePoint(t, l_t, regions, crossing))
-        prev = regions
-    return out
+    times = real_grid(t_grid, "t_grid").tolist()  # Python floats: an overflow is inf
+    barriers = [max(l_c + delta_l * math.cos(check_real(omega * t, "omega t", -math.inf,
+                                                        False)), 0.0) for t in times]
+    regions = _classify_grid(levels, barriers, eps_rotor, eps_well)
+    return [SchedulePoint(t, l_t, now, i > 0 and now != regions[i - 1])
+            for i, (t, l_t, now) in enumerate(zip(times, barriers, regions))]
 
 
 # Ethane internal rotation: two equivalent methyl tops, 3-fold barrier.

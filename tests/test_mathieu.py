@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import mathieu_a, mathieu_b
 
@@ -134,35 +133,12 @@ def test_order_validation():
         characteristic_values(MathieuClass.CE_ODD, 5, 1, 1.0)
 
 
-def _spy_lapack(monkeypatch):
-    """Record (kernel, diag, off, outputs) of every direct LAPACK call from
-    cold caches; a scipy ``eigh_tridiagonal`` call records as one more."""
-    calls = []
-
-    def spy(name, real):
-        def recorded(diag, off, *args, **kwargs):
-            out = real(diag, off, *args, **kwargs)
-            calls.append((name, np.copy(diag), np.copy(off), out))
-            return out
-        return recorded
-
-    for name in ("dstebz", "dsterf", "dstein"):
-        monkeypatch.setattr(mathieu, name, spy(name, getattr(mathieu, name)))
-    for module in (scipy.linalg, mathieu):
-        if hasattr(module, "eigh_tridiagonal"):
-            monkeypatch.setattr(module, "eigh_tridiagonal",
-                                spy("eigh_tridiagonal", module.eigh_tridiagonal))
-    mathieu._values.cache_clear()
-    mathieu._weights.cache_clear()
-    return calls
-
-
-def test_convergence_error_reports_iterates(monkeypatch):
+def test_convergence_error_reports_iterates(lapack_calls):
     """At l = 1e11 the first size is above the cap, so the cap is solved
     first; its tail diagonal starts less than 2 l above the value, so no
     lower bound holds there: one call, and -inf below. At l = 1e9 both
     bounds hold at the cap but are still 3.6e-2 apart."""
-    calls = _spy_lapack(monkeypatch)
+    calls = lapack_calls
     with pytest.raises(ConvergenceError) as err:
         characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
@@ -185,11 +161,11 @@ GRID_SOLVES = ([(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 6
 GRID_BARRIERS = [0.0] + np.logspace(-3, 5, 81).tolist()
 
 
-def test_first_size_closes_its_bounds(monkeypatch):
+def test_first_size_closes_its_bounds(lapack_calls):
     """Each grid solve accepts its first size: two LAPACK calls on it, the
     upper bound and the lower one, whose bands differ in the last
     diagonal entry only."""
-    calls = _spy_lapack(monkeypatch)
+    calls = lapack_calls
     second = []
     for l in GRID_BARRIERS:
         for solve in GRID_SOLVES:
@@ -202,6 +178,46 @@ def test_first_size_closes_its_bounds(monkeypatch):
             if len(calls) != 2:
                 second.append((*solve, l))
     assert len(GRID_SOLVES) == 149 and not second, f"{len(second)} solves: {second[:3]}"
+
+
+def _grid_against_converge(n_max, barriers):
+    """Each family's batched grid solve, and its rows by _converge."""
+    for cls in MathieuClass:
+        if cls.lowest <= n_max:
+            top = n_max - (n_max - cls.lowest) % 2
+            got = mathieu._converge_grid(cls, cls.lowest, top, tuple(barriers))
+            want = [mathieu._converge(cls, cls.lowest, top, l, 1)[0] for l in barriers]
+            yield cls, got, np.array(want).reshape(got.shape)
+
+
+# An unsorted schedule grid with repeats and zeros: l(t) = max(3 + 4 cos t, 0)
+SCHEDULE_BARRIERS = [max(3.0 + 4.0 * math.cos(t), 0.0)
+                     for t in np.linspace(0.0, 12.0, 97).tolist()]
+
+
+@pytest.mark.parametrize("n_max,barriers", [
+    (8, np.linspace(0.0, 55.0, 111).tolist()),
+    *[(n_max, GRID_BARRIERS) for n_max in (0, 1, 2, 4, 8, 12, 24)],
+    (8, SCHEDULE_BARRIERS)])
+def test_grid_solve_equals_converge_bit_for_bit(n_max, barriers):
+    """The batched solve of a barrier grid returns, row by row, the bits
+    _converge returns at each barrier: the fig1 grid, the module grid for
+    ranges of one or two orders (dstebz) and of three or more (dsterf),
+    and a schedule grid."""
+    for cls, got, want in _grid_against_converge(n_max, barriers):
+        assert got.tobytes() == want.tobytes(), cls
+
+
+def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
+                                                           monkeypatch):
+    """With a first size too small to close, every barrier goes on to
+    _converge's doubling, and the rows still match it bit for bit."""
+    monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
+    barriers = [0.5, 3.42, 11.1, 28.0, 55.0]
+    for cls, got, want in _grid_against_converge(8, barriers):
+        assert got.tobytes() == want.tobytes(), cls
+    sizes = {len(c[1]) for c in lapack_calls}
+    assert min(sizes) == 5 and {5, 6, 10, 12} < sizes  # n // 2 + 2 rows, then doubled
 
 
 def test_bounds_enclose_tight_reference():
@@ -254,10 +270,10 @@ def _beyond_the_cap():
 
 
 @pytest.mark.parametrize("name", list(_beyond_the_cap()))
-def test_orders_beyond_the_cap_raise_before_any_solve(name, monkeypatch):
+def test_orders_beyond_the_cap_raise_before_any_solve(name, lapack_calls):
     # a 5001-digit order once raised ValueError from its own error message,
     # and a sweep or region label to it built per-order lists first
-    calls = _spy_lapack(monkeypatch)
+    calls = lapack_calls
     with pytest.raises(ConvergenceError):
         _beyond_the_cap()[name]()
     assert calls == []
@@ -268,7 +284,7 @@ def test_orders_beyond_the_cap_raise_before_any_solve(name, monkeypatch):
                                          (3, 2), (3, 3), (3, 5)])
 @pytest.mark.parametrize("cls", list(MathieuClass))
 def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
-                                                         monkeypatch):
+                                                         lapack_calls):
     """Each direct LAPACK call returns exactly what scipy's
     eigvalsh_tridiagonal gives for the same bands: the bisection of the
     index range for one or two orders, every value by dsterf for three or
@@ -278,7 +294,7 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
     the values are the last lower bounds. Sizes double from the first; at
     l = 1e4, where l^(1/4) = 10, the well term sets it:
     3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows for the highest order n."""
-    calls = _spy_lapack(monkeypatch)
+    calls = lapack_calls
     n_lo = cls.lowest + 2 * start
     n_hi = n_lo + 2 * (width - 1)
     values = characteristic_values(cls, n_lo, n_hi, l)
@@ -316,7 +332,8 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
 
 @pytest.mark.parametrize("kernel,fail", [("dstebz", "info"), ("dstebz", "count"),
                                          ("dsterf", "info"), ("dstein", "info")])
-def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_path):
+def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_path,
+                                                lapack_calls):
     real = getattr(mathieu, kernel)
 
     def failing(*args):
@@ -325,9 +342,7 @@ def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_
             out[0] -= 1
         return (*out, 1 if fail == "info" else info)
 
-    monkeypatch.setattr(mathieu, kernel, failing)
-    mathieu._values.cache_clear()
-    mathieu._weights.cache_clear()
+    monkeypatch.setattr(mathieu, kernel, failing)  # over the spy, caches cleared
     with pytest.raises(ConvergenceError):
         if kernel == "dstein":
             ce_series(2, 2.5)
@@ -460,11 +475,6 @@ def test_build_series_pointwise(cls, n):
             want += w * trig(h * GRID) / np.sqrt(np.pi)
     np.testing.assert_allclose(eval_series(mathieu._eigen_series(cls, n, 3.42), GRID),
                                want, atol=1e-12)
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    return _spy_lapack(monkeypatch)
 
 
 def test_state_families_share_one_eigenvector_solve_per_order(lapack_calls):

@@ -94,6 +94,13 @@ def test_eval_scalar_angle_is_complex():
     assert value == pytest.approx(eval_series(s, np.array([0.3]))[0], abs=1e-14)
 
 
+@pytest.mark.parametrize("angles", [0.0, [0.0], np.linspace(0.0, 1.0, 5)])
+def test_eval_overflow_raises_domain_error(angles):
+    # the sum once overflowed with numpy's RuntimeWarning
+    with pytest.raises(DomainError, match="not finite"):
+        eval_series(TrigSeries([1e308] * 3), angles)
+
+
 @pytest.mark.parametrize("bad", ["2", None, True, [2.0], np.array([2.0]),
                                  TrigSeries([1.0])])
 def test_scaling_needs_a_number(bad):

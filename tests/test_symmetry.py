@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qpendulum import mathieu, symmetry
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
 from qpendulum.series import TrigSeries, eval_series
@@ -301,24 +300,6 @@ def test_relative_gap_pole_is_no_boundary():
     assert_independent_root(b)
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Direct LAPACK calls (dstebz, dsterf, dstein) made from cold caches."""
-    calls = []
-
-    def counting(real):
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-        return spy
-
-    mathieu._values.cache_clear()
-    mathieu._weights.cache_clear()
-    for name in ("dstebz", "dsterf", "dstein"):
-        monkeypatch.setattr(mathieu, name, counting(getattr(mathieu, name)))
-    return calls
-
-
 @pytest.mark.parametrize("run,budget", [
     (lambda: [level_boundary(n, PairingKind.WELL, ref.CALIBRATED_EPS_WELL, l)
               for n, l in ref.MERGING_POINTS.items()], 1200),
@@ -334,9 +315,15 @@ def test_cold_solver_call_budget(run, budget, lapack_calls):
 
 def test_cold_sweep_row_budget(lapack_calls):
     # rows handed to LAPACK for the n <= 8 sweep over the fig1 grid
-    # (26,862): a first size growing as sqrt(l), not l^(1/4), breaks it
-    sweep_characteristics(8, np.linspace(0.0, 55.0, 111))
-    assert 0 < sum(len(args[0]) for args in lapack_calls) <= 30000
+    # (26,862): a first size growing as sqrt(l), not l^(1/4), breaks it.
+    # Each of the four families takes two calls per barrier, and an
+    # identical repeat is one hit of the grid cache.
+    grid = np.linspace(0.0, 55.0, 111)
+    rows = sweep_characteristics(8, grid)
+    assert len(lapack_calls) == 8 * len(grid) == 888
+    assert sum(len(c[1]) for c in lapack_calls) <= 30000
+    lapack_calls.clear()
+    assert sweep_characteristics(8, grid) == rows and lapack_calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
@@ -405,13 +392,10 @@ def test_ambiguity_message_names_both_thresholds():
 
 @pytest.mark.parametrize("levels", [[], [1, 0], [1, 2.0], [True], [1, "2"],
                                     [1, None]])
-def test_classify_regions_checks_levels_before_solving(levels, monkeypatch):
-    calls = []
-    monkeypatch.setattr(symmetry, "characteristic_values",
-                        lambda *args: calls.append(args))
+def test_classify_regions_checks_levels_before_solving(levels, lapack_calls):
     with pytest.raises(DomainError):
         classify_regions(levels, 3.0, 4.989e-3, 9.95e-3)
-    assert calls == []
+    assert lapack_calls == []
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None, np.float64(2.0)])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qpendulum import mathieu, symmetry
 from qpendulum.errors import DomainError
-from qpendulum.mathieu import a_value, characteristic_values
+from qpendulum.mathieu import a_value
 from qpendulum.symmetry import Subgroup
 from qpendulum.torsion import (
     HBAR_SI,
@@ -112,21 +111,30 @@ def test_modulation_schedule_matches_direct_recomputation():
             assert p.regions[n] is classify_regions([n], p.l, EPS_R, EPS_W)[n]
 
 
-def test_modulation_schedule_solves_once_per_family_and_time(monkeypatch):
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return characteristic_values(*args)
-
-    monkeypatch.setattr(symmetry, "characteristic_values", spy)
-    mathieu._values.cache_clear()
-    t = np.linspace(0.0, 3.0, 40)  # omega t < pi: every barrier is distinct
-    sched = modulation_schedule(25.0, 10.0, 1.0, t, list(range(1, 9)),
-                                EPS_R, EPS_W)
+def test_modulation_schedule_solves_once_per_family_and_time(lapack_calls):
+    # levels 1-8 need ce_0..8 and se_1..8: four families of three or more
+    # orders, each one dsterf pair (upper and lower bound) at one size per
+    # distinct barrier; the time grid runs forward and back, so each
+    # barrier comes twice, and an identical repeat is one cache hit
+    t = np.linspace(0.0, 3.0, 40)  # omega t < pi: distinct barriers
+    args = (25.0, 10.0, 1.0, np.concatenate([t, t[::-1]]), list(range(1, 9)),
+            EPS_R, EPS_W)
+    sched = modulation_schedule(*args)
     assert len({p.l for p in sched}) == len(t)
-    assert len(calls) == 4 * len(t)
-    assert mathieu._values.cache_info().misses == 4 * len(t)
+    assert len(lapack_calls) == 8 * len(t)
+    assert {c[0] for c in lapack_calls} == {"dsterf"}
+    for first, second in zip(lapack_calls[::2], lapack_calls[1::2]):
+        assert len(first[1]) == len(second[1])
+    lapack_calls.clear()
+    assert modulation_schedule(*args) == sched and lapack_calls == []
+
+
+def test_modulation_schedule_checks_every_phase_before_solving(lapack_calls):
+    # omega t overflows at the last time only; no earlier point is solved
+    with pytest.raises(DomainError):
+        modulation_schedule(1.0, 0.5, 1e308, [0.0, 0.5, 1.0, 10.0], [1, 2],
+                            EPS_R, EPS_W)
+    assert lapack_calls == []
 
 
 def test_modulation_schedule_validation():
