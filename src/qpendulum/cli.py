@@ -19,8 +19,7 @@ import numpy as np
 
 from . import reference as ref
 from .classical import ArgConvention, ClassicalParams, trajectory
-from .errors import (BoundaryNotFoundError, ConvergenceError, DomainError, check_count,
-                     check_real)
+from .errors import ConvergenceError, DomainError, check_count, check_real
 from .report import (
     HEADERS,
     build_bundle,
@@ -33,8 +32,8 @@ from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
     GapMeasure,
     PairingKind,
+    boundary_table,
     classify_regions,
-    level_boundary,
     sweep_characteristics,
 )
 from .torsion import TorsionRotor, load_preset, torsion_to_mathieu
@@ -85,35 +84,29 @@ def cmd_characteristics(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    """Both boundaries of every level up to n_max.
+    """Both boundaries of every level up to n_max, from :func:`boundary_table`.
 
     With the calibrated thresholds, a tabulated row gets the same
     per-row fallback as the report; ``--epsilon`` searches every row
-    with that one relative threshold.
+    with that one relative threshold. A row not found exits with 4.
     """
     if not 1 <= args.n_max <= 12:
         raise DomainError(f"n_max must be in 1..12, got {args.n_max}")
-    tables = ((PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
-              (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS))
-    rows = []
-    status = EXIT_OK
-    for n in range(1, args.n_max + 1):
-        for pairing, eps, table in tables:
-            target = table.get(n)
-            if args.epsilon is not None:
-                eps, target = args.epsilon, None
-            try:
-                b = level_boundary(n, pairing, eps, target)
-            except BoundaryNotFoundError:
-                rows.append((n, pairing.value, "not-found", eps,
-                             GapMeasure.RELATIVE.value))
-                status = EXIT_GATE
-                continue
-            rows.append((n, pairing.value, b.l_c, b.gap_threshold,
-                         b.measure.value))
+    levels = range(1, args.n_max + 1)
+    tables = []
+    for pairing, eps, reference in (
+            (PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
+            (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS)):
+        if args.epsilon is not None:
+            eps, reference = args.epsilon, {}
+        tables.append((pairing, eps, boundary_table(levels, pairing, eps, reference)))
+    rows = [(n, pairing.value, "not-found", eps, GapMeasure.RELATIVE.value)
+            if (b := table[n]) is None else
+            (n, pairing.value, b.l_c, b.gap_threshold, b.measure.value)
+            for n in levels for pairing, eps, table in tables]
     _emit(args.out, ["n", "pairing", "l_c", "epsilon", "measure"], rows,
           args.format)
-    return status
+    return EXIT_GATE if any(row[2] == "not-found" for row in rows) else EXIT_OK
 
 
 def cmd_tables(args) -> int:
@@ -159,8 +152,8 @@ def cmd_torsion(args) -> int:
                 f"(missing: {', '.join(missing)})")
         rotor = TorsionRotor(args.I1, args.I2, args.V0, args.n_fold)
     params = torsion_to_mathieu(rotor)
-    regions = classify_regions(ref.LEVELS, params.l, ref.CALIBRATED_EPS_ROTOR,
-                               ref.CALIBRATED_EPS_WELL)
+    regions = classify_regions(ref.LEVELS, [params.l], ref.CALIBRATED_EPS_ROTOR,
+                               ref.CALIBRATED_EPS_WELL)[0]
     payload = {
         "l": params.l,
         "U": params.U,

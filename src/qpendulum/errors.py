@@ -85,28 +85,33 @@ def check_levels(levels) -> list[int]:
     return [int(n) for n in levels]
 
 
-def _holds_bool(values) -> bool:
-    """Whether the (nested) sequence ``values`` has a bool entry, which NumPy
-    reads as 0 or 1 among numbers; an ndarray's dtype tells without this scan."""
-    return not {bool, np.bool_}.isdisjoint(
-        map(type, np.asarray(values, dtype=object).flat))
+def numeric_array(values, complex_ok: bool, copy: bool) -> np.ndarray | None:
+    """``values`` (an iterator too) as a float array, complex if ``complex_ok``,
+    copied only if ``copy``; None unless every entry is a real number (any
+    number if ``complex_ok``), not None, a bool or a numeric string. NumPy
+    reads a bool as 0 or 1 among numbers; an ndarray's dtype tells without a scan."""
+    kinds, number, dtype = (("iufc", numbers.Number, complex) if complex_ok
+                            else ("iuf", numbers.Real, float))
+    try:
+        if not isinstance(values, np.ndarray):
+            values = list(values) if isinstance(values, Iterator) else values
+            if not {bool, np.bool_}.isdisjoint(
+                    map(type, np.asarray(values, dtype=object).flat)):
+                return None
+        array = np.asarray(values)
+        if array.dtype.kind in kinds or (array.dtype.kind == "O" and all(
+                isinstance(v, number) and not isinstance(v, bool) for v in array.flat)):
+            return array.astype(dtype, copy=copy)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """``values`` (an iterator too) as a float array; DomainError unless every
-    entry is a finite real number, not None, a bool or a numeric string."""
-    try:
-        entries = list(values) if isinstance(values, Iterator) else values
-        array = np.asarray(entries)
-        real = array.dtype.kind in "iuf" or (array.dtype.kind == "O" and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            for v in array.flat))
-        real = real and (isinstance(entries, np.ndarray) or not _holds_bool(entries))
-        if real:
-            array = array.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        real = False
-    if not (real and np.isfinite(array).all()):
+    """:func:`numeric_array` of ``values`` as floats; DomainError unless every
+    entry is a finite real number."""
+    array = numeric_array(values, False, False)
+    if array is None or not np.isfinite(array).all():
         raise DomainError(f"{name} must be finite real numbers, got {_shown(values)}")
     return array
 

@@ -67,7 +67,8 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein, dsterf
 
-from .errors import ConvergenceError, DomainError, check_count, check_real, check_type
+from .errors import (ConvergenceError, DomainError, _shown, check_count, check_real,
+                     check_type)
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
@@ -144,15 +145,18 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
     cosine basis, so eigenvectors are unit-norm weights as they stand; with
     p = 1 harmonic -1 folds onto 1, +q for cosines and -q for sines.
     ||T|| = max|diag| + 2 max|off| for q >= 0; only the first diagonal
-    entry can exceed the last in size.
+    entry can exceed the last in size. It is taken in Python floats first,
+    and ConvergenceError is raised if it overflows, so no band entry does.
     """
     ladder, unit = _BANDS[mathieu_class]
     diag, unit = ladder[:size], unit[:size - 1]
     if mathieu_class.lowest == 1:
         diag = diag.copy()
         diag[0] += q if mathieu_class.is_cosine else -q
-    off = q * unit
-    return diag, off, float(max(abs(diag[0]), diag[-1]) + 2.0 * q * unit[0])
+    norm = max(abs(float(diag[0])), float(diag[-1])) + 2.0 * q * float(unit[0])
+    if norm == math.inf:
+        raise ConvergenceError(f"||T|| overflows for ({mathieu_class.value}, l={q})")
+    return diag, q * unit, norm
 
 
 def initial_truncation(n: int, l: float) -> int:
@@ -277,7 +281,7 @@ def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
         return _values(mathieu_class, n_lo, n_hi, l)
     except TypeError:  # the cache could not hash an argument
         raise DomainError(f"need a family, integer orders and a real barrier, "
-                          f"got {(mathieu_class, n_lo, n_hi, l)!r}") from None
+                          f"got {_shown((mathieu_class, n_lo, n_hi, l))}") from None
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -310,7 +314,7 @@ def _eigen_series(mathieu_class: MathieuClass, n: int, l: float) -> TrigSeries:
     try:
         weights = _weights(mathieu_class, n, l)
     except TypeError:  # an unhashable barrier: the order is checked
-        raise DomainError(f"barrier l must be a finite real, got {l!r}") from None
+        raise DomainError(f"barrier l must be a finite real, got {_shown(l)}") from None
     harm = mathieu_class.harmonics(len(weights))
     top = int(harm[-1])
     w = weights / np.sqrt(2.0)

@@ -16,16 +16,10 @@ import numpy as np
 
 from . import __version__
 from . import reference as ref
-from .errors import BoundaryNotFoundError
 from .mathieu import TRUNCATION_CAP
 from .states import (StateFamily, StateSpec, build_state, density, velocity_expect,
                      velocity_sq_expect)
-from .symmetry import (
-    ROW_TOLERANCE,
-    PairingKind,
-    level_boundary,
-    sweep_characteristics,
-)
+from .symmetry import ROW_TOLERANCE, PairingKind, boundary_table, sweep_characteristics
 from .uncertainty import angular_moments
 
 HEADERS = {
@@ -80,20 +74,6 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_text(format_csv(header, rows))
 
 
-def _boundary_table(pairing: PairingKind, reference_table: dict,
-                    epsilon: float) -> list:
-    rows = []
-    for n in ref.LEVELS:
-        target = reference_table[n]
-        try:
-            l_c = level_boundary(n, pairing, epsilon, target).l_c
-        except BoundaryNotFoundError:
-            rows.append((n, "not-found", target, "not-found"))
-            continue
-        rows.append((n, l_c, target, abs(l_c - target)))
-    return rows
-
-
 def _residual(computed: float, target: float, relative: bool) -> float:
     """|computed - target|, divided by max(|target|, 1) if ``relative``."""
     return abs(computed - target) / (max(abs(target), 1.0) if relative else 1.0)
@@ -141,10 +121,12 @@ def build_bundle() -> ReportBundle:
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()
     data = bundle.data
-    data["table1"] = _boundary_table(
-        PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR)
-    data["table2"] = _boundary_table(
-        PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)
+    for name, pairing, table, eps in (
+            ("table1", PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR),
+            ("table2", PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)):
+        data[name] = [(n, "not-found", table[n], "not-found") if b is None else
+                      (n, b.l_c, table[n], abs(b.l_c - table[n])) for n, b in
+                      boundary_table(ref.LEVELS, pairing, eps, table).items()]
     data.update(observable_tables())
     data["fig1_characteristics"] = sweep_characteristics(
         8, np.linspace(0.0, 55.0, 111))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import DomainError, _holds_bool, check_type, real_array
+from .errors import DomainError, _shown, check_type, numeric_array, real_array
 
 
 @dataclass(frozen=True)
@@ -34,18 +34,9 @@ class TrigSeries:
     __array_ufunc__ = None  # numpy operands defer to the methods below
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.coeffs)
-            numeric = arr.dtype.kind in "iufc" or (arr.dtype.kind == "O" and all(
-                isinstance(v, numbers.Number) and not isinstance(v, bool)
-                for v in arr.flat))
-            numeric = numeric and (isinstance(self.coeffs, np.ndarray)
-                                   or not _holds_bool(self.coeffs))
-            arr = np.array(arr, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            numeric = False
-        if not numeric:
-            raise DomainError(f"non-numeric coefficients {self.coeffs!r}")
+        arr = numeric_array(self.coeffs, True, True)  # a copy: the series owns it
+        if arr is None:
+            raise DomainError(f"non-numeric coefficients {_shown(self.coeffs)}")
         if arr.ndim != 1 or len(arr) % 2 == 0:
             raise DomainError(
                 f"coefficients must be 1-D of odd length, got shape {arr.shape}")
@@ -58,7 +49,7 @@ class TrigSeries:
 
     def __add__(self, other: "TrigSeries") -> "TrigSeries":
         if not isinstance(other, TrigSeries):
-            raise DomainError(f"a series adds only to a series, got {other!r}")
+            raise DomainError(f"a series adds only to a series, got {_shown(other)}")
         n = max(self.n_harmonics, other.n_harmonics)
         return TrigSeries(_pad(self.coeffs, n) + _pad(other.coeffs, n))
 
@@ -71,9 +62,12 @@ class TrigSeries:
         return self * (-1.0) + other
 
     def __mul__(self, scalar) -> "TrigSeries":
-        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Number):
-            raise DomainError(f"a series scales by a number, got {scalar!r}")
-        return TrigSeries(self.coeffs * complex(scalar))
+        try:
+            if not isinstance(scalar, bool) and isinstance(scalar, numbers.Number):
+                return TrigSeries(self.coeffs * complex(scalar))
+        except OverflowError:  # an int too large for a float
+            pass
+        raise DomainError(f"a series scales by a number, got {_shown(scalar)}")
 
     __rmul__ = __mul__
 

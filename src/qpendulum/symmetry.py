@@ -2,9 +2,11 @@
 
 Covers the Klein four-group of angle maps acting on trig series, the
 characteristic-curve sweep E_n(l), and the splitting / merging points
-that bound the three symmetry regions of each level; sweep rows and
-region labels take one batched solve per parity family over a whole
-barrier grid, and the last four grids stay cached.
+that bound the three symmetry regions of each level. Every region answer
+comes from :func:`classify_regions` or :func:`boundary_table`; the
+report, the CLI and torsion only format it. Sweep rows and region labels
+take one batched solve per parity family over a barrier grid; the last
+four grids stay cached.
 
 Klein four-group
 ----------------
@@ -41,7 +43,7 @@ splitting table and at 9.94-10.03e-3 on the merging table, when the
 merging pair for table row n is taken as (ce_{n-1}, se_n), i.e. the
 well doublet of index n-1; :func:`calibrate_epsilon` takes their median.
 :func:`level_boundary` searches a row's pair and applies the per-row
-fallback; both map a row to its pair through :func:`level_pair`.
+fallback; every row maps to its pair through :func:`level_pair`.
 """
 
 from __future__ import annotations
@@ -226,16 +228,15 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
     check_type(pairing, PairingKind, "pairing")
     check_type(measure, GapMeasure, "gap measure")
     check_count(n, int(pairing is PairingKind.ROTOR), "pair index")
-    ea, eb = a_value(n, l), b_value(n + (pairing is PairingKind.WELL), l)
-    if measure is GapMeasure.ABSOLUTE:
-        return abs(ea - eb)
-    return _relative_gap(ea, eb)
+    ce, se = _pair_orders(n, pairing)
+    ea, eb = a_value(ce, l), b_value(se, l)
+    scale = 1.0 if measure is GapMeasure.ABSOLUTE else abs(0.5 * (ea + eb))
+    return abs(ea - eb) / scale if scale > 0 else math.inf
 
 
-def _relative_gap(ea: float, eb: float) -> float:
-    """|ea - eb| over |(ea + eb)/2|; +inf where the pair mean vanishes."""
-    mean = abs(0.5 * (ea + eb))
-    return abs(ea - eb) / mean if mean > 0 else math.inf
+def _pair_orders(n: int, pairing: PairingKind) -> tuple[int, int]:
+    """Orders (ce, se) of pair n: (n, n) for ROTOR, (n, n + 1) for WELL."""
+    return n, n + (pairing is PairingKind.WELL)
 
 
 def find_boundary(
@@ -297,37 +298,47 @@ def level_boundary(n: int, pairing: PairingKind, epsilon: float,
     return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
 
 
-def classify_regions(levels, l: float, epsilon_rotor: float,
-                     epsilon_well: float) -> dict[int, Subgroup]:
-    """Symmetry region of each level at barrier l, by relative gaps.
+def boundary_table(levels, pairing: PairingKind, epsilon: float,
+                   reference: Mapping) -> dict[int, RegionBoundary | None]:
+    """:func:`level_boundary` of each level, with the per-row fallback where
+    ``reference`` has the level, or None where no crossing lies below
+    ``SEARCH_CEILING``. Every row is checked before any solve."""
+    rows = {n: check_type(reference, Mapping, "reference table").get(n)
+            for n in check_levels(levels)}
+    for target in (t for t in rows.values() if t is not None):
+        check_real(target, "reference barrier", 0.0, False)
+    table = {}
+    for n, target in rows.items():
+        try:
+            table[n] = level_boundary(n, pairing, epsilon, target)
+        except BoundaryNotFoundError:
+            table[n] = None
+    return table
 
-    Level n is G- while the rotor pair (ce_n, se_n) is degenerate, G+ once
-    the well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
-    The one-barrier case of :func:`_classify_grid`.
+
+def classify_regions(levels, barriers, epsilon_rotor: float,
+                     epsilon_well: float) -> list[dict[int, Subgroup]]:
+    """Symmetry region of each level at each barrier, by relative gaps.
+
+    Level n is G- while its rotor pair (ce_n, se_n) is degenerate, G+ once
+    its well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
+    ``barriers`` is a 1-D grid of finite values >= 0. Every input is
+    checked, then one batched solve per family; the pairs come from
+    :func:`level_pair`, and their orders and gaps as in :func:`pair_gap`.
     """
-    return _classify_grid(levels, (l,), epsilon_rotor, epsilon_well)[0]
-
-
-def _classify_grid(levels, barriers, epsilon_rotor: float,
-                   epsilon_well: float) -> list[dict[int, Subgroup]]:
-    """:func:`classify_regions` at each barrier: every input is checked,
-    then one batched solve per family. The pairs are those of
-    :func:`level_pair` and the gaps :func:`_relative_gap`, over arrays."""
     levels = check_levels(levels)
-    barriers = tuple(check_real(l, "barrier l", 0.0, False) for l in barriers)
+    barriers = tuple(check_real(l, "barrier l", 0.0, False)
+                     for l in real_grid(barriers, "barriers").tolist())
     ce_class(max(levels)).eigen_index(max(levels))  # the cap must hold every level
     epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
     epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
     ce, se = _spectra(max(levels), barriers)
-    n = np.array(levels)
-
-    def relative_gap(ea, eb):
-        mean = np.abs(0.5 * (ea + eb))
-        return np.divide(np.abs(ea - eb), mean, out=np.full_like(mean, math.inf),
-                         where=mean > 0)
-
-    rotor = relative_gap(ce[:, n], se[:, n]) < epsilon_rotor
-    well = relative_gap(ce[:, n - 1], se[:, n]) < epsilon_well
+    a, b = np.array([[_pair_orders(level_pair(n, pairing), pairing)
+                      for pairing in PairingKind] for n in levels]).T
+    mean = np.abs(0.5 * (ce[:, a] + se[:, b]))  # (barrier, pairing, level)
+    gap = np.divide(np.abs(ce[:, a] - se[:, b]), mean, out=np.full_like(mean, math.inf),
+                    where=mean > 0)
+    rotor, well = gap[:, 0] < epsilon_rotor, gap[:, 1] < epsilon_well
     if (rotor & well).any():
         i, j = np.argwhere(rotor & well)[0].tolist()
         raise AmbiguityError(

@@ -4,8 +4,9 @@ One physical front end feeds the Mathieu machinery: hindered internal
 rotation of a symmetric-top molecule (reduced inertia + n-fold cosine
 barrier). It produces a barrier strength l and an energy scale
 converting Mathieu characteristic values back to physical energies.
-A schedule labels every barrier of its grid at once: one batched solve
-per parity family.
+A schedule labels every barrier of its grid with one call to
+:func:`qpendulum.symmetry.classify_regions`: one batched solve per
+parity family.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_count, check_real, check_type, real_grid
-from .symmetry import _classify_grid
+from .symmetry import classify_regions
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -112,7 +113,7 @@ def modulation_schedule(l_c: float, delta_l: float, omega: float,
     times = real_grid(t_grid, "t_grid").tolist()  # Python floats: an overflow is inf
     barriers = [max(l_c + delta_l * math.cos(check_real(omega * t, "omega t", -math.inf,
                                                         False)), 0.0) for t in times]
-    regions = _classify_grid(levels, barriers, eps_rotor, eps_well)
+    regions = classify_regions(levels, barriers, eps_rotor, eps_well)
     return [SchedulePoint(t, l_t, now, i > 0 and now != regions[i - 1])
             for i, (t, l_t, now) in enumerate(zip(times, barriers, regions))]
 

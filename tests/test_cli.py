@@ -16,6 +16,7 @@ from qpendulum.cli import (
     main,
 )
 from qpendulum.mathieu import TRUNCATION_CAP
+from qpendulum.symmetry import PairingKind, boundary_table
 
 
 def test_characteristics_csv(tmp_path):
@@ -79,6 +80,40 @@ def test_regions_match_report_boundary_tables(tmp_path):
             for line in (report / table).read_text().splitlines()[1:])}
         assert mine == theirs
     assert [r[4] for r in rows if r[:2] == ["2", "well"]] == ["absolute"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_regions_not_found_rows_exit_as_a_gate_failure(fmt, tmp_path):
+    # the relative rotor gap never reaches 1e300, so both rotor rows are
+    # not found; the well pairs are degenerate from the probe point on
+    out = tmp_path / f"regions.{fmt}"
+    assert main(["regions", "--n-max", "2", "--epsilon", "1e300", "--format", fmt,
+                 "--out", str(out)]) == EXIT_GATE
+    if fmt == "json":
+        rows = [(r["n"], r["pairing"], r["l_c"]) for r in json.loads(out.read_text())]
+    else:
+        rows = [(int(n), p, l_c if l_c == "not-found" else float(l_c))
+                for n, p, l_c, *_ in (line.split(",")
+                                      for line in out.read_text().splitlines()[1:])]
+    assert rows == [(1, "rotor", "not-found"), (1, "well", 1e-06),
+                    (2, "rotor", "not-found"), (2, "well", 1e-06)]
+
+
+def test_report_formats_a_missing_boundary_as_not_found(monkeypatch):
+    # boundary_table gives None for a row without a crossing; the report
+    # writes it as a not-found row and fails that table's gate
+    from qpendulum import report
+
+    def without_row_3(levels, pairing, epsilon, reference):
+        table = boundary_table(levels, pairing, epsilon, reference)
+        return table | {3: None} if pairing is PairingKind.ROTOR else table
+
+    monkeypatch.setattr(report, "boundary_table", without_row_3)
+    bundle = report.build_bundle()
+    assert bundle.data["table1"][2] == (3, "not-found", 1.14, "not-found")
+    assert "not-found" not in {row[1] for row in bundle.data["table2"]}
+    assert bundle.gate_failures == ["table1: 1 boundary rows not found"]
+    assert bundle.max_residuals["table1"] < report.GATES["table1"]
 
 
 def test_density_flat(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,8 +262,8 @@ def _beyond_the_cap():
         "characteristic_values-parity":
             lambda: characteristic_values(MathieuClass.CE_EVEN, huge + 1, huge + 1, 1.0),
         "build_state": lambda: build_state(StateSpec(StateFamily.XI, huge, 1.0)),
-        "classify_regions": lambda: qp.classify_regions([huge], 1.0, *eps),
-        "classify_regions-1e9": lambda: qp.classify_regions([10**9], 1.0, *eps),
+        "classify_regions": lambda: qp.classify_regions([huge], [1.0], *eps),
+        "classify_regions-1e9": lambda: qp.classify_regions([10**9], [1.0], *eps),
         "sweep_characteristics": lambda: qp.sweep_characteristics(huge, [0.0]),
         "sweep_characteristics-1e9": lambda: qp.sweep_characteristics(10**9, [0.0]),
         "level_boundary": lambda: qp.level_boundary(huge, qp.PairingKind.ROTOR, 0.005),
@@ -277,6 +278,48 @@ def test_orders_beyond_the_cap_raise_before_any_solve(name, lapack_calls):
     with pytest.raises(ConvergenceError):
         _beyond_the_cap()[name]()
     assert calls == []
+
+
+def _huge_integers_elsewhere():
+    import qpendulum as qp
+
+    big = 10**5000
+    return {
+        "ce_series-list-l": lambda: ce_series(0, [big]),
+        "characteristic_values-list-l":
+            lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 0, [big]),
+        "pair_gap-list-l": lambda: qp.pair_gap(1, qp.PairingKind.ROTOR, [big],
+                                               qp.GapMeasure.RELATIVE),
+        "TrigSeries": lambda: TrigSeries([big]),
+        "TrigSeries-add": lambda: TrigSeries([1, 2, 3]) + big,
+        "TrigSeries-mul": lambda: TrigSeries([1, 2, 3]) * big,
+    }
+
+
+@pytest.mark.parametrize("name", list(_huge_integers_elsewhere()))
+def test_huge_integer_arguments_raise_domain_error(name, lapack_calls):
+    # each once raised ValueError from printing the 5001-digit int in its
+    # message, or OverflowError from complex(big)
+    with pytest.raises(DomainError):
+        _huge_integers_elsewhere()[name]()
+    assert lapack_calls == []
+
+
+@pytest.mark.parametrize("solve", [a_value, ce_series])
+def test_largest_barriers_raise_convergence_error_without_a_warning(solve):
+    # l * sqrt(2), the even family's corner, once overflowed in numpy with a
+    # RuntimeWarning; now ||T|| overflows first, in Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflows"):
+            solve(0, 1.7e308)
+
+
+def test_largest_barrier_density_exits_as_a_convergence_failure(capsys):
+    # under warnings-as-errors this once exited 1 with a traceback
+    assert main(["density", "--family", "xi", "-n", "0", "-l", "1.7e308"]) == (
+        EXIT_CONVERGENCE)
+    assert "overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])

@@ -155,9 +155,9 @@ def _wrong_types():
     G, S = qp.GroupElement, qp.Subgroup
     eps = (4.989e-3, 9.95e-3)
     return {
-        "classify_regions-int-levels": lambda: qp.classify_regions(3, 1.0, *eps),
-        "classify_regions-None-levels": lambda: qp.classify_regions(None, 1.0, *eps),
-        "classify_regions-list-l": lambda: qp.classify_regions([1], [1.0], *eps),
+        "classify_regions-int-levels": lambda: qp.classify_regions(3, [1.0], *eps),
+        "classify_regions-None-levels": lambda: qp.classify_regions(None, [1.0], *eps),
+        "classify_regions-scalar-l": lambda: qp.classify_regions([1], 1.0, *eps),
         "modulation_schedule-int-levels":
             lambda: qp.modulation_schedule(1.0, 0.1, 1.0, [0.0], 3, *eps),
         "characteristic_values-str-family":

@@ -17,6 +17,7 @@ from qpendulum.symmetry import (
     PairingKind,
     Subgroup,
     apply_group_element,
+    boundary_table,
     calibrate_epsilon,
     classify_regions,
     compose,
@@ -203,6 +204,40 @@ def test_boundary_not_found():
         find_boundary(12, PairingKind.WELL, 1e-12, GapMeasure.RELATIVE)
 
 
+def test_boundary_table_is_level_boundary_per_row():
+    # the per-row fallback applies where the reference has the level: here
+    # merging row 2, whose relative boundary misses 7.51 by more than 0.1
+    table = boundary_table([1, 2, 9], PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                           ref.MERGING_POINTS)
+    assert list(table) == [1, 2, 9]
+    assert table[2] == level_boundary(2, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                                      7.51)
+    assert table[2].measure is GapMeasure.ABSOLUTE
+    assert table[9] == level_boundary(9, PairingKind.WELL, ref.CALIBRATED_EPS_WELL)
+    plain = boundary_table([2], PairingKind.WELL, ref.CALIBRATED_EPS_WELL, {})
+    assert plain[2].measure is GapMeasure.RELATIVE
+
+
+def test_boundary_table_gives_none_where_no_crossing_is_found():
+    # every relative rotor gap stays below 1e300 up to SEARCH_CEILING,
+    # while every well pair is degenerate at the probe point already
+    assert boundary_table([1, 2], PairingKind.ROTOR, 1e300, {}) == {1: None, 2: None}
+    assert all(b.l_c == PROBE_DELTA for b in boundary_table(
+        [1, 2], PairingKind.WELL, 1e300, {}).values())
+
+
+@pytest.mark.parametrize("args", [
+    ([1, 0], PairingKind.ROTOR, 5e-3, {}), (3, PairingKind.ROTOR, 5e-3, {}),
+    ([1, 2], "rotor", 5e-3, {}), ([1, 2], PairingKind.ROTOR, -1.0, {}),
+    ([1, 2], PairingKind.ROTOR, 5e-3, [0.2]),
+    ([1, 2], PairingKind.ROTOR, 5e-3, {2: -0.2}),
+    ([1, 2], PairingKind.ROTOR, 5e-3, {2: "0.2"})])
+def test_boundary_table_checks_every_row_before_solving(args, lapack_calls):
+    with pytest.raises(DomainError):
+        boundary_table(*args)
+    assert lapack_calls == []
+
+
 KMAX = 100  # plane waves e^{ik phi}, |k| <= KMAX, of the dense oracle
 GRID_L = np.arange(0.0, 200.0, 0.05)  # barriers checked below a scan cell
 
@@ -336,18 +371,17 @@ def test_thresholds_must_be_finite_and_positive(bad):
         with pytest.raises(DomainError):
             level_boundary(3, pairing, bad, 5.0)
     with pytest.raises(DomainError):
-        classify_regions([2], 3.0, bad, 9.95e-3)[2]
+        classify_regions([2], [3.0], bad, 9.95e-3)
     with pytest.raises(DomainError):
-        classify_regions([2], 3.0, 4.989e-3, bad)[2]
+        classify_regions([2], [3.0], 4.989e-3, bad)
 
 
 def test_classify_region_progression():
     # level 2: degenerate rotor pair at tiny l, isolated in between,
     # degenerate well pair deep in the well
     eps_r, eps_w = 4.989e-3, 9.95e-3
-    assert classify_regions([2], 0.01, eps_r, eps_w)[2] is Subgroup.G_MINUS
-    assert classify_regions([2], 3.0, eps_r, eps_w)[2] is Subgroup.G_ZERO
-    assert classify_regions([2], 30.0, eps_r, eps_w)[2] is Subgroup.G_PLUS
+    assert classify_regions([2], [0.01, 3.0, 30.0], eps_r, eps_w) == [
+        {2: Subgroup.G_MINUS}, {2: Subgroup.G_ZERO}, {2: Subgroup.G_PLUS}]
 
 
 def _classify_by_pair_gaps(n, l, epsilon_rotor, epsilon_well):
@@ -366,35 +400,50 @@ def _classify_by_pair_gaps(n, l, epsilon_rotor, epsilon_well):
 
 def test_classify_regions_matches_per_level_rule():
     eps_r, eps_w = ref.CALIBRATED_EPS_ROTOR, ref.CALIBRATED_EPS_WELL
+    grid = np.linspace(0.0, 60.0, 400).tolist()
     seen = set()
-    for l in np.linspace(0.0, 60.0, 400).tolist():
+    for l, labels in zip(grid, classify_regions(range(1, 9), grid, eps_r, eps_w)):
         expected = {n: _classify_by_pair_gaps(n, l, eps_r, eps_w)
                     for n in range(1, 9)}
-        assert classify_regions(range(1, 9), l, eps_r, eps_w) == expected, l
+        assert labels == expected, l
         seen.update(expected.values())
     assert seen == set(Subgroup)
+    # one barrier is the one-point grid
+    assert classify_regions(range(1, 9), [grid[7]], eps_r, eps_w) == [
+        {n: _classify_by_pair_gaps(n, grid[7], eps_r, eps_w) for n in range(1, 9)}]
 
 
 def test_classify_regions_raises_on_ambiguity():
     # wide thresholds make level 2 degenerate in both pairings at l = 1
     # (relative gaps 0.11 and 0.71); level 1 alone is fine there
-    assert classify_regions([1], 1.0, 0.9, 0.9) == {1: Subgroup.G_ZERO}
+    assert classify_regions([1], [1.0], 0.9, 0.9) == [{1: Subgroup.G_ZERO}]
     with pytest.raises(AmbiguityError):
-        classify_regions([1, 2], 1.0, 0.9, 0.9)
-    with pytest.raises(AmbiguityError):
-        classify_regions([2], 1.0, 0.9, 0.9)[2]
+        classify_regions([1, 2], [1.0], 0.9, 0.9)
+    with pytest.raises(AmbiguityError, match=r"level n=2 at l=1\.0 "):
+        classify_regions([2], [30.0, 1.0], 0.9, 0.9)
 
 
 def test_ambiguity_message_names_both_thresholds():
     with pytest.raises(AmbiguityError, match=r"eps_rotor=0\.9, eps_well=0\.8"):
-        classify_regions([2], 1.0, 0.9, 0.8)
+        classify_regions([2], [1.0], 0.9, 0.8)
 
 
 @pytest.mark.parametrize("levels", [[], [1, 0], [1, 2.0], [True], [1, "2"],
                                     [1, None]])
 def test_classify_regions_checks_levels_before_solving(levels, lapack_calls):
     with pytest.raises(DomainError):
-        classify_regions(levels, 3.0, 4.989e-3, 9.95e-3)
+        classify_regions(levels, [3.0], 4.989e-3, 9.95e-3)
+    assert lapack_calls == []
+
+
+@pytest.mark.parametrize("barriers", [
+    3.0, np.float64(3.0), [[3.0]], [3.0, -1e-3], [3.0, np.nan], [np.inf], ["3"],
+    [True], [None], pytest.param([3.0, 10**400], id="10**400")])
+def test_classify_regions_takes_a_grid_of_barriers(barriers, lapack_calls):
+    # the one input rule: a 1-D grid of finite values >= 0, checked
+    # before any solve; a scalar barrier is no grid
+    with pytest.raises(DomainError):
+        classify_regions([1, 2], barriers, 4.989e-3, 9.95e-3)
     assert lapack_calls == []
 
 
@@ -500,7 +549,7 @@ def test_integer_counts_accept_numpy_integers_and_check_range():
     for pairing, low in ((PairingKind.ROTOR, 0), (PairingKind.WELL, -1)):
         with pytest.raises(DomainError):
             pair_gap(low, pairing, 1.0, GapMeasure.ABSOLUTE)
-    regions = classify_regions(np.arange(1, 4), 3.0, 4.989e-3, 9.95e-3)
+    regions, = classify_regions(np.arange(1, 4), np.array([3.0]), 4.989e-3, 9.95e-3)
     assert list(regions) == [1, 2, 3]
 
 

@@ -108,7 +108,7 @@ def test_modulation_schedule_matches_direct_recomputation():
     sched = modulation_schedule(1.0, 0.3, 2.0, t, [1, 2], EPS_R, EPS_W)
     for p in sched:
         for n in (1, 2):
-            assert p.regions[n] is classify_regions([n], p.l, EPS_R, EPS_W)[n]
+            assert p.regions[n] is classify_regions([n], [p.l], EPS_R, EPS_W)[0][n]
 
 
 def test_modulation_schedule_solves_once_per_family_and_time(lapack_calls):
