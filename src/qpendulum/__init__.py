@@ -44,12 +44,11 @@ from .symmetry import (
     RegionBoundary,
     Subgroup,
     apply_group_element,
+    boundary_table,
     calibrate_epsilon,
     classify_regions,
     find_boundary,
-    level_boundary,
     pair_gap,
-    subgroup_invariance_check,
     sweep_characteristics,
 )
 from .uncertainty import (

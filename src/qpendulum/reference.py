@@ -95,6 +95,6 @@ LEVELS = tuple(range(1, 9))
 # the pair mean crosses zero near that boundary, so the relative gap is
 # non-monotone there. Its documented fallback is the absolute-gap
 # threshold pinned by the tabulated boundary itself, applied by
-# symmetry.level_boundary for the report, `regions` and calibration.
+# symmetry.boundary_table for the report, `regions` and calibration.
 CALIBRATED_EPS_ROTOR = 4.989e-3
 CALIBRATED_EPS_WELL = 9.95e-3

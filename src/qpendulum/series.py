@@ -64,7 +64,7 @@ class TrigSeries:
     def __mul__(self, scalar) -> "TrigSeries":
         try:
             if not isinstance(scalar, bool) and isinstance(scalar, numbers.Number):
-                return TrigSeries(self.coeffs * complex(scalar))
+                return _scaled(self.coeffs, complex(scalar))
         except OverflowError:  # an int too large for a float
             pass
         raise DomainError(f"a series scales by a number, got {_shown(scalar)}")
@@ -73,6 +73,19 @@ class TrigSeries:
 
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).real))
+
+
+def _scaled(coeffs: np.ndarray, z: complex) -> TrigSeries:
+    """``coeffs`` times ``z``; DomainError where a product is not finite.
+    No part of one exceeds the 2-norm (whose squares BLAS sums without a
+    warning) times |Re z| + |Im z|; only where the square of that bound
+    reaches 1e300, or is NaN, are the products checked."""
+    scale = abs(z.real) + abs(z.imag)  # Python floats: inf, not an error, on overflow
+    if not float(np.vdot(coeffs, coeffs).real) * scale * scale < 1e300:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(coeffs * z).all():
+                raise DomainError(f"a coefficient scaled by {z} is not finite")
+    return TrigSeries(coeffs * z)
 
 
 def _pad(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -42,8 +42,6 @@ at the tabulated barrier. Those row gaps sit at 4.97-5.00e-3 on the
 splitting table and at 9.94-10.03e-3 on the merging table, when the
 merging pair for table row n is taken as (ce_{n-1}, se_n), i.e. the
 well doublet of index n-1; :func:`calibrate_epsilon` takes their median.
-:func:`level_boundary` searches a row's pair and applies the per-row
-fallback; every row maps to its pair through :func:`level_pair`.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ from scipy.optimize import brentq
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
                      check_count, check_levels, check_real, check_type, real_grid)
 from .mathieu import MathieuClass, _converge_grid, a_value, b_value, ce_class, se_class
-from .series import TrigSeries, inner_product
+from .series import TrigSeries
 
 SEARCH_CEILING = 200.0
 PROBE_DELTA = 1e-6
@@ -68,7 +66,6 @@ SCAN_STEP = 1.0
 # brentq's iterates depend on eps, so they miss the solve cache; tighter
 # than this they spend their evaluations in LAPACK jitter.
 ROOT_XTOL = 1e-9
-INVARIANCE_TOL = 1e-10
 # A table row whose relative-threshold boundary misses the tabulated
 # value by more than this falls back to a per-row absolute threshold.
 ROW_TOLERANCE = 0.1
@@ -102,50 +99,13 @@ def apply_group_element(s: TrigSeries, g: GroupElement) -> TrigSeries:
 
 
 class Subgroup(enum.Enum):
-    """Two-element invariant subgroups labelling the symmetry regions.
-
+    """Two-element invariant subgroups {e, g} labelling the symmetry regions:
     phi+- states are eigenstates of c, psi+- states of b, and the
-    non-degenerate ce/se states of a; hence the generators below.
-    """
+    non-degenerate ce/se states of a; each member names its g below."""
 
     G_MINUS = "G-"  # <c>
     G_ZERO = "G0"   # <a>
     G_PLUS = "G+"   # <b>
-
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        """{e, g}: every element of Z2 x Z2 is its own inverse."""
-        g = {Subgroup.G_MINUS: GroupElement.C, Subgroup.G_ZERO: GroupElement.A,
-             Subgroup.G_PLUS: GroupElement.B}[self]
-        return GroupElement.E, g
-
-
-def subgroup_invariance_check(
-    series: TrigSeries, subgroup: Subgroup
-) -> tuple[bool, dict[GroupElement, complex]]:
-    """Whether each subgroup element maps the state to itself up to phase.
-
-    Returns the verdict (within ``INVARIANCE_TOL``) and the fitted phase
-    per element; the phase is meaningful only where the verdict holds.
-    Both are taken on the series scaled to largest coefficient magnitude
-    1, so neither depends on its scale.
-    """
-    check_type(subgroup, Subgroup, "subgroup")
-    top = np.abs(check_type(series, TrigSeries, "series").coeffs).max()
-    if not 0.0 < top < math.inf:  # NaN fails too
-        raise DomainError(f"no symmetry phase: largest coefficient magnitude {top}")
-    series = TrigSeries(series.coeffs / top)
-    nrm2 = inner_product(series, series).real
-    phases: dict[GroupElement, complex] = {}
-    ok = True
-    for g in subgroup.elements:
-        mapped = apply_group_element(series, g)
-        lam = inner_product(series, mapped) / nrm2
-        residual = (mapped - series * lam).norm()
-        phases[g] = complex(lam)
-        if not (residual <= INVARIANCE_TOL and abs(abs(lam) - 1.0) <= INVARIANCE_TOL):
-            ok = False
-    return ok, phases
 
 
 # ---------------------------------------------------------------------------
@@ -277,40 +237,28 @@ def level_pair(n: int, pairing: PairingKind) -> int:
     return n - (check_type(pairing, PairingKind, "pairing") is PairingKind.WELL)
 
 
-def level_boundary(n: int, pairing: PairingKind, epsilon: float,
-                   reference: float | None = None) -> RegionBoundary:
-    """Splitting (ROTOR) or merging (WELL) boundary of level n.
-
-    Both search the pair :func:`level_pair` (n, pairing) under the
-    relative gap threshold ``epsilon``. Given a tabulated ``reference``
-    (checked as a barrier before any solve) that this misses by more
-    than ``ROW_TOLERANCE``, the row falls back to the absolute-gap threshold
-    pinned by it (the absolute gap is monotone through each boundary);
-    the result then carries ``GapMeasure.ABSOLUTE`` and that threshold.
-    """
-    if reference is not None:
-        reference = check_real(reference, "reference barrier", 0.0, False)
-    pair = level_pair(n, pairing)
-    boundary = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
-    if reference is None or abs(boundary.l_c - reference) <= ROW_TOLERANCE:
-        return boundary
-    eps_abs = pair_gap(pair, pairing, reference, GapMeasure.ABSOLUTE)
-    return find_boundary(pair, pairing, eps_abs, GapMeasure.ABSOLUTE)
-
-
 def boundary_table(levels, pairing: PairingKind, epsilon: float,
                    reference: Mapping) -> dict[int, RegionBoundary | None]:
-    """:func:`level_boundary` of each level, with the per-row fallback where
-    ``reference`` has the level, or None where no crossing lies below
-    ``SEARCH_CEILING``. Every row is checked before any solve."""
+    """Splitting (ROTOR) or merging (WELL) boundary of each level: its pair
+    :func:`level_pair` (n, pairing) under the relative gap ``epsilon``.
+    A row that misses its ``reference`` barrier by more than
+    ``ROW_TOLERANCE`` is searched again at the absolute gap pinned there
+    (monotone through each boundary). A row is None where no crossing lies
+    below ``SEARCH_CEILING``, or where that pinned gap is 0.0, which no
+    threshold reproduces. Every row is checked before any solve."""
     rows = {n: check_type(reference, Mapping, "reference table").get(n)
             for n in check_levels(levels)}
-    for target in (t for t in rows.values() if t is not None):
-        check_real(target, "reference barrier", 0.0, False)
+    targets = {n: check_real(target, "reference barrier", 0.0, False)
+               for n, target in rows.items() if target is not None}
     table = {}
-    for n, target in rows.items():
+    for n in rows:
+        pair = level_pair(n, pairing)
         try:
-            table[n] = level_boundary(n, pairing, epsilon, target)
+            table[n] = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
+            if n in targets and abs(table[n].l_c - targets[n]) > ROW_TOLERANCE:
+                pinned = pair_gap(pair, pairing, targets[n], GapMeasure.ABSOLUTE)
+                table[n] = (find_boundary(pair, pairing, pinned, GapMeasure.ABSOLUTE)
+                            if pinned > 0.0 else None)
         except BoundaryNotFoundError:
             table[n] = None
     return table
@@ -360,7 +308,7 @@ class CalibrationResult:
     ``computed`` and ``residuals`` come from the fitted relative
     threshold alone. ``per_row_epsilon`` holds, for rows it misses by
     more than ``row_tolerance``, the absolute-gap threshold of the
-    :func:`level_boundary` fallback, which reproduces the row exactly.
+    :func:`boundary_table` fallback, which reproduces the row exactly.
     """
 
     pairing: PairingKind
@@ -380,8 +328,9 @@ def calibrate_epsilon(reference: dict[int, float],
     votes (the mean of the middle two for an even count) is the fit. A
     row at l = 0 fixes no threshold and does not vote. Rows the fit
     misses by more than ``ROW_TOLERANCE`` get the per-row absolute
-    threshold of the :func:`level_boundary` fallback. The table must be
-    nonempty, its targets finite and nonnegative, and one target above 0.
+    threshold of the :func:`boundary_table` fallback; a row neither finds
+    raises ``BoundaryNotFoundError``. The table must be nonempty, its
+    targets finite and nonnegative, and one target above 0.
     """
     check_levels(check_type(reference, Mapping, "reference table"))
     reference = {n: check_real(target, "reference barrier", 0.0, False)
@@ -391,11 +340,14 @@ def calibrate_epsilon(reference: dict[int, float],
     epsilon = float(np.median([
         pair_gap(level_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
         for n, target in reference.items() if target > 0.0]))
-    computed = {n: level_boundary(n, pairing, epsilon).l_c for n in reference}
-    residuals = {n: computed[n] - reference[n] for n in reference}
-    per_row = {
-        n: level_boundary(n, pairing, epsilon, reference[n]).gap_threshold
-        for n in reference if abs(residuals[n]) > ROW_TOLERANCE
-    }
+    fitted = boundary_table(reference, pairing, epsilon, {})
+    computed = {n: b.l_c for n, b in fitted.items() if b is not None}
+    residuals = {n: l_c - reference[n] for n, l_c in computed.items()}
+    misses = [n for n, r in residuals.items() if abs(r) > ROW_TOLERANCE]
+    fallback = boundary_table(misses, pairing, epsilon, reference) if misses else {}
+    missing = [n for n, b in (fitted | fallback).items() if b is None]
+    if missing:
+        raise BoundaryNotFoundError(f"no {pairing.value} boundary for rows {missing}")
+    per_row = {n: b.gap_threshold for n, b in fallback.items()}
     return CalibrationResult(pairing, epsilon, computed, residuals, per_row,
                              ROW_TOLERANCE)

@@ -266,7 +266,8 @@ def _beyond_the_cap():
         "classify_regions-1e9": lambda: qp.classify_regions([10**9], [1.0], *eps),
         "sweep_characteristics": lambda: qp.sweep_characteristics(huge, [0.0]),
         "sweep_characteristics-1e9": lambda: qp.sweep_characteristics(10**9, [0.0]),
-        "level_boundary": lambda: qp.level_boundary(huge, qp.PairingKind.ROTOR, 0.005),
+        "boundary_table":
+            lambda: qp.boundary_table([huge], qp.PairingKind.ROTOR, 0.005, {}),
     }
 
 

@@ -101,6 +101,27 @@ def test_eval_overflow_raises_domain_error(angles):
         eval_series(TrigSeries([1e308] * 3), angles)
 
 
+@pytest.mark.parametrize("series,scalar", [
+    ([1e308], 10), ([1e308], -2.0), ([1e308, 0.0, 1e308], 1e10j),
+    ([1e200 + 1e200j], (1 + 1j) * 1e108), ([np.inf], 0.5), ([1.0], np.nan)])
+@pytest.mark.filterwarnings("error")
+def test_scaling_to_a_non_finite_coefficient_raises_without_a_warning(series, scalar):
+    # the product once overflowed with numpy's RuntimeWarning
+    with pytest.raises(DomainError, match="not finite"):
+        TrigSeries(series) * scalar
+    with pytest.raises(DomainError, match="not finite"):
+        scalar * TrigSeries(series)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaling_near_the_largest_float_is_exact():
+    # a bound whose square overflows or is NaN takes the checked path, not an error
+    for coeffs, scalar in (([1e308], 0.5), ([1e200], 1e100), ([1e160, 1.0, 1e160], 1j),
+                           ([1e150], 1e10), ([1e-200], 1e200), ([0.0], 1e300)):
+        assert np.array_equal((TrigSeries(coeffs) * scalar).coeffs,
+                              np.array(coeffs, dtype=complex) * complex(scalar))
+
+
 @pytest.mark.parametrize("bad", ["2", None, True, [2.0], np.array([2.0]),
                                  TrigSeries([1.0])])
 def test_scaling_needs_a_number(bad):

@@ -152,7 +152,7 @@ def _wrong_types():
 
     s = qp.ce_series(2, 3.0)
     state = build_state(StateSpec(StateFamily.XI, 2, 3.0))
-    G, S = qp.GroupElement, qp.Subgroup
+    G = qp.GroupElement
     eps = (4.989e-3, 9.95e-3)
     return {
         "classify_regions-int-levels": lambda: qp.classify_regions(3, [1.0], *eps),
@@ -185,9 +185,6 @@ def _wrong_types():
         "density-state": lambda: density(1, GRID),
         "apply_group_element": lambda: qp.apply_group_element(s, "A"),
         "apply_group_element-series": lambda: qp.apply_group_element(1, G.A),
-        "subgroup_invariance_check": lambda: qp.subgroup_invariance_check(s, "G0"),
-        "subgroup_invariance_check-series":
-            lambda: qp.subgroup_invariance_check(1, S.G_ZERO),
     }
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
-from qpendulum.series import TrigSeries, eval_series
+from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum import reference as ref
 from qpendulum.classical import ArgConvention, ClassicalParams, trajectory
 from qpendulum.symmetry import (
@@ -22,10 +22,8 @@ from qpendulum.symmetry import (
     classify_regions,
     compose,
     find_boundary,
-    level_boundary,
     level_pair,
     pair_gap,
-    subgroup_invariance_check,
     sweep_characteristics,
 )
 from qpendulum.states import StateFamily, StateSpec, build_state, jump_at_boundary
@@ -75,17 +73,6 @@ def test_klein_group_axioms():
     assert compose(GroupElement.C, GroupElement.B) is GroupElement.A
 
 
-def test_subgroups_are_closed_and_cover_the_group():
-    generators = set()
-    for sub in Subgroup:
-        e, g = sub.elements
-        assert e is GroupElement.E and g is not GroupElement.E
-        assert {compose(x, y) for x in sub.elements for y in sub.elements} \
-            == set(sub.elements)
-        generators.add(g)
-    assert generators == set(GroupElement) - {GroupElement.E}
-
-
 @pytest.mark.parametrize("l", [0.0, 3.42, 23.93])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_parity_eigenrelations(n, l):
@@ -95,45 +82,30 @@ def test_parity_eigenrelations(n, l):
     assert (apply_group_element(se, GroupElement.A) + se).norm() < 1e-12
 
 
-@pytest.mark.parametrize("family,subgroup", [
-    (StateFamily.PHI_PLUS, Subgroup.G_MINUS),
-    (StateFamily.PHI_MINUS, Subgroup.G_MINUS),
-    (StateFamily.XI, Subgroup.G_ZERO),
-    (StateFamily.ETA, Subgroup.G_ZERO),
-    (StateFamily.PSI_PLUS, Subgroup.G_PLUS),
-    (StateFamily.PSI_MINUS, Subgroup.G_PLUS),
-])
-def test_state_families_invariant_under_their_subgroup(family, subgroup):
-    s = build_state(StateSpec(family, 2, 5.0)).series
-    ok, phases = subgroup_invariance_check(s, subgroup)
-    assert ok
-    for lam in phases.values():
-        assert abs(abs(lam) - 1.0) < 1e-10
+# The character table of the state families: the elements that map each
+# to itself up to a phase. Each family's subgroup is {e, g} for its
+# generator g; phi+- and psi+- are no eigenstates of the other two.
+INVARIANT_UNDER = {
+    StateFamily.PHI_PLUS: {GroupElement.C}, StateFamily.PHI_MINUS: {GroupElement.C},
+    StateFamily.PSI_PLUS: {GroupElement.B}, StateFamily.PSI_MINUS: {GroupElement.B},
+    StateFamily.XI: {GroupElement.A, GroupElement.B, GroupElement.C},
+    StateFamily.ETA: {GroupElement.A, GroupElement.B, GroupElement.C},
+}
 
 
-def test_phi_states_not_invariant_under_other_subgroups():
-    s = build_state(StateSpec(StateFamily.PHI_PLUS, 2, 5.0)).series
-    ok, _ = subgroup_invariance_check(s, Subgroup.G_PLUS)
-    assert not ok
-
-
-@pytest.mark.parametrize("subgroup", list(Subgroup))
-def test_zero_series_has_no_invariance_phase(subgroup):
-    for coeffs in (np.zeros(5), [np.nan, 1.0, 0.0], [0.0, 1.0, np.inf]):
-        with pytest.raises(DomainError):
-            subgroup_invariance_check(TrigSeries(coeffs), subgroup)
-
-
-@pytest.mark.parametrize("subgroup", list(Subgroup))
-def test_invariance_check_does_not_depend_on_scale(subgroup):
-    # at scale 1e200 the squared coefficients once overflowed into a True
-    # verdict for every subgroup; at 1e-170 they underflowed to zero
-    for coeffs in ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]):
-        checks = [subgroup_invariance_check(TrigSeries(np.array(coeffs) * scale),
-                                            subgroup)
-                  for scale in (1e-170, 1.0, 1e200)]
-        assert checks[0] == checks[1] == checks[2]
-        assert checks[1][0] is (coeffs[1] == 0.0)
+@pytest.mark.parametrize("l", [0.0, 3.42, 23.93])
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_state_families_follow_the_character_table(family, l):
+    for n in range(1, 9):
+        s = build_state(StateSpec(family, n, l)).series
+        for g in (GroupElement.A, GroupElement.B, GroupElement.C):
+            mapped = apply_group_element(s, g)
+            phase = inner_product(s, mapped) / inner_product(s, s)
+            residual = (mapped - s * phase).norm()
+            invariant = residual <= 1e-10 and abs(abs(phase) - 1.0) <= 1e-10
+            assert invariant is (g in INVARIANT_UNDER[family]), (n, g, residual, phase)
+            if not invariant:
+                assert residual > 0.5, (n, g, residual)
 
 
 def test_sweep_characteristics_shape_and_order():
@@ -204,17 +176,19 @@ def test_boundary_not_found():
         find_boundary(12, PairingKind.WELL, 1e-12, GapMeasure.RELATIVE)
 
 
-def test_boundary_table_is_level_boundary_per_row():
-    # the per-row fallback applies where the reference has the level: here
-    # merging row 2, whose relative boundary misses 7.51 by more than 0.1
-    table = boundary_table([1, 2, 9], PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
-                           ref.MERGING_POINTS)
+def test_boundary_table_is_find_boundary_per_row():
+    # each level searches its pair; the per-row fallback applies where the
+    # reference has the level: here merging row 2, whose relative boundary
+    # misses 7.51 by more than 0.1 and is searched again at the absolute
+    # gap pinned there
+    eps = ref.CALIBRATED_EPS_WELL
+    table = boundary_table([1, 2, 9], PairingKind.WELL, eps, ref.MERGING_POINTS)
     assert list(table) == [1, 2, 9]
-    assert table[2] == level_boundary(2, PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
-                                      7.51)
-    assert table[2].measure is GapMeasure.ABSOLUTE
-    assert table[9] == level_boundary(9, PairingKind.WELL, ref.CALIBRATED_EPS_WELL)
-    plain = boundary_table([2], PairingKind.WELL, ref.CALIBRATED_EPS_WELL, {})
+    assert table[1] == find_boundary(0, PairingKind.WELL, eps, GapMeasure.RELATIVE)
+    pinned = pair_gap(1, PairingKind.WELL, 7.51, GapMeasure.ABSOLUTE)
+    assert table[2] == find_boundary(1, PairingKind.WELL, pinned, GapMeasure.ABSOLUTE)
+    assert table[9] == find_boundary(8, PairingKind.WELL, eps, GapMeasure.RELATIVE)
+    plain = boundary_table([2], PairingKind.WELL, eps, {})
     assert plain[2].measure is GapMeasure.RELATIVE
 
 
@@ -224,6 +198,22 @@ def test_boundary_table_gives_none_where_no_crossing_is_found():
     assert boundary_table([1, 2], PairingKind.ROTOR, 1e300, {}) == {1: None, 2: None}
     assert all(b.l_c == PROBE_DELTA for b in boundary_table(
         [1, 2], PairingKind.WELL, 1e300, {}).values())
+
+
+def test_a_row_degenerate_at_its_target_is_not_found():
+    # a_5 = b_5 = 25 at l = 0: the absolute gap pinned there is 0.0, and
+    # no threshold reproduces the row
+    assert pair_gap(5, PairingKind.ROTOR, 0.0, GapMeasure.ABSOLUTE) == 0.0
+    assert boundary_table([5], PairingKind.ROTOR, 4.989e-3, {5: 0.0}) == {5: None}
+    # deep in the well the doublet gap rounds to 0.0 as well
+    assert pair_gap(0, PairingKind.WELL, 1000.0, GapMeasure.ABSOLUTE) == 0.0
+    assert boundary_table([1], PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                          {1: 1000.0}) == {1: None}
+
+
+def test_calibration_names_the_rows_it_cannot_reproduce():
+    with pytest.raises(BoundaryNotFoundError, match=r"rotor boundary for rows \[5\]"):
+        calibrate_epsilon({2: 0.2, 3: 1.14, 5: 0.0}, PairingKind.ROTOR)
 
 
 @pytest.mark.parametrize("args", [
@@ -309,8 +299,7 @@ def test_boundaries_match_independent_roots(pairing, epsilon):
     (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS),
 ])
 def test_table_rows_match_independent_roots(pairing, epsilon, table):
-    rows = {n: level_boundary(n, pairing, epsilon, target)
-            for n, target in table.items()}
+    rows = boundary_table(list(table), pairing, epsilon, table)
     for b in rows.values():
         assert_independent_root(b)
     # merging row n=2 alone falls back to the absolute gap pinned at 7.51
@@ -336,8 +325,8 @@ def test_relative_gap_pole_is_no_boundary():
 
 
 @pytest.mark.parametrize("run,budget", [
-    (lambda: [level_boundary(n, PairingKind.WELL, ref.CALIBRATED_EPS_WELL, l)
-              for n, l in ref.MERGING_POINTS.items()], 1200),
+    (lambda: boundary_table(list(ref.MERGING_POINTS), PairingKind.WELL,
+                            ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS), 1200),
     (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 700),
     (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 1200),
 ], ids=["table2", "calibrate-splitting", "calibrate-merging"])
@@ -369,7 +358,7 @@ def test_thresholds_must_be_finite_and_positive(bad):
         with pytest.raises(DomainError):
             find_boundary(3, pairing, bad, GapMeasure.RELATIVE)
         with pytest.raises(DomainError):
-            level_boundary(3, pairing, bad, 5.0)
+            boundary_table([3], pairing, bad, {3: 5.0})
     with pytest.raises(DomainError):
         classify_regions([2], [3.0], bad, 9.95e-3)
     with pytest.raises(DomainError):
@@ -470,7 +459,7 @@ def test_pairing_and_measure_must_be_their_enums(pairing, measure, lapack_calls)
         find_boundary(2, pairing, 0.01, measure)
     if not isinstance(pairing, PairingKind):
         with pytest.raises(DomainError):
-            level_boundary(2, pairing, 0.01)
+            boundary_table([2], pairing, 0.01, {})
         with pytest.raises(DomainError):
             calibrate_epsilon({2: 0.2}, pairing)
     assert lapack_calls == []
@@ -495,14 +484,12 @@ def _enum_arguments():
             1, p, 0.01, GapMeasure.RELATIVE)),
         "find_boundary-measure": (GapMeasure.RELATIVE, lambda m: find_boundary(
             1, PairingKind.WELL, 0.01, m)),
-        "level_boundary": (PairingKind.WELL, lambda p: level_boundary(2, p, 0.01)),
+        "boundary_table": (PairingKind.WELL, lambda p: boundary_table([2], p, 0.01, {})),
         "calibrate_epsilon": (PairingKind.ROTOR,
                               lambda p: calibrate_epsilon({2: 0.2}, p)),
         "characteristic_values": (MathieuClass.CE_EVEN,
                                   lambda c: characteristic_values(c, 0, 2, 1.0)),
         "apply_group_element": (GroupElement.A, lambda g: apply_group_element(s, g)),
-        "subgroup_invariance_check": (Subgroup.G_ZERO,
-                                      lambda g: subgroup_invariance_check(s, g)),
     }
 
 
@@ -528,18 +515,18 @@ def test_calibration_table_checked_before_solving(table, lapack_calls):
 
 @pytest.mark.parametrize("reference", ["7.51", [7.51], np.nan, np.inf, -1.0, True,
                                        1j])
-def test_level_boundary_checks_reference_before_solving(reference, lapack_calls):
+def test_boundary_table_checks_reference_before_solving(reference, lapack_calls):
     # a string or a list once reached the fallback's arithmetic as TypeError
     for pairing in PairingKind:
         with pytest.raises(DomainError):
-            level_boundary(2, pairing, 9.95e-3, reference)
+            boundary_table([2], pairing, 9.95e-3, {2: reference})
     assert lapack_calls == []
 
 
-def test_level_boundary_reference_accepts_numpy_floats():
+def test_boundary_table_reference_accepts_numpy_floats():
     eps = ref.CALIBRATED_EPS_WELL
-    assert (level_boundary(2, PairingKind.WELL, eps, np.float64(7.51))
-            == level_boundary(2, PairingKind.WELL, eps, 7.51))
+    assert (boundary_table([2], PairingKind.WELL, eps, {2: np.float64(7.51)})
+            == boundary_table([2], PairingKind.WELL, eps, {2: 7.51}))
 
 
 def test_integer_counts_accept_numpy_integers_and_check_range():
