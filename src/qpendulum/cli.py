@@ -30,6 +30,7 @@ from .report import (
 )
 from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
+    REGIONS_N_MAX,
     GapMeasure,
     PairingKind,
     boundary_table,
@@ -90,8 +91,8 @@ def cmd_regions(args) -> int:
     per-row fallback as the report; ``--epsilon`` searches every row
     with that one relative threshold. A row not found exits with 4.
     """
-    if not 1 <= args.n_max <= 12:
-        raise DomainError(f"n_max must be in 1..12, got {args.n_max}")
+    if not 1 <= args.n_max <= REGIONS_N_MAX:
+        raise DomainError(f"n_max must be in 1..{REGIONS_N_MAX}, got {args.n_max}")
     levels = range(1, args.n_max + 1)
     tables = []
     for pairing, eps, reference in (

@@ -20,14 +20,16 @@ Boundary search
 ---------------
 A ROTOR pair is degenerate (gap < eps) below its boundary, a WELL pair
 above it. Both scan upward over l = ``PROBE_DELTA`` + k ``SCAN_STEP``;
-the pairing only sets the sign of gap - eps the scan starts from. The
-first cell where that sign flips goes to ``brentq``, whose root is l_c.
-The scan points do not depend on eps, so searches at different
-thresholds share their cached solves. Two limits follow: a stretch
-narrower than ``SCAN_STEP`` on the far side of eps can be stepped over;
-and a pole of the relative gap, where the pair mean crosses zero, is
-+inf on both sides, so it is no sign change of gap - eps and brentq
-cannot return it.
+the pairing only sets the sign of gap - eps the scan starts from. It
+reads cached family grids of ``SCAN_CHUNK`` points and the orders up
+to max(``REGIONS_N_MAX``, se order), shared by levels, pairings and
+thresholds. The first cell where that sign flips goes to ``brentq`` on
+single solves, whose root is l_c. These agree with the grid to about
+1e-14: where they put both cell ends on one side of eps, the end nearer
+eps is l_c. Two limits follow: a stretch narrower than ``SCAN_STEP`` on
+the far side of eps can be stepped over; and a pole of the relative gap,
+where the pair mean crosses zero, is +inf on both sides, so it is no
+sign change of gap - eps and brentq cannot return it.
 
 Degeneracy criterion
 --------------------
@@ -63,6 +65,10 @@ from .series import TrigSeries
 SEARCH_CEILING = 200.0
 PROBE_DELTA = 1e-6
 SCAN_STEP = 1.0
+SCAN_CHUNK = 32  # scan points per batched solve
+REGIONS_N_MAX = 12  # largest level `regions` admits: every scan grid holds its pairs
+_SCAN_POINTS = [PROBE_DELTA + k * SCAN_STEP
+         for k in range(int((SEARCH_CEILING - PROBE_DELTA) / SCAN_STEP) + 1)]
 # brentq's iterates depend on eps, so they miss the solve cache; tighter
 # than this they spend their evaluations in LAPACK jitter.
 ROOT_XTOL = 1e-9
@@ -183,20 +189,35 @@ def pair_gap(n: int, pairing: PairingKind, l: float,
     """Energy gap of the pair; relative measure divides by the pair mean.
 
     The relative measure is +inf where the pair mean vanishes. Inputs are
-    checked before any solve; find_boundary relies on that.
+    checked before any solve.
     """
+    ce, se = _pair_orders(n, pairing, measure)
+    return _gap(a_value(ce, l), b_value(se, l), measure)
+
+
+def _pair_orders(n: int, pairing: PairingKind, measure: GapMeasure) -> tuple[int, int]:
+    """Orders (ce, se) of pair n, (n, n) for ROTOR and (n, n + 1) for WELL; checked."""
     check_type(pairing, PairingKind, "pairing")
     check_type(measure, GapMeasure, "gap measure")
     check_count(n, int(pairing is PairingKind.ROTOR), "pair index")
-    ce, se = _pair_orders(n, pairing)
-    ea, eb = a_value(ce, l), b_value(se, l)
-    scale = 1.0 if measure is GapMeasure.ABSOLUTE else abs(0.5 * (ea + eb))
-    return abs(ea - eb) / scale if scale > 0 else math.inf
-
-
-def _pair_orders(n: int, pairing: PairingKind) -> tuple[int, int]:
-    """Orders (ce, se) of pair n: (n, n) for ROTOR, (n, n + 1) for WELL."""
     return n, n + (pairing is PairingKind.WELL)
+
+
+def _gap(ea, eb, measure: GapMeasure):
+    """|ea - eb|, relative: over |(ea + eb)/2|, +inf where 0; floats or arrays."""
+    gap = abs(ea - eb)
+    scale = 1.0 if measure is GapMeasure.ABSOLUTE else abs(0.5 * (ea + eb))
+    if isinstance(scale, float):  # brentq's points: a ufunc costs 20 times more
+        return gap / scale if scale > 0 else math.inf
+    return np.divide(gap, scale, out=np.full_like(scale, math.inf), where=scale > 0)
+
+
+@functools.lru_cache(maxsize=64)  # every chunk of the four families, for two top orders
+def _scan_grid(cls: MathieuClass, top: int, barriers: tuple[float, ...]) -> np.ndarray:
+    """Read-only values of orders p, p + 2, ..., top of one family by scan point."""
+    values = _converge_grid(cls, cls.lowest, top, barriers)
+    values.setflags(write=False)
+    return values
 
 
 def find_boundary(
@@ -214,20 +235,29 @@ def find_boundary(
     docstring describes the scan, the Brent root and their limits.
     """
     epsilon = check_real(epsilon, "gap threshold", 0.0, True)
-    excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
+    ce, se = _pair_orders(n, pairing, measure)
+    top = max(REGIONS_N_MAX, se)  # eigen_index checks the cap before any solve
+    columns = [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(order))
+               for cls, order in ((ce_class(ce), ce), (se_class(se), se))]
     rotor = pairing is PairingKind.ROTOR
-    lo = PROBE_DELTA
-    if (excess(lo) < 0) != rotor:
-        return RegionBoundary(n, pairing, 0.0 if rotor else lo, epsilon,
-                              (0.0, lo), measure)
-    for k in range(1, int((SEARCH_CEILING - PROBE_DELTA) / SCAN_STEP) + 1):
-        hi = PROBE_DELTA + k * SCAN_STEP
-        if (excess(hi) < 0) != rotor:
-            return RegionBoundary(n, pairing, brentq(excess, lo, hi, xtol=ROOT_XTOL),
-                                  epsilon, (lo, hi), measure)
-        lo = hi
-    raise BoundaryNotFoundError(f"{pairing.value} gap for n={n} never crosses "
-                                f"eps={epsilon} below l={SEARCH_CEILING}")
+    for start in range(0, len(_SCAN_POINTS), SCAN_CHUNK):
+        chunk = tuple(_SCAN_POINTS[start:start + SCAN_CHUNK])
+        ea, eb = (_scan_grid(cls, cls_top, chunk)[:, i] for cls, cls_top, i in columns)
+        flips = np.flatnonzero((_gap(ea, eb, measure) - epsilon < 0) != rotor)
+        if flips.size:
+            break
+    else:
+        raise BoundaryNotFoundError(f"{pairing.value} gap for n={n} never crosses "
+                                    f"eps={epsilon} below l={SEARCH_CEILING}")
+    k = start + int(flips[0])
+    if k == 0:
+        return RegionBoundary(n, pairing, 0.0 if rotor else PROBE_DELTA, epsilon,
+                              (0.0, PROBE_DELTA), measure)
+    lo, hi = _SCAN_POINTS[k - 1], _SCAN_POINTS[k]
+    excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
+    l_c = (min((lo, hi), key=lambda l: abs(excess(l))) if excess(lo) * excess(hi) > 0
+           else brentq(excess, lo, hi, xtol=ROOT_XTOL))
+    return RegionBoundary(n, pairing, l_c, epsilon, (lo, hi), measure)
 
 
 def level_pair(n: int, pairing: PairingKind) -> int:
@@ -281,11 +311,9 @@ def classify_regions(levels, barriers, epsilon_rotor: float,
     epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
     epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
     ce, se = _spectra(max(levels), barriers)
-    a, b = np.array([[_pair_orders(level_pair(n, pairing), pairing)
+    a, b = np.array([[_pair_orders(level_pair(n, pairing), pairing, GapMeasure.RELATIVE)
                       for pairing in PairingKind] for n in levels]).T
-    mean = np.abs(0.5 * (ce[:, a] + se[:, b]))  # (barrier, pairing, level)
-    gap = np.divide(np.abs(ce[:, a] - se[:, b]), mean, out=np.full_like(mean, math.inf),
-                    where=mean > 0)
+    gap = _gap(ce[:, a], se[:, b], GapMeasure.RELATIVE)  # (barrier, pairing, level)
     rotor, well = gap[:, 0] < epsilon_rotor, gap[:, 1] < epsilon_well
     if (rotor & well).any():
         i, j = np.argwhere(rotor & well)[0].tolist()

@@ -9,8 +9,9 @@ from qpendulum import mathieu, symmetry
 def lapack_calls(monkeypatch):
     """Record (kernel, diag, off, outputs) of every direct LAPACK call
     (dstebz, dsterf, dstein) from cold caches; a scipy ``eigh_tridiagonal``
-    call records as one more. Every solve cache is cleared first, the grid
-    spectra too: a cached grid would make a cold count read 0."""
+    call records as one more. Every ``cache_clear``-able attribute of
+    ``mathieu`` and ``symmetry`` is cleared first, found by attribute: a
+    cached solve or grid would make a cold count read from a warm cache."""
     calls = []
 
     def spy(name, real):
@@ -26,6 +27,8 @@ def lapack_calls(monkeypatch):
         if hasattr(module, "eigh_tridiagonal"):
             monkeypatch.setattr(module, "eigh_tridiagonal",
                                 spy("eigh_tridiagonal", module.eigh_tridiagonal))
-    for cache in (mathieu._values, mathieu._weights, symmetry._spectra):
-        cache.cache_clear()
+    for module in (mathieu, symmetry):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
     return calls

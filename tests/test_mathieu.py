@@ -268,6 +268,8 @@ def _beyond_the_cap():
         "sweep_characteristics-1e9": lambda: qp.sweep_characteristics(10**9, [0.0]),
         "boundary_table":
             lambda: qp.boundary_table([huge], qp.PairingKind.ROTOR, 0.005, {}),
+        "find_boundary-1e9": lambda: qp.find_boundary(
+            10**9, qp.PairingKind.WELL, 0.005, qp.GapMeasure.RELATIVE),
     }
 
 

@@ -7,11 +7,14 @@ from scipy.optimize import brentq
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
 from qpendulum.mathieu import MathieuClass, ce_series, characteristic_values, se_series
 from qpendulum.series import TrigSeries, eval_series, inner_product
+from qpendulum import mathieu, symmetry
 from qpendulum import reference as ref
 from qpendulum.classical import ArgConvention, ClassicalParams, trajectory
 from qpendulum.symmetry import (
     PROBE_DELTA,
+    REGIONS_N_MAX,
     SCAN_STEP,
+    SEARCH_CEILING,
     GapMeasure,
     GroupElement,
     PairingKind,
@@ -324,17 +327,126 @@ def test_relative_gap_pole_is_no_boundary():
     assert_independent_root(b)
 
 
+THRESHOLD_PAIRS = [(ref.CALIBRATED_EPS_ROTOR, ref.CALIBRATED_EPS_WELL),
+                   (1e-3, 1e-3), (2e-2, 3e-2), (5e-4, 2e-3)]
+
+
+def scan_bracket(n, pairing, epsilon, measure):
+    """The first scan cell where the sign of gap - eps flips, by one
+    pair_gap per scan point, or None below SEARCH_CEILING."""
+    rotor, lo = pairing is PairingKind.ROTOR, PROBE_DELTA
+    if (pair_gap(n, pairing, lo, measure) - epsilon < 0) != rotor:
+        return (0.0, lo)
+    for k in range(1, int((SEARCH_CEILING - PROBE_DELTA) / SCAN_STEP) + 1):
+        hi = PROBE_DELTA + k * SCAN_STEP
+        if (pair_gap(n, pairing, hi, measure) - epsilon < 0) != rotor:
+            return (lo, hi)
+        lo = hi
+    return None
+
+
+@pytest.mark.parametrize("measure", list(GapMeasure))
+@pytest.mark.parametrize("eps_rotor,eps_well", THRESHOLD_PAIRS)
+def test_scan_grid_cell_is_the_first_flip_of_a_per_point_scan(eps_rotor, eps_well,
+                                                              measure):
+    # every pair of `regions --n-max 12`, and two past it on grids of
+    # their own; the grid agrees with single solves to about 1e-14, so a
+    # threshold that close to a scan point's gap could move a cell
+    for pairing, eps in ((PairingKind.ROTOR, eps_rotor), (PairingKind.WELL, eps_well)):
+        for pair in [level_pair(n, pairing) for n in range(1, REGIONS_N_MAX + 3)]:
+            try:
+                bracket = find_boundary(pair, pairing, eps, measure).bracket
+            except BoundaryNotFoundError:
+                bracket = None
+            assert bracket == scan_bracket(pair, pairing, eps, measure), (pairing, pair)
+
+
+def test_a_second_threshold_makes_no_grid_solve(monkeypatch, lapack_calls):
+    grids = []
+    solve = symmetry._converge_grid
+    monkeypatch.setattr(symmetry, "_converge_grid",
+                        lambda *args: grids.append(args) or solve(*args))
+    levels = range(1, REGIONS_N_MAX + 1)
+    for pairing, eps in ((PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR),
+                         (PairingKind.WELL, ref.CALIBRATED_EPS_WELL)):
+        boundary_table(levels, pairing, eps, {})
+    assert grids
+    grids.clear()
+    lapack_calls.clear()
+    # both move every boundary toward l = 0, so no search reaches a new chunk
+    assert None not in boundary_table(levels, PairingKind.ROTOR, 1e-3, {}).values()
+    assert None not in boundary_table(levels, PairingKind.WELL, 2e-2, {}).values()
+    assert grids == [] and lapack_calls  # brentq still solves single points
+
+
+def first_chunk_gaps(n, pairing, measure):
+    """The gaps of pair n that the scan reads at its first 32 points."""
+    ce, se = n, n + (pairing is PairingKind.WELL)
+    points = tuple(symmetry._SCAN_POINTS[:symmetry.SCAN_CHUNK])
+    ea, eb = (symmetry._scan_grid(cls, REGIONS_N_MAX - (REGIONS_N_MAX - cls.lowest) % 2,
+                                  points)[:, cls.eigen_index(order)]
+              for cls, order in ((mathieu.ce_class(ce), ce), (mathieu.se_class(se), se)))
+    return symmetry._gap(ea, eb, measure).tolist()
+
+
+@pytest.mark.parametrize("measure", list(GapMeasure))
+@pytest.mark.parametrize("pairing", list(PairingKind))
+def test_threshold_at_a_scan_point_gap_gives_a_boundary(pairing, measure):
+    # eps at a scan point's gap by the grid or by single solves, which agree
+    # to about 1e-14 but not bit for bit: where the single solves then put
+    # both ends of the grid's cell on one side of eps, brentq would raise
+    # ValueError; the end nearer eps is l_c instead
+    same_side = 0
+    for n in (level_pair(m, pairing) for m in (1, 4, 7, 10)):
+        grid_gaps = first_chunk_gaps(n, pairing, measure)
+        for k in (1, 2, 5, 17):
+            l = PROBE_DELTA + k * SCAN_STEP
+            for eps in (pair_gap(n, pairing, l, measure), grid_gaps[k]):
+                try:
+                    b = find_boundary(n, pairing, eps, measure)
+                except (BoundaryNotFoundError, DomainError):
+                    continue
+                lo, hi = b.bracket
+                assert lo <= b.l_c <= hi
+                excess = [pair_gap(n, pairing, x, measure) - eps for x in (lo, hi)]
+                if excess[0] * excess[1] > 0:
+                    same_side += 1
+                    assert b.l_c == (lo, hi)[abs(excess[1]) < abs(excess[0])]
+    assert same_side > 0
+
+
 @pytest.mark.parametrize("run,budget", [
     (lambda: boundary_table(list(ref.MERGING_POINTS), PairingKind.WELL,
-                            ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS), 1200),
+                            ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS), 850),
     (lambda: calibrate_epsilon(ref.SPLITTING_POINTS, PairingKind.ROTOR), 700),
-    (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 1200),
+    (lambda: calibrate_epsilon(ref.MERGING_POINTS, PairingKind.WELL), 900),
 ], ids=["table2", "calibrate-splitting", "calibrate-merging"])
 def test_cold_solver_call_budget(run, budget, lapack_calls):
-    # the scan points are shared across thresholds through the values
-    # cache; a finer scan or a tighter brentq xtol breaks these budgets
+    # the scan cells come from grids shared across levels, pairings and
+    # thresholds; a finer scan or a tighter brentq xtol breaks these budgets
     run()
     assert 0 < len(lapack_calls) <= budget
+
+
+def solver_caches():
+    return [obj for module in (mathieu, symmetry) for obj in vars(module).values()
+            if hasattr(obj, "cache_info")]
+
+
+@pytest.fixture
+def warm_caches():
+    find_boundary(1, PairingKind.ROTOR, 5e-3, GapMeasure.RELATIVE)
+    sweep_characteristics(1, [0.0, 1.0])
+    ce_series(1, 1.0)
+    assert all(cache.cache_info().currsize for cache in solver_caches())
+
+
+def test_lapack_calls_starts_from_empty_caches(warm_caches, lapack_calls):
+    # pytest sets up warm_caches first; a cache the fixture missed would
+    # make a cold count read from a warm cache
+    assert {mathieu._values, mathieu._weights, symmetry._spectra,
+            symmetry._scan_grid} <= set(solver_caches())
+    assert all(cache.cache_info().currsize == 0 for cache in solver_caches())
 
 
 def test_cold_sweep_row_budget(lapack_calls):
