@@ -53,8 +53,8 @@ plane-wave series would take eight times the memory). Inputs are
 validated inside the cached functions, so a hit is one lookup, hashed in
 C (families hash by identity), and ``True`` or ``2.0`` never hit an
 entry made for ``1`` or ``2``; an unhashable argument turns the lookup's
-TypeError into DomainError. Grids are cached by their caller,
-:mod:`qpendulum.symmetry`. The read-only q-free bands of each family are
+TypeError into DomainError. A third keeps 64 read-only grids of
+:func:`_converge_grid`. The read-only q-free bands of each family are
 built at import at the cap; each size slices them.
 """
 
@@ -227,21 +227,22 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
         size = min(2 * size, TRUNCATION_CAP)
 
 
-def _converge_grid(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
+@functools.lru_cache(maxsize=64)  # the sweep, schedule and scan grids of one run
+def _converge_grid(mathieu_class: MathieuClass, top: int,
                    barriers: tuple[float, ...]) -> np.ndarray:
-    """:func:`_converge` values bit for bit, one row per barrier (checked by
-    the caller; a repeat is solved once). The barriers of one first size
-    share 2-D bands and one array pass for the tail shift, the norm floor
-    and the acceptance test; one not accepted goes on to :func:`_converge`."""
-    k_lo, k_hi = mathieu_class.eigen_index(n_lo), mathieu_class.eigen_index(n_hi)
+    """:func:`_converge` values of orders p, p + 2, ..., top bit for bit, as
+    read-only rows, one per barrier (checked by the caller; a repeat is solved
+    once). The barriers of one first size share 2-D bands and one array pass
+    for tail shift, norm floor and acceptance test; the rest take :func:`_converge`."""
+    k_hi = mathieu_class.eigen_index(top)
     grid, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
-    sizes = np.array([min(initial_truncation(n_hi, l), TRUNCATION_CAP)
+    sizes = np.array([min(initial_truncation(top, l), TRUNCATION_CAP)
                       for l in grid.tolist()], dtype=int)
     ladder, unit = _BANDS[mathieu_class]
-    out = np.empty((grid.size, k_hi - k_lo + 1))
+    out = np.empty((grid.size, k_hi + 1))
 
     def solve(diag, off, q):  # one kernel call per row
-        return np.reshape([_kernel(d, e, k_lo, k_hi, mathieu_class, l)[0] for d, e, l
+        return np.reshape([_kernel(d, e, 0, k_hi, mathieu_class, l)[0] for d, e, l
                            in zip(diag, off, q.tolist())], (q.size, out.shape[1]))
 
     for size in np.unique(sizes).tolist():
@@ -266,8 +267,10 @@ def _converge_grid(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
                 1.0, np.abs(lower)), JITTER_FACTOR * _EPS * (norm + shift)[:, None])
         out[rows] = lower
         for i in rows[~(excess.max(axis=1) < 1.0)].tolist():
-            out[i] = _converge(mathieu_class, n_lo, n_hi, float(grid[i]), 1)[0]
-    return out[inverse]
+            out[i] = _converge(mathieu_class, mathieu_class.lowest, top, grid[i], 1)[0]
+    out = out[inverse]
+    out.setflags(write=False)
+    return out
 
 
 def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,

@@ -51,7 +51,13 @@ class TrigSeries:
         if not isinstance(other, TrigSeries):
             raise DomainError(f"a series adds only to a series, got {_shown(other)}")
         n = max(self.n_harmonics, other.n_harmonics)
-        return TrigSeries(_pad(self.coeffs, n) + _pad(other.coeffs, n))
+        a, b = _pad(self.coeffs, n), _pad(other.coeffs, n)
+        # as in _scaled: no part exceeds ||a|| + ||b||, squared <= 2 (||a||^2 + ||b||^2)
+        if not 2.0 * float(np.vdot(a, a).real + np.vdot(b, b).real) < 1e300:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(a + b).all():
+                    raise DomainError("a coefficient of the sum is not finite")
+        return TrigSeries(a + b)
 
     __radd__ = __add__
 

@@ -4,9 +4,9 @@ Covers the Klein four-group of angle maps acting on trig series, the
 characteristic-curve sweep E_n(l), and the splitting / merging points
 that bound the three symmetry regions of each level. Every region answer
 comes from :func:`classify_regions` or :func:`boundary_table`; the
-report, the CLI and torsion only format it. Sweep rows and region labels
-take one batched solve per parity family over a barrier grid; the last
-four grids stay cached.
+report, the CLI and torsion only format it. Sweep rows, region labels
+and boundary scans read one cached batched solve per parity family and
+barrier grid from :mod:`qpendulum.mathieu`.
 
 Klein four-group
 ----------------
@@ -49,7 +49,6 @@ well doublet of index n-1; :func:`calibrate_epsilon` takes their median.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from scipy.optimize import brentq
 
 from .errors import (AmbiguityError, BoundaryNotFoundError, DomainError,
                      check_count, check_levels, check_real, check_type, real_grid)
-from .mathieu import MathieuClass, _converge_grid, a_value, b_value, ce_class, se_class
+from .mathieu import _converge_grid, a_value, b_value, ce_class, se_class
 from .series import TrigSeries
 
 SEARCH_CEILING = 200.0
@@ -149,18 +148,19 @@ class RegionBoundary:
     measure: GapMeasure
 
 
-@functools.lru_cache(maxsize=4)  # the last few sweeps and schedules
-def _spectra(n_max: int, barriers: tuple[float, ...]) -> np.ndarray:
-    """Read-only rows [a_0..a_{n_max}] (ce) and [nan, b_1..b_{n_max}] (se),
-    one per barrier: one batched solve per parity family over the grid."""
-    spectra = np.full((2, len(barriers), n_max + 1), math.nan)
-    for cls in MathieuClass:
-        if cls.lowest <= n_max:
-            top = n_max - (n_max - cls.lowest) % 2
-            spectra[int(not cls.is_cosine), :, cls.lowest:top + 1:2] = (
-                _converge_grid(cls, cls.lowest, top, barriers))
-    spectra.setflags(write=False)
-    return spectra
+def _columns(orders, top: int) -> list[tuple]:
+    """(family, top order of its grid, column) of each (family, order) of
+    ``orders`` in a grid of orders up to ``top``; eigen_index checks the cap."""
+    return [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(n)) for cls, n in orders]
+
+
+def _read(orders, top: int, barriers: tuple[float, ...]) -> np.ndarray:
+    """Values of each (family, order) of ``orders``, up to ``top``: a column
+    each, a row per barrier, from one grid lookup per family."""
+    columns = _columns(orders, top)
+    grids = {key: _converge_grid(*key, barriers)
+             for key in dict.fromkeys(column[:2] for column in columns)}
+    return np.stack([grids[cls, t][:, k] for cls, t, k in columns], axis=1)
 
 
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
@@ -174,14 +174,12 @@ def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, flo
     if not grid.size or (grid < 0).any() or (np.diff(grid) <= 0).any():
         raise DomainError("l_grid must be nonempty, nonnegative and strictly ascending")
     ce_class(n_max).eigen_index(n_max)  # the cap must hold n_max: no huge lists
-    order = [(ce_class(n).value, n) for n in range(0, n_max + 1)]
-    order += [(se_class(n).value, n) for n in range(1, n_max + 1)]
-    barriers = tuple(grid.tolist())
-    ce, se = _spectra(n_max, barriers)
-    rows = []
-    for l, values in zip(barriers, np.hstack((ce, se[:, 1:])).tolist()):
-        rows.extend((label, n, l, value) for (label, n), value in zip(order, values))
-    return rows
+    orders = [(ce_class(n), n) for n in range(0, n_max + 1)]
+    orders += [(se_class(n), n) for n in range(1, n_max + 1)]
+    barriers, labels = tuple(grid.tolist()), [(cls.value, n) for cls, n in orders]
+    values = _read(orders, n_max, barriers).tolist()
+    return [(label, n, l, value) for l, row in zip(barriers, values)
+            for (label, n), value in zip(labels, row)]
 
 
 def pair_gap(n: int, pairing: PairingKind, l: float,
@@ -212,14 +210,6 @@ def _gap(ea, eb, measure: GapMeasure):
     return np.divide(gap, scale, out=np.full_like(scale, math.inf), where=scale > 0)
 
 
-@functools.lru_cache(maxsize=64)  # every chunk of the four families, for two top orders
-def _scan_grid(cls: MathieuClass, top: int, barriers: tuple[float, ...]) -> np.ndarray:
-    """Read-only values of orders p, p + 2, ..., top of one family by scan point."""
-    values = _converge_grid(cls, cls.lowest, top, barriers)
-    values.setflags(write=False)
-    return values
-
-
 def find_boundary(
     n: int,
     pairing: PairingKind,
@@ -236,13 +226,12 @@ def find_boundary(
     """
     epsilon = check_real(epsilon, "gap threshold", 0.0, True)
     ce, se = _pair_orders(n, pairing, measure)
-    top = max(REGIONS_N_MAX, se)  # eigen_index checks the cap before any solve
-    columns = [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(order))
-               for cls, order in ((ce_class(ce), ce), (se_class(se), se))]
+    columns = _columns(((ce_class(ce), ce), (se_class(se), se)), max(REGIONS_N_MAX, se))
     rotor = pairing is PairingKind.ROTOR
     for start in range(0, len(_SCAN_POINTS), SCAN_CHUNK):
         chunk = tuple(_SCAN_POINTS[start:start + SCAN_CHUNK])
-        ea, eb = (_scan_grid(cls, cls_top, chunk)[:, i] for cls, cls_top, i in columns)
+        ea, eb = (_converge_grid(cls, cls_top, chunk)[:, i]
+                  for cls, cls_top, i in columns)
         flips = np.flatnonzero((_gap(ea, eb, measure) - epsilon < 0) != rotor)
         if flips.size:
             break
@@ -301,19 +290,19 @@ def classify_regions(levels, barriers, epsilon_rotor: float,
     Level n is G- while its rotor pair (ce_n, se_n) is degenerate, G+ once
     its well pair (ce_{n-1}, se_n) is, G0 in between; both at once raise.
     ``barriers`` is a 1-D grid of finite values >= 0. Every input is
-    checked, then one batched solve per family; the pairs come from
-    :func:`level_pair`, and their orders and gaps as in :func:`pair_gap`.
+    checked, then one batched solve per family the levels use; the pairs
+    come from :func:`level_pair`, their orders and gaps as in :func:`pair_gap`.
     """
     levels = check_levels(levels)
     barriers = tuple(check_real(l, "barrier l", 0.0, False)
                      for l in real_grid(barriers, "barriers").tolist())
-    ce_class(max(levels)).eigen_index(max(levels))  # the cap must hold every level
     epsilon_rotor = check_real(epsilon_rotor, "rotor gap threshold", 0.0, True)
     epsilon_well = check_real(epsilon_well, "well gap threshold", 0.0, True)
-    ce, se = _spectra(max(levels), barriers)
-    a, b = np.array([[_pair_orders(level_pair(n, pairing), pairing, GapMeasure.RELATIVE)
-                      for pairing in PairingKind] for n in levels]).T
-    gap = _gap(ce[:, a], se[:, b], GapMeasure.RELATIVE)  # (barrier, pairing, level)
+    pairs = [_pair_orders(level_pair(n, pairing), pairing, GapMeasure.RELATIVE)
+             for pairing in PairingKind for n in levels]
+    orders = [(ce_class(a), a) for a, _ in pairs] + [(se_class(b), b) for _, b in pairs]
+    values = _read(orders, max(levels), barriers).reshape(len(barriers), 2, 2, -1)
+    gap = _gap(values[:, 0], values[:, 1], GapMeasure.RELATIVE)  # barrier, pairing, level
     rotor, well = gap[:, 0] < epsilon_rotor, gap[:, 1] < epsilon_well
     if (rotor & well).any():
         i, j = np.argwhere(rotor & well)[0].tolist()

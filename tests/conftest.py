@@ -1,17 +1,42 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qpendulum import mathieu, symmetry
+from qpendulum import mathieu
+
+pytest_plugins = ["pytester"]
+
+
+def clear_caches():
+    """Empty every ``cache_clear``-able attribute, found by attribute, of
+    every loaded ``qpendulum`` module."""
+    for name, module in list(sys.modules.items()):
+        if name == "qpendulum" or name.startswith("qpendulum."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Each test starts from empty caches and leaves none behind. A test
+    that patches the solver, such as its first matrix size, would
+    otherwise hand the next test grids solved at other sizes, with other
+    bits."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Record (kernel, diag, off, outputs) of every direct LAPACK call
     (dstebz, dsterf, dstein) from cold caches; a scipy ``eigh_tridiagonal``
-    call records as one more. Every ``cache_clear``-able attribute of
-    ``mathieu`` and ``symmetry`` is cleared first, found by attribute: a
-    cached solve or grid would make a cold count read from a warm cache."""
+    call records as one more. The caches are cleared again here, after
+    any fixture that warmed them: a cached solve or grid would make a
+    cold count read from a warm cache."""
     calls = []
 
     def spy(name, real):
@@ -27,8 +52,5 @@ def lapack_calls(monkeypatch):
         if hasattr(module, "eigh_tridiagonal"):
             monkeypatch.setattr(module, "eigh_tridiagonal",
                                 spy("eigh_tridiagonal", module.eigh_tridiagonal))
-    for module in (mathieu, symmetry):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    clear_caches()
     return calls

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def _grid_against_converge(n_max, barriers):
     for cls in MathieuClass:
         if cls.lowest <= n_max:
             top = n_max - (n_max - cls.lowest) % 2
-            got = mathieu._converge_grid(cls, cls.lowest, top, tuple(barriers))
+            got = mathieu._converge_grid(cls, top, tuple(barriers))
             want = [mathieu._converge(cls, cls.lowest, top, l, 1)[0] for l in barriers]
             yield cls, got, np.array(want).reshape(got.shape)
 
@@ -219,6 +220,24 @@ def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
         assert got.tobytes() == want.tobytes(), cls
     sizes = {len(c[1]) for c in lapack_calls}
     assert min(sizes) == 5 and {5, 6, 10, 12} < sizes  # n // 2 + 2 rows, then doubled
+
+
+def test_no_grid_outlives_the_test_that_solved_it(pytester):
+    """A grid solved under a patched first size, as above, is gone once
+    its test ends: no later test reads its other bits from the cache."""
+    pytester.makeconftest((Path(__file__).parent / "conftest.py").read_text())
+    pytester.makepyfile("""
+        from qpendulum import mathieu
+
+        def test_patched_first_size(monkeypatch):
+            monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
+            mathieu._converge_grid(mathieu.MathieuClass.CE_EVEN, 8, (0.5, 28.0))
+            assert mathieu._converge_grid.cache_info().currsize == 1
+    """)
+    result = pytester.runpytest_inprocess("-p", "no:cacheprovider",
+                                          "--import-mode=importlib")
+    result.assert_outcomes(passed=1)
+    assert mathieu._converge_grid.cache_info().currsize == 0
 
 
 def test_bounds_enclose_tight_reference():
@@ -554,10 +573,14 @@ def test_weights_equal_scipy_eigh_tridiagonal(cls, l, lapack_calls):
         assert np.array_equal(weights, want), (n, l)
 
 
-def test_cached_weights_are_read_only():
-    weights = mathieu._weights(MathieuClass.CE_EVEN, 2, 1.0)
+@pytest.mark.parametrize("cached", [
+    lambda: mathieu._weights(MathieuClass.CE_EVEN, 2, 1.0),
+    lambda: mathieu._converge_grid(MathieuClass.CE_EVEN, 2, (1.0, 2.0))[1],
+], ids=["weights", "grid"])
+def test_cached_arrays_are_read_only(cached):
+    # one array is shared by every caller of the cache entry
     with pytest.raises(ValueError):
-        weights[0] = 0.0
+        cached()[0] = 0.0
 
 
 def test_integer_barrier_gives_float_bands():

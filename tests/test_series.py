@@ -122,6 +122,34 @@ def test_scaling_near_the_largest_float_is_exact():
                               np.array(coeffs, dtype=complex) * complex(scalar))
 
 
+@pytest.mark.parametrize("a,b", [
+    ([1e308], [1e308]), ([1.0, 1e308, 0.0], [1e308]), ([1e308j], [1e308j]),
+    ([np.inf], [1.0]), ([np.inf], [-np.inf]), ([1.0], [np.nan])])
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_sum_raises_without_a_warning(a, b):
+    # the sum once overflowed with numpy's RuntimeWarning
+    with pytest.raises(DomainError, match="not finite"):
+        TrigSeries(a) + TrigSeries(b)
+
+
+@pytest.mark.parametrize("a,b", [([1e308], [-1e308]), ([0.0, 1e308j, 1.0], [-1e308j])])
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_difference_raises_without_a_warning(a, b):
+    with pytest.raises(DomainError, match="sum is not finite"):
+        TrigSeries(a) - TrigSeries(b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sum_near_the_largest_float_is_exact():
+    # a bound whose square overflows takes the checked path, not an error
+    big = np.finfo(float).max
+    for a, b in (([big / 2], [big / 2]), ([big, 1.0, -big], [-1.0]), ([1e308], [-1e308]),
+                 ([1e160, 1.0, 1e160j], [1e160j])):
+        want = (np.pad(np.array(b, dtype=complex), (len(a) - len(b)) // 2)
+                + np.array(a, dtype=complex))
+        assert np.array_equal((TrigSeries(a) + TrigSeries(b)).coeffs, want)
+
+
 @pytest.mark.parametrize("bad", ["2", None, True, [2.0], np.array([2.0]),
                                  TrigSeries([1.0])])
 def test_scaling_needs_a_number(bad):

@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qpendulum.symmetry import (
     sweep_characteristics,
 )
 from qpendulum.states import StateFamily, StateSpec, build_state, jump_at_boundary
+from qpendulum.torsion import modulation_schedule
 
 RNG = np.random.default_rng(7)
 GRID = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -361,31 +363,29 @@ def test_scan_grid_cell_is_the_first_flip_of_a_per_point_scan(eps_rotor, eps_wel
             assert bracket == scan_bracket(pair, pairing, eps, measure), (pairing, pair)
 
 
-def test_a_second_threshold_makes_no_grid_solve(monkeypatch, lapack_calls):
-    grids = []
-    solve = symmetry._converge_grid
-    monkeypatch.setattr(symmetry, "_converge_grid",
-                        lambda *args: grids.append(args) or solve(*args))
+def test_a_second_threshold_makes_no_grid_solve(lapack_calls):
     levels = range(1, REGIONS_N_MAX + 1)
     for pairing, eps in ((PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR),
                          (PairingKind.WELL, ref.CALIBRATED_EPS_WELL)):
         boundary_table(levels, pairing, eps, {})
-    assert grids
-    grids.clear()
+    misses = mathieu._converge_grid.cache_info().misses  # grids solved
+    assert misses
     lapack_calls.clear()
     # both move every boundary toward l = 0, so no search reaches a new chunk
     assert None not in boundary_table(levels, PairingKind.ROTOR, 1e-3, {}).values()
     assert None not in boundary_table(levels, PairingKind.WELL, 2e-2, {}).values()
-    assert grids == [] and lapack_calls  # brentq still solves single points
+    assert mathieu._converge_grid.cache_info().misses == misses
+    assert lapack_calls  # brentq still solves single points
 
 
 def first_chunk_gaps(n, pairing, measure):
     """The gaps of pair n that the scan reads at its first 32 points."""
     ce, se = n, n + (pairing is PairingKind.WELL)
     points = tuple(symmetry._SCAN_POINTS[:symmetry.SCAN_CHUNK])
-    ea, eb = (symmetry._scan_grid(cls, REGIONS_N_MAX - (REGIONS_N_MAX - cls.lowest) % 2,
-                                  points)[:, cls.eigen_index(order)]
-              for cls, order in ((mathieu.ce_class(ce), ce), (mathieu.se_class(se), se)))
+    top = REGIONS_N_MAX
+    columns = [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(order))
+               for cls, order in ((mathieu.ce_class(ce), ce), (mathieu.se_class(se), se))]
+    ea, eb = (mathieu._converge_grid(cls, cls_top, points)[:, k] for cls, cls_top, k in columns)
     return symmetry._gap(ea, eb, measure).tolist()
 
 
@@ -429,8 +429,9 @@ def test_cold_solver_call_budget(run, budget, lapack_calls):
 
 
 def solver_caches():
-    return [obj for module in (mathieu, symmetry) for obj in vars(module).values()
-            if hasattr(obj, "cache_info")]
+    return [obj for name, module in sys.modules.items()
+            if name == "qpendulum" or name.startswith("qpendulum.")
+            for obj in vars(module).values() if hasattr(obj, "cache_info")]
 
 
 @pytest.fixture
@@ -444,9 +445,9 @@ def warm_caches():
 def test_lapack_calls_starts_from_empty_caches(warm_caches, lapack_calls):
     # pytest sets up warm_caches first; a cache the fixture missed would
     # make a cold count read from a warm cache
-    assert {mathieu._values, mathieu._weights, symmetry._spectra,
-            symmetry._scan_grid} <= set(solver_caches())
-    assert all(cache.cache_info().currsize == 0 for cache in solver_caches())
+    caches = set(solver_caches())
+    assert {mathieu._values, mathieu._weights, mathieu._converge_grid} <= caches
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
 
 
 def test_cold_sweep_row_budget(lapack_calls):
@@ -460,6 +461,28 @@ def test_cold_sweep_row_budget(lapack_calls):
     assert sum(len(c[1]) for c in lapack_calls) <= 30000
     lapack_calls.clear()
     assert sweep_characteristics(8, grid) == rows and lapack_calls == []
+
+
+def test_every_grid_of_one_run_stays_cached(lapack_calls):
+    # the grids of a 1000-barrier n <= 8 sweep, both `regions --n-max 12`
+    # tables, both calibrations and a 400-point levels 1-8 schedule all
+    # stay in the one grid cache: a repeat makes no kernel call, which a
+    # cache of 16 grids would not allow
+    def run():
+        sweep_characteristics(8, np.linspace(0.0, 55.0, 1000))
+        for pairing, eps, table in (
+                (PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
+                (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS)):
+            boundary_table(range(1, REGIONS_N_MAX + 1), pairing, eps, table)
+            calibrate_epsilon(table, pairing)
+        modulation_schedule(25.0, 10.0, 1.0, np.linspace(0.0, 2.0 * np.pi, 400),
+                            range(1, 9), ref.CALIBRATED_EPS_ROTOR, ref.CALIBRATED_EPS_WELL)
+
+    run()
+    assert lapack_calls
+    lapack_calls.clear()
+    run()
+    assert lapack_calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.01",
