@@ -78,7 +78,8 @@ def _emit(out: Path | None, header, rows, fmt: str) -> None:
 
 def cmd_characteristics(args) -> int:
     check_count(args.steps, 2, "steps")
-    grid = np.unique(np.linspace(args.l_min, args.l_max, args.steps))
+    grid = np.unique(np.linspace(check_real(args.l_min, "l_min", 0.0, False),
+                                 check_real(args.l_max, "l_max", 0.0, False), args.steps))
     rows = sweep_characteristics(args.n_max, grid)
     _emit(args.out, HEADERS["fig1_characteristics"], rows, args.format)
     return EXIT_OK

@@ -8,12 +8,12 @@ the lag-1 and lag-2 products of the coefficient vector. Nothing here
 samples the angle except :func:`eval_series`.
 
 Coefficients are complex, so superposition states with relative phase i
-are first-class citizens.
+are first-class citizens; a series has no arithmetic, and
+:func:`qpendulum.states.build_state` forms them on the coefficient vectors.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +31,6 @@ class TrigSeries:
     """
 
     coeffs: np.ndarray
-    __array_ufunc__ = None  # numpy operands defer to the methods below
 
     def __post_init__(self):
         arr = numeric_array(self.coeffs, True, True)  # a copy: the series owns it
@@ -47,51 +46,8 @@ class TrigSeries:
     def n_harmonics(self) -> int:
         return len(self.coeffs) // 2
 
-    def __add__(self, other: "TrigSeries") -> "TrigSeries":
-        if not isinstance(other, TrigSeries):
-            raise DomainError(f"a series adds only to a series, got {_shown(other)}")
-        n = max(self.n_harmonics, other.n_harmonics)
-        a, b = _pad(self.coeffs, n), _pad(other.coeffs, n)
-        # as in _scaled: no part exceeds ||a|| + ||b||, squared <= 2 (||a||^2 + ||b||^2)
-        if not 2.0 * float(np.vdot(a, a).real + np.vdot(b, b).real) < 1e300:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(a + b).all():
-                    raise DomainError("a coefficient of the sum is not finite")
-        return TrigSeries(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "TrigSeries") -> "TrigSeries":
-        return self + (other * (-1.0) if isinstance(other, TrigSeries) else other)
-
-    def __rsub__(self, other) -> "TrigSeries":
-        return self * (-1.0) + other
-
-    def __mul__(self, scalar) -> "TrigSeries":
-        try:
-            if not isinstance(scalar, bool) and isinstance(scalar, numbers.Number):
-                return _scaled(self.coeffs, complex(scalar))
-        except OverflowError:  # an int too large for a float
-            pass
-        raise DomainError(f"a series scales by a number, got {_shown(scalar)}")
-
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).real))
-
-
-def _scaled(coeffs: np.ndarray, z: complex) -> TrigSeries:
-    """``coeffs`` times ``z``; DomainError where a product is not finite.
-    No part of one exceeds the 2-norm (whose squares BLAS sums without a
-    warning) times |Re z| + |Im z|; only where the square of that bound
-    reaches 1e300, or is NaN, are the products checked."""
-    scale = abs(z.real) + abs(z.imag)  # Python floats: inf, not an error, on overflow
-    if not float(np.vdot(coeffs, coeffs).real) * scale * scale < 1e300:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(coeffs * z).all():
-                raise DomainError(f"a coefficient scaled by {z} is not finite")
-    return TrigSeries(coeffs * z)
 
 
 def _pad(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -6,8 +6,8 @@ State families at a given (n, l):
 * ``PHI_PLUS`` / ``PHI_MINUS``: (ce_n +- i se_n)/sqrt(2) (region G-).
 * ``PSI_PLUS`` / ``PSI_MINUS``: (ce_n +- i se_{n+1})/sqrt(2) (region G+).
 
-A :class:`QuantumState` contracts its coefficient vector once, into its
-``moments`` record, and every observable of the state reads that record.
+Superpositions add coefficient vectors; a :class:`QuantumState` contracts
+its vector once, into its ``moments`` record, which every observable reads.
 The velocity operator is v = -2 i d/dphi = 2 L_z (twice the angular momentum).
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, check_count, check_real, check_type, real_grid
 from .mathieu import ce_series, se_series
-from .series import Moments, TrigSeries, eval_series, moments
+from .series import Moments, TrigSeries, _pad, eval_series, moments
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EXTREMA_GRID_POINTS = 4096  # angles searched for density extrema
@@ -95,7 +95,8 @@ class ObservableJump:
 
 
 def build_state(spec: StateSpec) -> QuantumState:
-    """Assemble the family's superposition from Mathieu eigenseries."""
+    """Assemble the family's state from Mathieu eigenseries; a superposition
+    adds the two coefficient vectors, padded to one harmonic range."""
     fam, n, l = check_type(spec, StateSpec, "spec").family, spec.n, spec.l
     if fam is StateFamily.XI:
         s = ce_series(n, l)
@@ -103,8 +104,9 @@ def build_state(spec: StateSpec) -> QuantumState:
         s = se_series(n, l)
     else:
         sign = 1.0 if fam in (StateFamily.PHI_PLUS, StateFamily.PSI_PLUS) else -1.0
-        partner = se_series(n + (fam in _PSI), l)
-        s = (ce_series(n, l) + sign * 1j * partner) * _INV_SQRT2
+        ce, se = ce_series(n, l).coeffs, se_series(n + (fam in _PSI), l).coeffs
+        k = max(len(ce), len(se)) // 2
+        s = TrigSeries((_pad(ce, k) + sign * 1j * _pad(se, k)) * _INV_SQRT2)
     return QuantumState(spec, s)
 
 

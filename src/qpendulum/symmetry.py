@@ -244,8 +244,8 @@ def find_boundary(
                               (0.0, PROBE_DELTA), measure)
     lo, hi = _SCAN_POINTS[k - 1], _SCAN_POINTS[k]
     excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
-    l_c = (min((lo, hi), key=lambda l: abs(excess(l))) if excess(lo) * excess(hi) > 0
-           else brentq(excess, lo, hi, xtol=ROOT_XTOL))
+    l_c = (brentq(excess, lo, hi, xtol=ROOT_XTOL) if (excess(lo) < 0) != (excess(hi) < 0)
+           else min((lo, hi), key=lambda l: abs(excess(l))))
     return RegionBoundary(n, pairing, l_c, epsilon, (lo, hi), measure)
 
 
@@ -301,7 +301,7 @@ def classify_regions(levels, barriers, epsilon_rotor: float,
     pairs = [_pair_orders(level_pair(n, pairing), pairing, GapMeasure.RELATIVE)
              for pairing in PairingKind for n in levels]
     orders = [(ce_class(a), a) for a, _ in pairs] + [(se_class(b), b) for _, b in pairs]
-    values = _read(orders, max(levels), barriers).reshape(len(barriers), 2, 2, -1)
+    values = _read(orders, max(levels), barriers).reshape(len(barriers), 2, 2, len(levels))
     gap = _gap(values[:, 0], values[:, 1], GapMeasure.RELATIVE)  # barrier, pairing, level
     rotor, well = gap[:, 0] < epsilon_rotor, gap[:, 1] < epsilon_well
     if (rotor & well).any():
@@ -343,20 +343,21 @@ def calibrate_epsilon(reference: dict[int, float],
     Each row votes the relative gap of its pair at its tabulated barrier,
     the threshold whose boundary falls on that barrier; the median of the
     votes (the mean of the middle two for an even count) is the fit. A
-    row at l = 0 fixes no threshold and does not vote. Rows the fit
-    misses by more than ``ROW_TOLERANCE`` get the per-row absolute
-    threshold of the :func:`boundary_table` fallback; a row neither finds
-    raises ``BoundaryNotFoundError``. The table must be nonempty, its
-    targets finite and nonnegative, and one target above 0.
+    row at l = 0, or whose gap there is 0.0, fixes no threshold and does
+    not vote. Rows the fit misses by more than ``ROW_TOLERANCE`` get the
+    per-row absolute threshold of the :func:`boundary_table` fallback; a
+    row neither finds raises ``BoundaryNotFoundError``. The table must be
+    nonempty, its targets finite and nonnegative, and one row must vote,
+    all checked before any boundary search.
     """
     check_levels(check_type(reference, Mapping, "reference table"))
     reference = {n: check_real(target, "reference barrier", 0.0, False)
                  for n, target in reference.items()}
-    if not any(reference.values()):
-        raise DomainError("a calibration needs a reference row above l = 0")
-    epsilon = float(np.median([
-        pair_gap(level_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
-        for n, target in reference.items() if target > 0.0]))
+    votes = np.array([pair_gap(level_pair(n, pairing), pairing, target, GapMeasure.RELATIVE)
+                      for n, target in reference.items() if target > 0.0])
+    if not (votes > 0.0).any():
+        raise DomainError("no reference row votes: each is at l = 0 or its gap is 0.0")
+    epsilon = float(np.median(votes[votes > 0.0]))
     fitted = boundary_table(reference, pairing, epsilon, {})
     computed = {n: b.l_c for n, b in fitted.items() if b is not None}
     residuals = {n: l_c - reference[n] for n, l_c in computed.items()}

@@ -303,6 +303,31 @@ def test_out_of_the_wrong_kind_exit_code(argv, kind, tmp_path, capsys,
         assert out.read_text() == "keep\n"
 
 
+# Every float option of every subcommand, each on a base command that is
+# valid on its own; the options of one subcommand share its base.
+_FLOAT_OPTIONS = {
+    "characteristics": (["--n-max", "2", "--steps", "3"], ["--l-min", "--l-max"]),
+    "regions": ([], ["--epsilon"]),
+    "density": (["--family", "psi-", "-n", "3", "-l", "7.3"], ["-l"]),
+    "classical": (["--E", "0.5", "--U", "1"],
+                  ["--E", "--U", "--omega-prime", "--t-max"]),
+    "torsion": (["--I1", "5.3e-47", "--I2", "5.3e-47", "--V0", "2.1e-20",
+                 "--n-fold", "3"], ["--I1", "--I2", "--V0"]),
+}
+_EDGE_VALUES = ["nan", "inf", "-inf", "0", "5e-324", "1e-300", "1e300", "-1e300"]
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, (_, options) in _FLOAT_OPTIONS.items()
+    for option in options])
+def test_every_float_option_keeps_the_exit_code_contract(command, option):
+    # `regions --epsilon 1e-300` once let scipy's ValueError escape
+    base = [command, *_FLOAT_OPTIONS[command][0]]
+    for value in _EDGE_VALUES:
+        code = main([*base, f"{option}={value}"])  # "=": "-inf" is no option
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_GATE), value
+
+
 def test_report_determinism(tmp_path):
     from qpendulum.report import DATA_FILES
 

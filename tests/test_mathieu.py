@@ -313,8 +313,9 @@ def _huge_integers_elsewhere():
         "pair_gap-list-l": lambda: qp.pair_gap(1, qp.PairingKind.ROTOR, [big],
                                                qp.GapMeasure.RELATIVE),
         "TrigSeries": lambda: TrigSeries([big]),
-        "TrigSeries-add": lambda: TrigSeries([1, 2, 3]) + big,
-        "TrigSeries-mul": lambda: TrigSeries([1, 2, 3]) * big,
+        # coefficient vectors shifted or scaled by a huge int hold object entries
+        "TrigSeries-add": lambda: TrigSeries(np.array([1, 2, 3], dtype=object) + big),
+        "TrigSeries-mul": lambda: TrigSeries(np.array([1, 2, 3], dtype=object) * big),
     }
 
 

@@ -260,11 +260,12 @@ def test_state_observables_reuse_the_moment_record(calls):
 
 
 def test_hand_built_state_computes_its_norm_check():
+    from qpendulum.series import TrigSeries
     from qpendulum.states import QuantumState
     from qpendulum.uncertainty import angular_moments
 
     good = build_state(StateSpec(StateFamily.ETA, 2, 3.0))
-    state = QuantumState(good.spec, 2 * good.series)
+    state = QuantumState(good.spec, TrigSeries(2 * good.series.coeffs))
     assert state.norm_check == pytest.approx(3.0, abs=1e-12)
     assert state.moments.Lz2 == pytest.approx(4.0 * good.moments.Lz2, rel=1e-12)
     with pytest.raises(DomainError, match="not normalised"):

@@ -67,7 +67,7 @@ def test_composition_table_on_random_series():
         g1, g2 = RNG.choice(elements, size=2)
         lhs = apply_group_element(apply_group_element(s, g2), g1)
         rhs = apply_group_element(s, compose(g1, g2))
-        assert (lhs - rhs).norm() < 1e-14
+        assert TrigSeries(lhs.coeffs - rhs.coeffs).norm() < 1e-14
 
 
 def test_klein_group_axioms():
@@ -83,8 +83,8 @@ def test_klein_group_axioms():
 def test_parity_eigenrelations(n, l):
     ce = ce_series(n, l)
     se = se_series(n, l)
-    assert (apply_group_element(ce, GroupElement.A) - ce).norm() < 1e-12
-    assert (apply_group_element(se, GroupElement.A) + se).norm() < 1e-12
+    assert TrigSeries(apply_group_element(ce, GroupElement.A).coeffs - ce.coeffs).norm() < 1e-12
+    assert TrigSeries(apply_group_element(se, GroupElement.A).coeffs + se.coeffs).norm() < 1e-12
 
 
 # The character table of the state families: the elements that map each
@@ -106,7 +106,7 @@ def test_state_families_follow_the_character_table(family, l):
         for g in (GroupElement.A, GroupElement.B, GroupElement.C):
             mapped = apply_group_element(s, g)
             phase = inner_product(s, mapped) / inner_product(s, s)
-            residual = (mapped - s * phase).norm()
+            residual = TrigSeries(mapped.coeffs - phase * s.coeffs).norm()
             invariant = residual <= 1e-10 and abs(abs(phase) - 1.0) <= 1e-10
             assert invariant is (g in INVARIANT_UNDER[family]), (n, g, residual, phase)
             if not invariant:
@@ -415,6 +415,16 @@ def test_threshold_at_a_scan_point_gap_gives_a_boundary(pairing, measure):
     assert same_side > 0
 
 
+@pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
+def test_a_tiny_threshold_compares_signs_not_a_product(epsilon):
+    # both single solves put the gap at 0.0, so both ends' excesses are
+    # -eps, whose product underflows to 0.0: that once sent brentq two ends
+    # of one sign, and it raised ValueError; the end nearer eps is l_c
+    b = find_boundary(4, PairingKind.WELL, epsilon, GapMeasure.RELATIVE)
+    assert b.bracket == (193.000001, 194.000001)
+    assert b.l_c == 193.000001
+
+
 @pytest.mark.parametrize("run,budget", [
     (lambda: boundary_table(list(ref.MERGING_POINTS), PairingKind.WELL,
                             ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS), 850),
@@ -535,6 +545,8 @@ def test_classify_regions_matches_per_level_rule():
     # one barrier is the one-point grid
     assert classify_regions(range(1, 9), [grid[7]], eps_r, eps_w) == [
         {n: _classify_by_pair_gaps(n, grid[7], eps_r, eps_w) for n in range(1, 9)}]
+    # and no barrier the empty grid, which once raised NumPy's ValueError
+    assert classify_regions(range(1, 9), [], eps_r, eps_w) == []
 
 
 def test_classify_regions_raises_on_ambiguity():
@@ -694,6 +706,17 @@ def test_calibrate_epsilon_well_flags_unfittable_row():
     b = find_boundary(level_pair(2, PairingKind.WELL), PairingKind.WELL, eps2,
                       GapMeasure.ABSOLUTE)
     assert b.l_c == pytest.approx(7.51, abs=0.01)
+
+
+def test_a_row_whose_gap_is_zero_does_not_vote(monkeypatch):
+    # the only vote, the well gap at l = 199.9, rounds to 0.0; it once
+    # became the threshold and was refused as one the caller never passed
+    monkeypatch.setattr(symmetry, "find_boundary", None)  # no search is made
+    assert pair_gap(1, PairingKind.WELL, 199.9, GapMeasure.RELATIVE) == 0.0
+    with pytest.raises(DomainError, match="no reference row votes"):
+        calibrate_epsilon({2: 199.9}, PairingKind.WELL)
+    with pytest.raises(DomainError, match="no reference row votes"):
+        calibrate_epsilon({1: 0.0, 2: 199.9}, PairingKind.WELL)
 
 
 @pytest.mark.parametrize("table,pairing,constant", [

@@ -90,6 +90,8 @@ def test_modulation_schedule_constant_when_amplitude_vanishing():
     tags = {p.regions[2] for p in sched}
     assert tags == {Subgroup.G_ZERO}
     assert not any(p.crossing for p in sched)
+    # no time is no point; an empty grid once raised NumPy's ValueError
+    assert modulation_schedule(3.0, 1e-9, 1.0, [], [2], EPS_R, EPS_W) == []
 
 
 def test_modulation_schedule_crosses_boundary():

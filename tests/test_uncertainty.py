@@ -172,9 +172,9 @@ def test_local_inequality_flat_density_errors():
 def test_non_unit_state_raises_domain_error(scale):
     # the norm check once raised AssertionError
     good = build_state(StateSpec(StateFamily.XI, 2, 3.0))
-    state = QuantumState(good.spec, scale * good.series)
+    state = QuantumState(good.spec, TrigSeries(scale * good.series.coeffs))
     with pytest.raises(DomainError, match="not normalised"):
         angular_moments(state)
     with pytest.raises(DomainError, match="not normalised"):
         local_variance_inequality(state)
-    angular_moments(QuantumState(good.spec, (1.0 + 2e-11) * good.series))
+    angular_moments(QuantumState(good.spec, TrigSeries((1.0 + 2e-11) * good.series.coeffs)))
