@@ -10,9 +10,9 @@ of orders, values only, doubling the matrix size until two bounds on
 every value meet. Each size costs two direct LAPACK calls: ``dsterf``
 (root-free QR, every value, O(N^2)) for three or more orders, and the
 ``dstebz`` bisection of the index range, whose cost grows as rows times
-requested values, for one or two. :func:`_converge_grid` gives the same
-bits for a barrier grid, with the Python work of each first size done
-once as array operations; a batch of one costs several solves. An
+requested values, for one or two. :func:`_converge_grid` solves a
+barrier grid with one ``dsterf`` per barrier and its other work as array
+operations over all rows; a batch of one costs several solves. An
 eigenvector holds the weights of the orthonormal functions cos(h phi) or
 sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
 :func:`ce_series` and :func:`se_series` alone move it onto the
@@ -30,8 +30,8 @@ over about sqrt(2n + 1) l^(1/4) harmonics, so
 above. The tail past them has diagonal d_j = (p + 2j)^2, j >= N, and
 off-diagonal l, so by its Schur complement each value v is one of
 T - l^2 g(v) e_N e_N^T, with g its (1, 1) resolvent entry, increasing.
-For t the largest upper bound, one continued-fraction level and the
-constant chain on d_{N+1} below the rest bound l^2 g(t) by
+For t above every value sought (the largest upper bound), one fraction
+level and the constant chain on d_{N+1} below the rest bound l^2 g(t) by
 c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t,
 if a > 2 l and the denominator is positive: T with its last diagonal
 entry lowered by c bounds each value from below. A size whose bounds
@@ -42,6 +42,15 @@ floor, and ||T|| grows as the squared size. Every order up to 64 and
 l up to 1e5 tested closes at its first size. Bounds apart at the cap
 raise :class:`ConvergenceError` with the worst order's two bounds (-inf
 below without a valid c), a nonzero LAPACK status without them.
+
+A grid certifies L, T lowered by c, alone. Its t, before any solve, is
+Weyl's d_k + ||E||_inf at the top index k, E the off-diagonal and p = 1
+corner: (1 + sqrt 2) l for p = 0, else 2 l. By Courant-Fischer on L's
+first i + 1 eigenvectors, value i of T is at most mu_i + c sum_{j<=i} z_j^2,
+z_j the last entry of L's eigenvector j, and z_j^2 = det(mu_j - T_{N-1})
+/ prod_{i != j} (mu_j - mu_i) (Parlett, ch. 7), by LDL^T pivots. A row
+returns its mu where c = 0 or ``BOUND_SAFETY`` times that bound meets the
+tolerance; else, or without a valid c, it takes :func:`_converge`.
 
 Caches
 ------
@@ -76,6 +85,8 @@ EIGENVALUE_TOL = 1e-11  # relative
 # jitter. On the module docstring's grid a lower bound came out above its
 # upper bound by up to 13 eps * ||T||, which the one-sided test passes.
 JITTER_FACTOR = 4.0
+# Margin on the grid bound c sum z_j^2, whose z_j^2 from rounded values erred <= 0.3%
+BOUND_SAFETY = 2.0
 TRUNCATION_CAP = 512  # largest matrix size
 CACHE_SIZE = 16384
 _EPS = float(np.finfo(float).eps)
@@ -230,44 +241,46 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
 @functools.lru_cache(maxsize=64)  # the sweep, schedule and scan grids of one run
 def _converge_grid(mathieu_class: MathieuClass, top: int,
                    barriers: tuple[float, ...]) -> np.ndarray:
-    """:func:`_converge` values of orders p, p + 2, ..., top bit for bit, as
-    read-only rows, one per barrier (checked by the caller; a repeat is solved
-    once). The barriers of one first size share 2-D bands and one array pass
-    for tail shift, norm floor and acceptance test; the rest take :func:`_converge`."""
+    """Values of orders p, p + 2, ..., top as read-only rows, one per barrier
+    (checked by the caller; a repeat is solved once), by the module docstring's
+    grid rule; a row it does not certify takes :func:`_converge`'s bits."""
     k_hi = mathieu_class.eigen_index(top)
     grid, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
     sizes = np.array([min(initial_truncation(top, l), TRUNCATION_CAP)
                       for l in grid.tolist()], dtype=int)
     ladder, unit = _BANDS[mathieu_class]
-    out = np.empty((grid.size, k_hi + 1))
-
-    def solve(diag, off, q):  # one kernel call per row
-        return np.reshape([_kernel(d, e, 0, k_hi, mathieu_class, l)[0] for d, e, l
-                           in zip(diag, off, q.tolist())], (q.size, out.shape[1]))
-
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        q, edge = grid[rows], mathieu_class.lowest + 2 * size
-        with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
-            diag = np.tile(ladder[:size], (q.size, 1))
-            if mathieu_class.lowest == 1:
-                diag[:, 0] += q if mathieu_class.is_cosine else -q
-            off = q[:, None] * unit[:size - 1]
-            norm = np.maximum(np.abs(diag[:, 0]), diag[:, -1]) + 2.0 * q * unit[0]
-            upper = solve(diag, off, q)
-            a = (edge + 2) ** 2 - upper[:, -1]
-            gap = edge ** 2 - upper[:, -1] - 2.0 * q * q / (a + np.sqrt(
-                (a - 2.0 * q) * (a + 2.0 * q)))
-            shift = q * q / gap
-            diag[:, -1] -= shift
-            valid = (a > 2.0 * q) & (gap > 0.0)
-            lower = np.full_like(upper, np.nan)
-            lower[valid] = solve(diag[valid], off[valid], q[valid])
-            excess = (upper - lower) / np.maximum(EIGENVALUE_TOL * np.maximum(
-                1.0, np.abs(lower)), JITTER_FACTOR * _EPS * (norm + shift)[:, None])
-        out[rows] = lower
-        for i in rows[~(excess.max(axis=1) < 1.0)].tolist():
-            out[i] = _converge(mathieu_class, mathieu_class.lowest, top, grid[i], 1)[0]
+    out = np.full((grid.size, k_hi + 1), np.nan)
+    with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
+        q, edge = grid, mathieu_class.lowest + 2 * sizes
+        t = ladder[k_hi] + (1.0 + unit[0]) * q  # Weyl: value k_hi of T is below
+        a = (edge + 2) ** 2 - t
+        gap = edge ** 2 - t - 2.0 * q * q / (a + np.sqrt((a - 2.0 * q) * (a + 2.0 * q)))
+        rows = np.flatnonzero((a > 2.0 * q) & (gap > 0.0))
+        q, size, shift = grid[rows], sizes[rows], (q * q / gap)[rows]
+        diag = np.tile(ladder[:size.max(initial=k_hi + 1)], (q.size, 1))  # widest size
+        if mathieu_class.lowest == 1:
+            diag[:, 0] += q if mathieu_class.is_cosine else -q
+        norm = np.maximum(np.abs(diag[:, 0]), ladder[size - 1]) + 2.0 * q * unit[0]
+        off = q[:, None] * unit[:diag.shape[1] - 1]
+        diag[np.arange(q.size), size - 1] -= shift
+        low = np.full(diag.shape, np.nan)
+        for i, (n, l) in enumerate(zip(size.tolist(), q.tolist())):
+            low[i, :n] = _kernel(diag[i, :n], off[i, :n - 1], 0, n - 1, mathieu_class, l)[0]
+        mu, pivot, log_z2 = low[:, :k_hi + 1], np.inf, np.zeros((q.size, k_hi + 1))
+        e2 = np.pad(off * off, ((0, 0), (1, 0)))  # e_{k-1}^2, 0 at k = 0
+        for k in range(diag.shape[1] - 1):  # LDL^T pivots of mu_j - T_{N-1}
+            pivot = mu - diag[:, k, None] - e2[:, k, None] / pivot
+            log_z2 += np.where(k < size[:, None] - 1, np.log(np.abs(pivot)), 0.0)
+        for j in range(k_hi + 1):  # less log prod_{i != j} |mu_j - mu_i|, padding aside
+            apart = np.abs(np.delete(low, j, 1) - mu[:, j, None])
+            log_z2[:, j] -= np.nansum(np.log(apart), 1)
+        excess = BOUND_SAFETY * shift[:, None] * np.cumsum(np.exp(log_z2), axis=1) / (
+            np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(mu)),
+                       JITTER_FACTOR * _EPS * (norm + shift)[:, None]))
+        ok = (excess.max(axis=1) < 1.0) | (shift == 0.0)  # c = 0 is exact
+    out[rows[ok]] = mu[ok]
+    for i in np.flatnonzero(np.isnan(out[:, 0])).tolist():
+        out[i] = _converge(mathieu_class, mathieu_class.lowest, top, grid[i], 1)[0]
     out = out[inverse]
     out.setflags(write=False)
     return out

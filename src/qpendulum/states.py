@@ -53,7 +53,8 @@ class StateSpec:
 
     def __post_init__(self):
         check_type(self.family, StateFamily, "state family")
-        check_count(self.n, 0, "level")
+        check_count(self.n, int(self.family not in (StateFamily.XI, *_PSI)),  # se_n
+                    f"{self.family.value} level")
         object.__setattr__(self, "l", check_real(self.l, "barrier l", 0.0, False))
 
 

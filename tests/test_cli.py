@@ -145,6 +145,12 @@ def test_density_validation():
                  "--points", "4"]) == EXIT_VALIDATION
 
 
+def test_density_level_its_family_lacks(capsys):
+    # phi+ at n = 0 once failed on "se order" after the solve had begun
+    assert main(["density", "--family", "phi+", "-n", "0", "-l", "1"]) == EXIT_VALIDATION
+    assert "phi+ level must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_classical_trajectory(tmp_path):
     out = tmp_path / "traj.csv"
     code = main(["classical", "--E", "9.0", "--U", "1.0", "--t-max", "2",
@@ -326,6 +332,13 @@ def test_every_float_option_keeps_the_exit_code_contract(command, option):
     for value in _EDGE_VALUES:
         code = main([*base, f"{option}={value}"])  # "=": "-inf" is no option
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_GATE), value
+
+
+def test_grid_of_the_largest_barriers_keeps_the_exit_code_contract():
+    # the grid's a-priori tail bound d + (1 + sqrt 2) l overflows here; the
+    # rows go to the single-barrier engine without a NumPy warning
+    assert main(["characteristics", "--l-min", "1e300", "--l-max", "1.7e308",
+                 "--steps", "2"]) == EXIT_CONVERGENCE
 
 
 def test_report_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -182,14 +183,47 @@ def test_first_size_closes_its_bounds(lapack_calls):
     assert len(GRID_SOLVES) == 149 and not second, f"{len(second)} solves: {second[:3]}"
 
 
-def _grid_against_converge(n_max, barriers):
-    """Each family's batched grid solve, and its rows by _converge."""
+@functools.lru_cache(maxsize=None)
+def _tight_reference(cls, l, count):
+    """The lowest ``count`` values of a size-512 dstebz bisection at ABSTOL
+    1e-300; module-level, so no per-test cache clearing drops them."""
+    diag, off, _ = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
+    found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1, count,
+                                            1e-300, "E")
+    assert info == 0 and found == count
+    return ref[:found]
+
+
+def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
+    """Solve each family's grid; a row the grid sent on to _converge must
+    equal it bit for bit. Every other row must lie within its tolerance at
+    its first size N, max(1e-11 max(1, |v|), 4 eps ||T_N||), plus 32 eps
+    ||T_N|| of LAPACK jitter, of the size-512 reference and, if
+    ``against_converge``, of _converge's value. Returns the counts of
+    accepted and sent rows."""
+    eps, real, sent, counts = np.finfo(float).eps, mathieu._converge, [], [0, 0]
+    monkeypatch.setattr(mathieu, "_converge",
+                        lambda *args: sent.append(args[3]) or real(*args))
     for cls in MathieuClass:
-        if cls.lowest <= n_max:
-            top = n_max - (n_max - cls.lowest) % 2
-            got = mathieu._converge_grid(cls, top, tuple(barriers))
-            want = [mathieu._converge(cls, cls.lowest, top, l, 1)[0] for l in barriers]
-            yield cls, got, np.array(want).reshape(got.shape)
+        if cls.lowest > n_max:
+            continue
+        top = n_max - (n_max - cls.lowest) % 2
+        sent.clear()
+        got = mathieu._converge_grid(cls, top, tuple(barriers))
+        for l, row in zip(barriers, got):
+            want = np.array(real(cls, cls.lowest, top, l, 1)[0])
+            counts[l in sent] += 1
+            if l in sent:
+                assert row.tobytes() == want.tobytes(), (cls, top, l)
+                continue
+            size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
+            norm = mathieu._tridiagonal(cls, l, size)[2]
+            tol = np.maximum(1e-11 * np.maximum(1.0, np.abs(row)), 4 * eps * norm)
+            tol += 32 * eps * norm
+            assert (np.abs(row - _tight_reference(cls, l, 13)[:row.size]) <= tol).all(), (
+                cls, top, l)
+            assert not against_converge or (np.abs(row - want) <= tol).all(), (cls, top, l)
+    return counts
 
 
 # An unsorted schedule grid with repeats and zeros: l(t) = max(3 + 4 cos t, 0)
@@ -201,23 +235,38 @@ SCHEDULE_BARRIERS = [max(3.0 + 4.0 * math.cos(t), 0.0)
     (8, np.linspace(0.0, 55.0, 111).tolist()),
     *[(n_max, GRID_BARRIERS) for n_max in (0, 1, 2, 4, 8, 12, 24)],
     (8, SCHEDULE_BARRIERS)])
-def test_grid_solve_equals_converge_bit_for_bit(n_max, barriers):
-    """The batched solve of a barrier grid returns, row by row, the bits
-    _converge returns at each barrier: the fig1 grid, the module grid for
-    ranges of one or two orders (dstebz) and of three or more (dsterf),
-    and a schedule grid."""
-    for cls, got, want in _grid_against_converge(n_max, barriers):
-        assert got.tobytes() == want.tobytes(), cls
+def test_grid_rows_within_tolerance_of_reference_and_converge(monkeypatch, n_max,
+                                                             barriers):
+    """The grid's one-call rule on the fig1 grid, the module grid and a
+    schedule grid: every row within its tolerance of the tight reference
+    and of _converge, and the rows with no valid tail shift (large
+    barriers only) are _converge's own bits."""
+    accepted, sent = _check_grid_rows(monkeypatch, n_max, barriers, True)
+    assert accepted and (sent > 0) == (barriers is GRID_BARRIERS)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
+def test_grid_undersized_first_size_accepts_no_row_off_the_reference(monkeypatch,
+                                                                    cut):
+    """With a first size ``cut`` rows short, the bound c sum z_j^2 must
+    reject every row it cannot certify: no accepted row lies farther from
+    the reference than its tolerance. Both outcomes occur."""
+    first = mathieu.initial_truncation
+    monkeypatch.setattr(mathieu, "initial_truncation",
+                        lambda n, l: max(first(n, l) - cut, n // 2 + 2))
+    for n_max in (0, 1, 2, 4, 8, 12, 24):
+        accepted, sent = _check_grid_rows(monkeypatch, n_max, GRID_BARRIERS, False)
+        assert accepted and sent, n_max
 
 
 def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
                                                            monkeypatch):
-    """With a first size too small to close, every barrier goes on to
-    _converge's doubling, and the rows still match it bit for bit."""
+    """With a first size too small to close, every barrier but se_even's
+    l = 0.5 (its 6 rows close) goes on to _converge's doubling after one
+    grid call: a rejected row costs one call more than _converge alone."""
     monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
     barriers = [0.5, 3.42, 11.1, 28.0, 55.0]
-    for cls, got, want in _grid_against_converge(8, barriers):
-        assert got.tobytes() == want.tobytes(), cls
+    assert _check_grid_rows(monkeypatch, 8, barriers, False) == [1, 19]
     sizes = {len(c[1]) for c in lapack_calls}
     assert min(sizes) == 5 and {5, 6, 10, 12} < sizes  # n // 2 + 2 rows, then doubled
 
@@ -247,16 +296,10 @@ def test_bounds_enclose_tight_reference():
     (up to 16 on this grid), so 32 eps ||T|| of the accepted size."""
     eps = np.finfo(float).eps
     for l in GRID_BARRIERS:
-        refs = {}
-        for cls in MathieuClass:
-            diag, off, _ = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
-            found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1, 33,
-                                                    1e-300, "E")
-            assert info == 0 and found == 33
-            refs[cls] = ref[:found]
         for cls, n_lo, n_hi in GRID_SOLVES:
             lower, (diag, _, upper, _) = mathieu._converge(cls, n_lo, n_hi, l, 1)
-            ref = refs[cls][cls.eigen_index(n_lo):cls.eigen_index(n_hi) + 1]
+            ref = _tight_reference(cls, l, 33)[cls.eigen_index(n_lo):
+                                               cls.eigen_index(n_hi) + 1]
             jitter = 32 * eps * mathieu._tridiagonal(cls, l, len(diag))[2]
             assert (np.array(lower) - jitter <= ref).all(), (cls, n_lo, n_hi, l)
             assert (ref <= np.array(upper) + jitter).all(), (cls, n_lo, n_hi, l)
@@ -415,10 +458,12 @@ def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_
         else:
             characteristic_values(MathieuClass.CE_EVEN, 0, 2 + 2 * (kernel == "dsterf"),
                                   2.5)
-    argv = (["density", "--family", "phi+", "-n", "2", "-l", "2.5"]
-            if kernel == "dstein" else
-            ["characteristics", "--n-max", "4", "--l-min", "0", "--l-max", "1",
-             "--steps", "2"])
+    # the grids of `characteristics` call dsterf only; the Brent roots of
+    # `regions` solve single orders by dstebz
+    argv = {"dstein": ["density", "--family", "phi+", "-n", "2", "-l", "2.5"],
+            "dstebz": ["regions", "--n-max", "1"],
+            "dsterf": ["characteristics", "--n-max", "4", "--l-min", "0",
+                       "--l-max", "1", "--steps", "2"]}[kernel]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_CONVERGENCE
 
 
@@ -676,11 +721,12 @@ def test_family_ladders_match_per_family_reference(cls):
 
 
 def test_cold_bundle_lapack_budget(lapack_calls):
-    # 2,190 direct calls on 28,916 rows: 2,174 dstebz/dsterf calls, two per
-    # solve, and one dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8)
+    # 1,268 direct calls on 17,360 rows: 700 dsterf calls, one per grid
+    # barrier and family, 552 dstebz calls, two per single solve, and one
+    # dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8)
     from qpendulum.report import build_bundle
 
     build_bundle()
     kernels = [c[0] for c in lapack_calls]
-    assert 0 < len(kernels) <= 2200 and "eigh_tridiagonal" not in kernels
-    assert sum(len(c[1]) for c in lapack_calls) <= 30000
+    assert 0 < len(kernels) <= 1300 and "eigh_tridiagonal" not in kernels
+    assert sum(len(c[1]) for c in lapack_calls) <= 18000

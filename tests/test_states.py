@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,11 +135,17 @@ def test_deep_well_density_localizes():
                                atol=1e-2)
 
 
-def test_order_validation():
-    with pytest.raises(DomainError):
-        build_state(StateSpec(StateFamily.ETA, 0, 1.0))
-    with pytest.raises(DomainError):
-        build_state(StateSpec(StateFamily.PHI_PLUS, 0, 1.0))
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_spec_rejects_levels_its_family_lacks(family, lapack_calls):
+    # phi+-, eta need se_n, n >= 1; xi and psi+- start at ce_0 (psi at se_1).
+    # phi+ at n = 0 once constructed and failed at build time on se_0
+    lowest = 0 if family in (StateFamily.XI, StateFamily.PSI_PLUS,
+                             StateFamily.PSI_MINUS) else 1
+    with pytest.raises(DomainError, match=re.escape(
+            f"{family.value} level must be an integer >= {lowest}, got {lowest - 1}")):
+        StateSpec(family, lowest - 1, 1.0)
+    assert lapack_calls == []
+    assert build_state(StateSpec(family, lowest, 1.0)).norm_check < 1e-12
 
 
 @pytest.mark.parametrize("family", ["XI", "chi", None, 3])

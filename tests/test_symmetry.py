@@ -462,13 +462,14 @@ def test_lapack_calls_starts_from_empty_caches(warm_caches, lapack_calls):
 
 def test_cold_sweep_row_budget(lapack_calls):
     # rows handed to LAPACK for the n <= 8 sweep over the fig1 grid
-    # (26,862): a first size growing as sqrt(l), not l^(1/4), breaks it.
-    # Each of the four families takes two calls per barrier, and an
-    # identical repeat is one hit of the grid cache.
+    # (6,482): a first size growing as sqrt(l), not l^(1/4), breaks it.
+    # Each of the four families takes one dsterf call per barrier, on the
+    # lowered bands, and an identical repeat is one hit of the grid cache.
     grid = np.linspace(0.0, 55.0, 111)
     rows = sweep_characteristics(8, grid)
-    assert len(lapack_calls) == 8 * len(grid) == 888
-    assert sum(len(c[1]) for c in lapack_calls) <= 30000
+    assert len(lapack_calls) == 4 * len(grid) == 444
+    assert {c[0] for c in lapack_calls} == {"dsterf"}
+    assert sum(len(c[1]) for c in lapack_calls) <= 6500
     lapack_calls.clear()
     assert sweep_characteristics(8, grid) == rows and lapack_calls == []
 
