@@ -6,13 +6,13 @@ phi -> -phi, and its lowest harmonic p, whose parity is that under
 phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. One
 engine, :func:`_converge`, solves one family at one barrier for a range
-of orders, values only, doubling the matrix size until two bounds on
-every value meet. Each size costs two direct LAPACK calls: ``dsterf``
-(root-free QR, every value, O(N^2)) for three or more orders, and the
-``dstebz`` bisection of the index range, whose cost grows as rows times
-requested values, for one or two. :func:`_converge_grid` solves a
-barrier grid with one ``dsterf`` per barrier and its other work as array
-operations over all rows; a batch of one costs several solves. An
+of orders, values only, doubling the matrix size until a count certifies
+every value. Each size costs one direct LAPACK call (two from l ~ 290):
+``dsterf`` (root-free QR, every value, O(N^2)) for three or more orders,
+and the ``dstebz`` bisection of the index range, whose cost grows as
+rows times requested values, for one or two. :func:`_converge_grid`
+solves a barrier grid with one ``dsterf`` per barrier and its other work
+as array operations over all rows; a batch of one costs several solves. An
 eigenvector holds the weights of the orthonormal functions cos(h phi) or
 sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
 :func:`ce_series` and :func:`se_series` alone move it onto the
@@ -30,34 +30,26 @@ over about sqrt(2n + 1) l^(1/4) harmonics, so
 above. The tail past them has diagonal d_j = (p + 2j)^2, j >= N, and
 off-diagonal l, so by its Schur complement each value v is one of
 T - l^2 g(v) e_N e_N^T, with g its (1, 1) resolvent entry, increasing.
-For t above every value sought (the largest upper bound), one fraction
-level and the constant chain on d_{N+1} below the rest bound l^2 g(t) by
-c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t,
-if a > 2 l and the denominator is positive: T with its last diagonal
-entry lowered by c bounds each value from below. A size whose bounds
-all differ by less than ``max(EIGENVALUE_TOL * max(1, |v|),
-JITTER_FACTOR * eps * (||T|| + c))`` returns its lower bounds; else the
-size doubles. ||T|| = max|diag| + 2 max|off|; LAPACK jitters below that
-floor, and ||T|| grows as the squared size. Every order up to 64 and
-l up to 1e5 tested closes at its first size. Bounds apart at the cap
-raise :class:`ConvergenceError` with the worst order's two bounds (-inf
-below without a valid c), a nonzero LAPACK status without them.
-
-A grid certifies L, T lowered by c, alone. Its t, before any solve, is
-Weyl's d_k + ||E||_inf at the top index k, E the off-diagonal and p = 1
-corner: (1 + sqrt 2) l for p = 0, else 2 l. By Courant-Fischer on L's
-first i + 1 eigenvectors, value i of T is at most mu_i + c sum_{j<=i} z_j^2,
-z_j the last entry of L's eigenvector j, and z_j^2 = det(mu_j - T_{N-1})
-/ prod_{i != j} (mu_j - mu_i) (Parlett, ch. 7), by LDL^T pivots. A row
-returns its mu where c = 0 or ``BOUND_SAFETY`` times that bound meets the
-tolerance; else, or without a valid c, it takes :func:`_converge`.
+By Weyl, value k of T (the top index) is below t = d_k + ||E||_inf, E the
+off-diagonal and p = 1 corner: (1 + sqrt 2) l for p = 0, else 2 l (where
+that t leaves no valid c, from l ~ 290 for order 0, T's top value from
+one call). One fraction level and the constant chain on d_{N+1} below
+the rest bound l^2 g(t) by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 -
+4 l^2))), a = d_{N+1} - t, if a > 2 l and the denominator is positive:
+L, T with its last diagonal entry lowered by c, bounds each value from
+below. One call gives L's values mu; value i passes when a Sturm count
+finds more than i values of T below mu_i + tol_i - delta, tol_i =
+max(EIGENVALUE_TOL * max(1, |mu_i|), JITTER_FACTOR * eps * (||T|| + c)),
+||T|| = max|diag| + 2 max|off|. A size whose values all pass returns mu,
+else the size doubles. At the cap :class:`ConvergenceError` carries the
+worst order's mu and T's value (-inf below without a valid c).
 
 Caches
 ------
 Two typed caches of 16,384 entries each: ``_values`` keeps the values
 of one (family, order range, l), ``_weights`` the read-only eigenvector
 weights of one (family, order, l) from one ``dstein`` inverse iteration
-on the upper bisection, started at twice the first size (a complex
+on L's bisection, started at twice the first size (a complex
 plane-wave series would take eight times the memory). Inputs are
 validated inside the cached functions, so a hit is one lookup, hashed in
 C (families hash by identity), and ``True`` or ``2.0`` never hit an
@@ -81,15 +73,14 @@ from .errors import (ConvergenceError, DomainError, _shown, check_count, check_r
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
-# Multiple of eps * ||T|| below which two bounds count as met: LAPACK
-# jitter. On the module docstring's grid a lower bound came out above its
-# upper bound by up to 13 eps * ||T||, which the one-sided test passes.
+# tol >= JITTER_FACTOR eps (||T|| + c): LAPACK's values of L are off by a few eps ||L||
 JITTER_FACTOR = 4.0
-# Margin on the grid bound c sum z_j^2, whose z_j^2 from rounded values erred <= 0.3%
-BOUND_SAFETY = 2.0
+# delta = COUNT_ERROR eps max|b|: a count is exact for T with each off-diagonal b
+# moved by <= 2.5 eps |b| (Kahan; Demmel, Applied Numerical Linear Algebra, 5.3.4)
+COUNT_ERROR = 6.0
 TRUNCATION_CAP = 512  # largest matrix size
 CACHE_SIZE = 16384
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 class MathieuClass(enum.Enum):
@@ -195,13 +186,32 @@ def _kernel(diag, off, k_lo: int, k_hi: int, mathieu_class: MathieuClass, l: flo
     return values, split
 
 
+def _tail_shift(edge: int, t: float, l: float) -> float | None:
+    """c for values below t and tail diagonal edge^2, ...; None if not valid."""
+    a = (edge + 2) ** 2 - t
+    gap = (edge ** 2 - t - 2.0 * l * l / (a + math.sqrt((a - 2.0 * l) * (a + 2.0 * l)))
+           if a > 2.0 * l else 0.0)
+    return l * l / gap if gap > 0.0 else None
+
+
+def _passes(diag, e2, x: float, k: int) -> bool:
+    """Whether T has more than k values below x, within delta: LDL^T pivots."""
+    below, pivot = 0, 1.0
+    for d, b2 in zip(diag, e2):
+        if (pivot := d - x - b2 / pivot) <= 0.0:  # as LAPACK's pivmin, 0 counts as -tiny
+            pivot, below = pivot or -_TINY, below + 1  # IEEE inf does the rest
+            if below > k:  # interlacing: T has at least as many
+                return True
+    return False
+
+
 def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
               widen: int):
     """Values of orders n_lo, n_lo + 2, ..., n_hi, from ``widen`` times the
-    first size; validates every input. Returns the lower bounds as a list of
-    floats and the ``dstein`` inputs of the accepted size: its bands, the
-    upper bounds and their ``dstebz`` block data (iblock, isplit), or None
-    from a ``dsterf`` solve. See the module docstring for the rule.
+    first size; validates every input. Returns them as a list of floats and
+    the ``dstein`` inputs of the accepted size: L's bands, the values and
+    their ``dstebz`` block data (iblock, isplit), or None from a ``dsterf``
+    solve. See the module docstring for the rule.
     """
     k_lo = check_type(mathieu_class, MathieuClass, "family").eigen_index(n_lo)
     k_hi = mathieu_class.eigen_index(n_hi)
@@ -209,28 +219,29 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
         raise DomainError(f"empty order range {n_lo}..{n_hi}")
     l = check_real(l, "barrier l", 0.0, False)
     size = min(widen * initial_truncation(n_hi, l), TRUNCATION_CAP)
-    count = k_hi - k_lo + 1
+    ladder, unit = _BANDS[mathieu_class]
+    weyl = float(ladder[k_hi]) + (1.0 + float(unit[0])) * l  # value k_hi of T is below
+    delta, count = COUNT_ERROR * _EPS * float(unit[0]) * l, k_hi - k_lo + 1
     while True:
         diag, off, norm = _tridiagonal(mathieu_class, l, size)
-        upper, split = _kernel(diag, off, k_lo, k_hi, mathieu_class, l)
-        upper = upper.tolist()
-        lower, excess = [-math.inf] * count, [math.inf] * count
-        edge = mathieu_class.lowest + 2 * size  # tail diagonal edge^2, (edge + 2)^2, ...
-        a = (edge + 2) ** 2 - upper[-1]
-        gap = (edge ** 2 - upper[-1] - 2.0 * l * l / (a + math.sqrt(
-            (a - 2.0 * l) * (a + 2.0 * l))) if a > 2.0 * l else 0.0)
-        if gap > 0.0:
-            shift = l * l / gap
+        lower, tol, upper = [-math.inf] * count, [1.0] * count, None
+        shift = _tail_shift(edge := mathieu_class.lowest + 2 * size, weyl, l)
+        if shift is None:  # Weyl's t is too high here: take T's top value
+            upper = _kernel(diag, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
+            shift = _tail_shift(edge, upper[-1], l)
+        if shift is not None:
             lowered = diag.copy()
             lowered[-1] -= shift
-            lower = _kernel(lowered, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
-            floor = JITTER_FACTOR * _EPS * (norm + shift)
-            excess = [(u - v) / max(EIGENVALUE_TOL * max(1.0, abs(v)), floor)
-                      for u, v in zip(upper, lower)]
-            if max(excess) < 1.0:
-                return lower, (diag, off, upper, split)
-        if size >= TRUNCATION_CAP:
-            worst = excess.index(max(excess))
+            values, split = _kernel(lowered, off, k_lo, k_hi, mathieu_class, l)
+            lower, floor = values.tolist(), JITTER_FACTOR * _EPS * (norm + shift)
+            tol = [max(EIGENVALUE_TOL * max(1.0, abs(v)), floor) for v in lower]
+            entries, e2 = diag.tolist(), [0.0] + (off * off).tolist()  # b_{j-1}^2
+            if all(_passes(entries, e2, lower[i] + tol[i] - delta, k_lo + i)
+                   for i in reversed(range(count))):  # the top order fails first
+                return lower, (lowered, off, values, split)
+        if size >= TRUNCATION_CAP:  # solve T for the upper bounds, if not yet solved
+            upper = upper or _kernel(diag, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
+            worst = max(range(count), key=lambda i: (upper[i] - lower[i]) / tol[i])
             raise ConvergenceError(
                 f"eigenvalue bounds apart at truncation cap {TRUNCATION_CAP} for "
                 f"({mathieu_class.value}, n={n_lo + 2 * worst}, l={l})",
@@ -242,8 +253,8 @@ def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
 def _converge_grid(mathieu_class: MathieuClass, top: int,
                    barriers: tuple[float, ...]) -> np.ndarray:
     """Values of orders p, p + 2, ..., top as read-only rows, one per barrier
-    (checked by the caller; a repeat is solved once), by the module docstring's
-    grid rule; a row it does not certify takes :func:`_converge`'s bits."""
+    (checked by the caller; a repeat is solved once), by :func:`_converge`'s
+    rule at the first size; a row it does not certify takes its bits."""
     k_hi = mathieu_class.eigen_index(top)
     grid, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
     sizes = np.array([min(initial_truncation(top, l), TRUNCATION_CAP)
@@ -262,22 +273,21 @@ def _converge_grid(mathieu_class: MathieuClass, top: int,
             diag[:, 0] += q if mathieu_class.is_cosine else -q
         norm = np.maximum(np.abs(diag[:, 0]), ladder[size - 1]) + 2.0 * q * unit[0]
         off = q[:, None] * unit[:diag.shape[1] - 1]
-        diag[np.arange(q.size), size - 1] -= shift
-        low = np.full(diag.shape, np.nan)
+        lowered, mu = diag.copy(), np.empty((q.size, k_hi + 1))
+        lowered[np.arange(q.size), size - 1] -= shift
         for i, (n, l) in enumerate(zip(size.tolist(), q.tolist())):
-            low[i, :n] = _kernel(diag[i, :n], off[i, :n - 1], 0, n - 1, mathieu_class, l)[0]
-        mu, pivot, log_z2 = low[:, :k_hi + 1], np.inf, np.zeros((q.size, k_hi + 1))
-        e2 = np.pad(off * off, ((0, 0), (1, 0)))  # e_{k-1}^2, 0 at k = 0
-        for k in range(diag.shape[1] - 1):  # LDL^T pivots of mu_j - T_{N-1}
-            pivot = mu - diag[:, k, None] - e2[:, k, None] / pivot
-            log_z2 += np.where(k < size[:, None] - 1, np.log(np.abs(pivot)), 0.0)
-        for j in range(k_hi + 1):  # less log prod_{i != j} |mu_j - mu_i|, padding aside
-            apart = np.abs(np.delete(low, j, 1) - mu[:, j, None])
-            log_z2[:, j] -= np.nansum(np.log(apart), 1)
-        excess = BOUND_SAFETY * shift[:, None] * np.cumsum(np.exp(log_z2), axis=1) / (
-            np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(mu)),
-                       JITTER_FACTOR * _EPS * (norm + shift)[:, None]))
-        ok = (excess.max(axis=1) < 1.0) | (shift == 0.0)  # c = 0 is exact
+            mu[i] = _kernel(lowered[i, :n], off[i, :n - 1], 0, n - 1, mathieu_class,
+                            l)[0][:k_hi + 1]
+        tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(mu)),
+                         JITTER_FACTOR * _EPS * (norm + shift)[:, None])
+        x = mu + tol - (COUNT_ERROR * _EPS * unit[0] * q)[:, None]  # less delta
+        e2 = np.pad(off * off, ((0, 0), (1, 0)))  # b_{j-1}^2, 0 at j = 0
+        pivot, below = np.ones_like(x), np.zeros(x.shape, dtype=int)
+        for j in range(diag.shape[1]):  # _passes over every row and order at once
+            pivot = diag[:, j, None] - x - e2[:, j, None] / pivot
+            pivot[pivot == 0.0] = -_TINY
+            below += (pivot < 0.0) & (j < size[:, None])
+        ok = (below > np.arange(k_hi + 1)).all(axis=1)
     out[rows[ok]] = mu[ok]
     for i in np.flatnonzero(np.isnan(out[:, 0])).tolist():
         out[i] = _converge(mathieu_class, mathieu_class.lowest, top, grid[i], 1)[0]
@@ -309,8 +319,8 @@ def _values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     """Read-only basis weights of order n, order-matching harmonic positive."""
-    diag, off, upper, split = _converge(mathieu_class, n, n, l, 2)[1]
-    vecs, info = dstein(diag, off, upper, *split)
+    lowered, off, values, split = _converge(mathieu_class, n, n, l, 2)[1]
+    vecs, info = dstein(lowered, off, values, *split)
     if info:
         raise ConvergenceError(f"dstein info={info} for ({mathieu_class.value}, "
                                f"n={n}, l={l})")

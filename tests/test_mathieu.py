@@ -138,22 +138,29 @@ def test_order_validation():
 
 def test_convergence_error_reports_iterates(lapack_calls):
     """At l = 1e11 the first size is above the cap, so the cap is solved
-    first; its tail diagonal starts less than 2 l above the value, so no
-    lower bound holds there: one call, and -inf below. At l = 1e9 both
-    bounds hold at the cap but are still 3.6e-2 apart."""
+    first; its tail diagonal starts less than 2 l above the Weyl t and
+    above T's own top value, so no lower bound holds there: one call, on
+    T, and -inf below. At l = 1e9 T's top value gives the valid c the Weyl
+    t does not: T then L, still 3.6e-2 apart, and no third call. Order
+    1018 at l = 1e3 starts at the cap too, with a valid c from the Weyl t:
+    L is solved, the count rejects it, and the error path solves T once;
+    the bounds are 8.8e-2 apart."""
     calls = lapack_calls
     with pytest.raises(ConvergenceError) as err:
         characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
     assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)]
     assert err.value.last_iterates == (-math.inf, calls[0][3][1][0])
-    calls.clear()
-    with pytest.raises(ConvergenceError) as err:
-        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e9)[0]
-    assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)] * 2
-    lower, upper = err.value.last_iterates
-    assert (lower, upper) == (calls[1][3][1][0], calls[0][3][1][0])
-    assert 1e-11 * abs(upper) < upper - lower < 0.1
+    for order, l, upper_first in [(0, 1e9, True), (1018, 1e3, False)]:
+        calls.clear()
+        with pytest.raises(ConvergenceError) as err:
+            characteristic_values(MathieuClass.CE_EVEN, order, order, l)[0]
+        assert mathieu.initial_truncation(order, l) > TRUNCATION_CAP
+        assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)] * 2
+        (_, diag, _, upper), (_, lowered, _, lower) = calls[::1 if upper_first else -1]
+        assert np.array_equal(lowered[:-1], diag[:-1]) and lowered[-1] < diag[-1]
+        assert err.value.last_iterates == (lower[1][0], upper[1][0])
+        assert 1e-11 * abs(upper[1][0]) < upper[1][0] - lower[1][0] < 0.1
 
 
 # Every order up to 64 of each family, and the family ranges of a sweep
@@ -164,23 +171,30 @@ GRID_SOLVES = ([(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 6
 GRID_BARRIERS = [0.0] + np.logspace(-3, 5, 81).tolist()
 
 
-def test_first_size_closes_its_bounds(lapack_calls):
-    """Each grid solve accepts its first size: two LAPACK calls on it, the
-    upper bound and the lower one, whose bands differ in the last
-    diagonal entry only."""
+def test_one_call_per_solve_at_the_first_size_with_a_valid_c(lapack_calls):
+    """Each grid solve accepts its first size. Where the Weyl t gives a
+    valid c there, it makes one LAPACK call, on L, the bands of T with
+    the last diagonal entry lowered. Elsewhere (2,373 solves, all at
+    l >= 316) it first solves T for its top value, then L."""
     calls = lapack_calls
-    second = []
+    twice = []
     for l in GRID_BARRIERS:
         for solve in GRID_SOLVES:
             mathieu._values.cache_clear()
             calls.clear()
             characteristic_values(*solve, l)
-            (_, diag, off, _), (_, lowered, lowered_off, _) = calls[:2]
+            first = min(mathieu.initial_truncation(solve[2], l), TRUNCATION_CAP)
+            diag, band, _ = mathieu._tridiagonal(solve[0], l, first)
+            *upper, (_, lowered, off, _) = calls
+            assert [len(c[1]) for c in calls] == [first] * len(calls), (*solve, l)
             assert np.array_equal(diag[:-1], lowered[:-1]) and lowered[-1] <= diag[-1]
-            assert np.array_equal(off, lowered_off)
-            if len(calls) != 2:
-                second.append((*solve, l))
-    assert len(GRID_SOLVES) == 149 and not second, f"{len(second)} solves: {second[:3]}"
+            assert np.array_equal(off, band)
+            if upper:
+                (_, upper_diag, upper_off, _), = upper
+                assert np.array_equal(upper_diag, diag) and np.array_equal(upper_off, band)
+                twice.append(l)
+    assert len(GRID_SOLVES) == 149 and min(twice) > 316, min(twice)
+    assert len(twice) == 2373
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,8 +213,9 @@ def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
     equal it bit for bit. Every other row must lie within its tolerance at
     its first size N, max(1e-11 max(1, |v|), 4 eps ||T_N||), plus 32 eps
     ||T_N|| of LAPACK jitter, of the size-512 reference and, if
-    ``against_converge``, of _converge's value. Returns the counts of
-    accepted and sent rows."""
+    ``against_converge``, of _converge's value, and below it by at most
+    that much must lie T_N's own values, which the count certifies.
+    Returns the counts of accepted and sent rows."""
     eps, real, sent, counts = np.finfo(float).eps, mathieu._converge, [], [0, 0]
     monkeypatch.setattr(mathieu, "_converge",
                         lambda *args: sent.append(args[3]) or real(*args))
@@ -209,6 +224,7 @@ def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
             continue
         top = n_max - (n_max - cls.lowest) % 2
         sent.clear()
+        mathieu._converge_grid.cache_clear()  # a cached grid would send no row
         got = mathieu._converge_grid(cls, top, tuple(barriers))
         for l, row in zip(barriers, got):
             want = np.array(real(cls, cls.lowest, top, l, 1)[0])
@@ -217,9 +233,12 @@ def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
                 assert row.tobytes() == want.tobytes(), (cls, top, l)
                 continue
             size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
-            norm = mathieu._tridiagonal(cls, l, size)[2]
+            diag, off, norm = mathieu._tridiagonal(cls, l, size)
             tol = np.maximum(1e-11 * np.maximum(1.0, np.abs(row)), 4 * eps * norm)
             tol += 32 * eps * norm
+            upper = eigvalsh_tridiagonal(diag, off, select="i",
+                                         select_range=(0, row.size - 1))
+            assert (upper <= row + tol).all(), (cls, top, l)
             assert (np.abs(row - _tight_reference(cls, l, 13)[:row.size]) <= tol).all(), (
                 cls, top, l)
             assert not against_converge or (np.abs(row - want) <= tol).all(), (cls, top, l)
@@ -248,9 +267,9 @@ def test_grid_rows_within_tolerance_of_reference_and_converge(monkeypatch, n_max
 @pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
 def test_grid_undersized_first_size_accepts_no_row_off_the_reference(monkeypatch,
                                                                     cut):
-    """With a first size ``cut`` rows short, the bound c sum z_j^2 must
-    reject every row it cannot certify: no accepted row lies farther from
-    the reference than its tolerance. Both outcomes occur."""
+    """With a first size ``cut`` rows short, the count must reject every
+    row it cannot certify: no accepted row lies farther from the
+    reference than its tolerance. Both outcomes occur."""
     first = mathieu.initial_truncation
     monkeypatch.setattr(mathieu, "initial_truncation",
                         lambda n, l: max(first(n, l) - cut, n // 2 + 2))
@@ -262,13 +281,35 @@ def test_grid_undersized_first_size_accepts_no_row_off_the_reference(monkeypatch
 def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
                                                            monkeypatch):
     """With a first size too small to close, every barrier but se_even's
-    l = 0.5 (its 6 rows close) goes on to _converge's doubling after one
-    grid call: a rejected row costs one call more than _converge alone."""
+    l = 0.5 (its 6 rows close) goes on to _converge's doubling. Seven rows
+    (l = 55, and l = 28 outside se_even) have no valid c from the Weyl t
+    at the first size and make no grid call. _converge makes one call per
+    size, and one more at such a first size, on T; its top value gives a
+    valid c at l = 28 and se_even's l = 55, whose first size takes two
+    calls. Each of the other 12 rejected rows costs one call more than
+    _converge alone."""
     monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
     barriers = [0.5, 3.42, 11.1, 28.0, 55.0]
+    tops = {cls: 8 - (8 - cls.lowest) % 2 for cls in MathieuClass}
+    for cls, top in tops.items():
+        mathieu._converge_grid(cls, top, tuple(barriers))
+    sizes = [len(c[1]) for c in lapack_calls]
+    assert min(sizes) == 5 and {5, 6, 10, 12} < set(sizes)  # n // 2 + 2 rows, then doubled
+    alone, twice = 0, set()
+    for cls, top in tops.items():
+        for l in barriers:
+            lapack_calls.clear()
+            mathieu._converge(cls, cls.lowest, top, l, 1)
+            row_sizes = [len(c[1]) for c in lapack_calls]
+            assert row_sizes == sorted(row_sizes) and len(set(row_sizes[1:])) == len(
+                row_sizes) - 1, (cls, l)
+            if row_sizes[:1] == row_sizes[1:2]:
+                twice.add((cls, l))
+            alone += len(row_sizes)
+    assert len(sizes) == alone + 12 == 61
+    assert twice == {(cls, 28.0) for cls in MathieuClass if cls != MathieuClass.SE_EVEN} | {
+        (MathieuClass.SE_EVEN, 55.0)}
     assert _check_grid_rows(monkeypatch, 8, barriers, False) == [1, 19]
-    sizes = {len(c[1]) for c in lapack_calls}
-    assert min(sizes) == 5 and {5, 6, 10, 12} < sizes  # n // 2 + 2 rows, then doubled
 
 
 def test_no_grid_outlives_the_test_that_solved_it(pytester):
@@ -289,20 +330,63 @@ def test_no_grid_outlives_the_test_that_solved_it(pytester):
     assert mathieu._converge_grid.cache_info().currsize == 0
 
 
+def _tolerance(values, lowered, l, cls):
+    """The acceptance tolerance of values solved on the lowered bands, and
+    ||T|| of their size: max(1e-11 max(1, |v|), 4 eps (||T|| + c))."""
+    diag, off, norm = mathieu._tridiagonal(cls, l, len(lowered))
+    floor = 4 * np.finfo(float).eps * (norm + diag[-1] - lowered[-1])
+    return np.maximum(1e-11 * np.maximum(1.0, np.abs(values)), floor), norm
+
+
 def test_bounds_enclose_tight_reference():
-    """On every grid solve the lower bound is below, and the upper one
-    above, a size-512 dstebz bisection at ABSTOL 1e-300, up to LAPACK
-    jitter: each call returns its values to a small multiple of eps ||T||
-    (up to 16 on this grid), so 32 eps ||T|| of the accepted size."""
+    """On every grid solve the value mu of L is below, and the upper bound
+    the count certifies, mu plus its tolerance, above a size-512 dstebz
+    bisection at ABSTOL 1e-300; T's own value at the accepted size lies
+    between them too. All up to LAPACK jitter: each call returns its
+    values to a small multiple of eps ||T|| (up to 16 on this grid), so
+    32 eps ||T|| of the accepted size."""
     eps = np.finfo(float).eps
     for l in GRID_BARRIERS:
         for cls, n_lo, n_hi in GRID_SOLVES:
-            lower, (diag, _, upper, _) = mathieu._converge(cls, n_lo, n_hi, l, 1)
+            lower, (lowered, off, _, _) = mathieu._converge(cls, n_lo, n_hi, l, 1)
+            k_lo, k_hi = cls.eigen_index(n_lo), cls.eigen_index(n_hi)
+            lower = np.array(lower)
+            tol, norm = _tolerance(lower, lowered, l, cls)
+            upper = eigvalsh_tridiagonal(mathieu._tridiagonal(cls, l, len(lowered))[0], off,
+                                         select="i", select_range=(k_lo, k_hi))
+            ref = _tight_reference(cls, l, 33)[k_lo:k_hi + 1]
+            jitter = 32 * eps * norm
+            assert (lower - jitter <= ref).all(), (cls, n_lo, n_hi, l)
+            assert (ref <= upper + jitter).all(), (cls, n_lo, n_hi, l)
+            assert (upper <= lower + tol + jitter).all(), (cls, n_lo, n_hi, l)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
+def test_undersized_first_size_accepts_no_value_off_the_reference(lapack_calls,
+                                                                  monkeypatch, cut):
+    """The single-solve twin of the grid test above: with a first size
+    ``cut`` rows short, the count must reject every size it cannot
+    certify, so no value characteristic_values accepts lies farther than
+    its tolerance plus 32 eps ||T|| from the size-512 reference. Both
+    outcomes occur: some solves are accepted at the cut size, some double."""
+    first = mathieu.initial_truncation
+    monkeypatch.setattr(mathieu, "initial_truncation",
+                        lambda n, l: max(first(n, l) - cut, n // 2 + 2))
+    eps, outcomes = np.finfo(float).eps, set()
+    for l in GRID_BARRIERS:
+        for cls, n_lo, n_hi in GRID_SOLVES:
+            mathieu._values.cache_clear()
+            lapack_calls.clear()
+            values = np.array(characteristic_values(cls, n_lo, n_hi, l))
+            lowered = lapack_calls[-1][1]
+            outcomes.add(len(lowered) == min(mathieu.initial_truncation(n_hi, l),
+                                             TRUNCATION_CAP))
+            tol, norm = _tolerance(values, lowered, l, cls)
             ref = _tight_reference(cls, l, 33)[cls.eigen_index(n_lo):
                                                cls.eigen_index(n_hi) + 1]
-            jitter = 32 * eps * mathieu._tridiagonal(cls, l, len(diag))[2]
-            assert (np.array(lower) - jitter <= ref).all(), (cls, n_lo, n_hi, l)
-            assert (ref <= np.array(upper) + jitter).all(), (cls, n_lo, n_hi, l)
+            assert (np.abs(values - ref) <= tol + 32 * eps * norm).all(), (
+                cls, n_lo, n_hi, l)
+    assert outcomes == {True, False}
 
 
 def test_highest_order_the_cap_holds():
@@ -388,6 +472,19 @@ def test_largest_barrier_density_exits_as_a_convergence_failure(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def _tail_shift(cls, l, size, t):
+    """The tail shift c at ``size`` rows for values below t, or None where
+    a <= 2 l or the denominator is not positive."""
+    a, edge = (cls.lowest + 2 * size + 2) ** 2 - t, (cls.lowest + 2 * size) ** 2 - t
+    gap = edge - 2 * l * l / (a + math.sqrt(a * a - 4 * l * l)) if a > 2 * l else 0
+    return l * l / gap if gap > 0 else None
+
+
+def _weyl(cls, n_hi, l):
+    """Weyl's bound t = n_hi^2 + ||E||_inf on T's value of order n_hi."""
+    return n_hi ** 2 + (1 + (math.sqrt(2) if cls.lowest == 0 else 1)) * l
+
+
 @pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
 @pytest.mark.parametrize("start,width", [(0, 1), (0, 2), (0, 3), (0, 5), (3, 1),
                                          (3, 2), (3, 3), (3, 5)])
@@ -397,11 +494,13 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
     """Each direct LAPACK call returns exactly what scipy's
     eigvalsh_tridiagonal gives for the same bands: the bisection of the
     index range for one or two orders, every value by dsterf for three or
-    more. Calls come in pairs on one size, the upper bound on the bands and
-    the lower bound with the last diagonal entry lowered by
-    c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t;
-    the values are the last lower bounds. Sizes double from the first; at
-    l = 1e4, where l^(1/4) = 10, the well term sets it:
+    more. Sizes double from the first. Each size makes one call on L, the
+    bands with the last diagonal entry lowered by c = l^2 / (d_N - t -
+    2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t, t = n_hi^2 +
+    ||E||_inf (Weyl). Where that t gives no valid c, a call on T comes
+    first and t is its top value; a size with no valid c even then makes
+    no call on L. The values are the last call's. At l = 1e4, where
+    l^(1/4) = 10, the well term sets the first size:
     3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows for the highest order n."""
     calls = lapack_calls
     n_lo = cls.lowest + 2 * start
@@ -422,21 +521,26 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
             got, ref = out[0][start:stop], ref[start:stop]
         assert len(got) == width and (got == ref).all()
     assert values == tuple(ref.tolist())
-    assert len(calls) % 2 == 0
-    for (_, diag, off, out), (_, lowered, lowered_off, _) in zip(calls[::2], calls[1::2]):
-        size = len(diag)
-        top = float((out[1][:out[0]] if width < 3 else out[0][start:stop])[-1])
-        a = (cls.lowest + 2 * size + 2) ** 2 - top
-        c = l * l / ((cls.lowest + 2 * size) ** 2 - top
-                     - 2 * l * l / (a + math.sqrt(a * a - 4 * l * l)))
-        assert np.array_equal(off, lowered_off) and np.array_equal(diag[:-1], lowered[:-1])
-        assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9, abs=np.spacing(diag[-1]))
-    sizes = [len(c[1]) for c in calls[::2]]
-    assert [len(c[1]) for c in calls[1::2]] == sizes
-    assert sizes[0] == max(mathieu.initial_truncation(n_hi, l), stop + 1)
-    assert sizes[1:] == [2 * size for size in sizes[:-1]]
+    first = mathieu.initial_truncation(n_hi, l)
+    size, rest = min(first, TRUNCATION_CAP), list(calls)
+    assert first > stop
+    while rest:
+        diag, band, _ = mathieu._tridiagonal(cls, l, size)
+        c = _tail_shift(cls, l, size, _weyl(cls, n_hi, l))
+        if c is None:
+            _, upper, off, out = rest.pop(0)
+            assert np.array_equal(upper, diag) and np.array_equal(off, band)
+            top = float((out[1][:out[0]] if width < 3 else out[0][start:stop])[-1])
+            c = _tail_shift(cls, l, size, top)
+        if c is not None:
+            _, lowered, off, _ = rest.pop(0)
+            assert np.array_equal(off, band) and np.array_equal(diag[:-1], lowered[:-1])
+            assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9,
+                                                           abs=np.spacing(diag[-1]))
+        size = min(2 * size, TRUNCATION_CAP)
+    assert c is not None  # the last call solved L, whose values these are
     if l == 1e4:
-        assert sizes[0] == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n_hi + 1)))
+        assert first == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n_hi + 1)))
 
 
 @pytest.mark.parametrize("kernel,fail", [("dstebz", "info"), ("dstebz", "count"),
@@ -602,19 +706,26 @@ def test_state_families_share_one_eigenvector_solve_per_order(lapack_calls):
 @pytest.mark.parametrize("l", [0.0, 1e-6, 7.514, 55.0, 1e4])
 @pytest.mark.parametrize("cls", list(MathieuClass))
 def test_weights_equal_scipy_eigh_tridiagonal(cls, l, lapack_calls):
-    """An eigenvector takes three calls at twice the first size: both
-    bounds, then one dstein on the upper bound's bisection, which gives
-    the eigenvector scipy's eigh_tridiagonal gives at that size, bit for
-    bit; at l = 0 the matrix splits into 1x1 blocks."""
+    """An eigenvector is solved at twice the first size: L's values, then
+    one dstein on their bisection, which gives the eigenvector scipy's
+    eigh_tridiagonal gives for L's bands, bit for bit. Where the Weyl t
+    gives no valid c (10 of the 25 orders at l = 1e4), a call on T comes
+    first. At l = 0 the matrix splits into 1x1 blocks."""
     for n in range(cls.lowest, 13, 2):
         k = cls.eigen_index(n)
-        size = min(2 * max(mathieu.initial_truncation(n, l), k + 2), TRUNCATION_CAP)
+        size = min(2 * mathieu.initial_truncation(n, l), TRUNCATION_CAP)
+        diag, band, _ = mathieu._tridiagonal(cls, l, size)
         lapack_calls.clear()
         weights = mathieu._weights(cls, n, l)
+        *upper, (_, lowered, off, _), (_, stein_diag, stein_off, _) = lapack_calls
         assert [(c[0], len(c[1])) for c in lapack_calls] == [
-            ("dstebz", size), ("dstebz", size), ("dstein", size)]
-        diag, off, _ = mathieu._tridiagonal(cls, l, size)
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
+            ("dstebz", size)] * (1 + len(upper)) + [("dstein", size)]
+        assert len(upper) == (_tail_shift(cls, l, size, _weyl(cls, n, l)) is None)
+        assert not upper or np.array_equal(upper[0][1], diag)
+        assert np.array_equal(lowered, stein_diag) and np.array_equal(off, stein_off)
+        assert np.array_equal(diag[:-1], lowered[:-1]) and np.array_equal(off, band)
+        assert lowered[-1] <= diag[-1]
+        _, vecs = eigh_tridiagonal(lowered, off, select="i", select_range=(k, k))
         want = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]
         assert np.array_equal(weights, want), (n, l)
 
@@ -721,12 +832,13 @@ def test_family_ladders_match_per_family_reference(cls):
 
 
 def test_cold_bundle_lapack_budget(lapack_calls):
-    # 1,268 direct calls on 17,360 rows: 700 dsterf calls, one per grid
-    # barrier and family, 552 dstebz calls, two per single solve, and one
-    # dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8)
+    # 992 direct calls on 14,149 rows: 700 dsterf calls, one per grid
+    # barrier and family, 276 dstebz calls, one per single solve, and one
+    # dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8); two calls
+    # per single solve made 1,268 on 17,360
     from qpendulum.report import build_bundle
 
     build_bundle()
     kernels = [c[0] for c in lapack_calls]
-    assert 0 < len(kernels) <= 1300 and "eigh_tridiagonal" not in kernels
-    assert sum(len(c[1]) for c in lapack_calls) <= 18000
+    assert 0 < len(kernels) <= 1000 and "eigh_tridiagonal" not in kernels
+    assert sum(len(c[1]) for c in lapack_calls) <= 14500
