@@ -15,8 +15,9 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """Adaptive truncation hit its cap before the requested accuracy.
 
-    Carries the last two iterates so the caller can judge how far off
-    the result was.
+    ``last_iterates`` carries the order's bounds at the cap, L's value mu
+    (-inf where no tail shift is valid) and T's, so the caller can judge
+    how far off the result was.
     """
 
     def __init__(self, message, last_iterates=None):

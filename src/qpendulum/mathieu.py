@@ -4,25 +4,28 @@ The four parity families are the characters of Klein's four-group
 (DLMF 28.2), so each is two data: ``is_cosine``, its parity under
 phi -> -phi, and its lowest harmonic p, whose parity is that under
 phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
-diagonal and series slots follow; only the first matrix row differs. One
-engine, :func:`_converge`, solves one family at one barrier for a range
-of orders, values only, doubling the matrix size until a count certifies
-every value. Each size costs one direct LAPACK call (two from l ~ 290):
-``dsterf`` (root-free QR, every value, O(N^2)) for three or more orders,
-and the ``dstebz`` bisection of the index range, whose cost grows as
-rows times requested values, for one or two. :func:`_converge_grid`
-solves a barrier grid with one ``dsterf`` per barrier and its other work
-as array operations over all rows; a batch of one costs several solves. An
-eigenvector holds the weights of the orthonormal functions cos(h phi) or
-sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it has unit L2 norm;
-:func:`ce_series` and :func:`se_series` alone move it onto the
-plane-wave slots of :mod:`qpendulum.series`, which keeps the norm.
+diagonal and series slots follow; only the first matrix row differs. Each
+engine takes one kind of call. :func:`_converge` solves one order of one
+family at one barrier, values only, doubling the matrix size until a
+count certifies the value; each size costs one direct LAPACK call (two
+from l ~ 290), the ``dstebz`` bisection of the order's index.
+:func:`_converge_grid` solves orders p..top over a barrier grid at their
+first sizes, one ``dsterf`` (root-free QR, every value, O(N^2)) per
+barrier (two from l ~ 970 for n <= 8), its other work as array
+operations over all rows; a row it cannot certify goes to
+:func:`_converge`, one order per call. A batch of one costs several
+solves. An eigenvector holds the weights of the orthonormal functions
+cos(h phi) or sin(h phi) over sqrt(pi) (1/sqrt(2 pi) for h = 0), so it
+has unit L2 norm; :func:`ce_series` and :func:`se_series` alone move it
+onto the plane-wave slots of :mod:`qpendulum.series`, which keeps the
+norm.
 
 Convergence rule
 ----------------
-The first size N is :func:`initial_truncation` of the highest order n,
-the larger of what two regimes need (DLMF 28.8). On the rotor side
-order n sits at index n // 2, so n // 2 + 3 + ceil(1.4 l^(1/4)) rows.
+The first size N is :func:`initial_truncation` of the order n (the top
+order on a grid), the larger of what two regimes need (DLMF 28.8). On
+the rotor side order n sits at index n // 2, so
+n // 2 + 3 + ceil(1.4 l^(1/4)) rows.
 Deep in the well level n is an oscillator state whose weights spread
 over about sqrt(2n + 1) l^(1/4) harmonics, so
 3 + ceil(0.6 l^(1/4) (4.5 + sqrt(2n + 1))) rows, at most the fixed
@@ -32,7 +35,7 @@ off-diagonal l, so by its Schur complement each value v is one of
 T - l^2 g(v) e_N e_N^T, with g its (1, 1) resolvent entry, increasing.
 By Weyl, value k of T (the top index) is below t = d_k + ||E||_inf, E the
 off-diagonal and p = 1 corner: (1 + sqrt 2) l for p = 0, else 2 l (where
-that t leaves no valid c, from l ~ 290 for order 0, T's top value from
+that t leaves no valid c, from l ~ 290 for order 0, T's value k from
 one call). One fraction level and the constant chain on d_{N+1} below
 the rest bound l^2 g(t) by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 -
 4 l^2))), a = d_{N+1} - t, if a > 2 l and the denominator is positive:
@@ -40,14 +43,14 @@ L, T with its last diagonal entry lowered by c, bounds each value from
 below. One call gives L's values mu; value i passes when a Sturm count
 finds more than i values of T below mu_i + tol_i - delta, tol_i =
 max(EIGENVALUE_TOL * max(1, |mu_i|), JITTER_FACTOR * eps * (||T|| + c)),
-||T|| = max|diag| + 2 max|off|. A size whose values all pass returns mu,
+||T|| = max|diag| + 2 max|off|. A size whose value passes returns mu,
 else the size doubles. At the cap :class:`ConvergenceError` carries the
-worst order's mu and T's value (-inf below without a valid c).
+order's mu and T's value (-inf below without a valid c).
 
 Caches
 ------
-Two typed caches of 16,384 entries each: ``_values`` keeps the values
-of one (family, order range, l), ``_weights`` the read-only eigenvector
+Two typed caches of 16,384 entries each: ``_values`` keeps the value
+of one (family, order, l), ``_weights`` the read-only eigenvector
 weights of one (family, order, l) from one ``dstein`` inverse iteration
 on L's bisection, started at twice the first size (a complex
 plane-wave series would take eight times the memory). Inputs are
@@ -168,18 +171,18 @@ def initial_truncation(n: int, l: float) -> int:
                3 + math.ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
 
 
-def _kernel(diag, off, k_lo: int, k_hi: int, mathieu_class: MathieuClass, l: float):
-    """Values k_lo..k_hi of the bands, and the (iblock, isplit) of a
-    ``dstebz`` call or None, from one LAPACK call; see the module docstring."""
-    count = k_hi - k_lo + 1
-    if count >= 3:  # all values by root-free QR beat bisecting three
-        every, info = dsterf(diag, off)
-        found, values, split = count, every[k_lo:k_hi + 1], None
+def _kernel(diag, off, k: int | None, mathieu_class: MathieuClass, l: float):
+    """Value k of the bands by the ``dstebz`` bisection, with its (iblock,
+    isplit), or every value by ``dsterf`` and None where k is None: one
+    LAPACK call; see the module docstring."""
+    if k is None:
+        values, info = dsterf(diag, off)
+        found, split = len(values), None
     else:
         found, values, iblock, isplit, info = dstebz(
-            diag, off, 2, 0.0, 0.0, k_lo + 1, k_hi + 1, 0.0, "E")
+            diag, off, 2, 0.0, 0.0, k + 1, k + 1, 0.0, "E")
         values, split = values[:found], (iblock, isplit)
-    if info or found < count:
+    if info or not found:
         raise ConvergenceError(
             f"{'dstebz' if split else 'dsterf'} info={info}, {found} values at size "
             f"{len(diag)} for ({mathieu_class.value}, l={l})")
@@ -194,10 +197,10 @@ def _tail_shift(edge: int, t: float, l: float) -> float | None:
     return l * l / gap if gap > 0.0 else None
 
 
-def _passes(diag, e2, x: float, k: int) -> bool:
+def _passes(diag, off, x: float, k: int) -> bool:
     """Whether T has more than k values below x, within delta: LDL^T pivots."""
     below, pivot = 0, 1.0
-    for d, b2 in zip(diag, e2):
+    for d, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):  # b_{j-1}^2
         if (pivot := d - x - b2 / pivot) <= 0.0:  # as LAPACK's pivmin, 0 counts as -tiny
             pivot, below = pivot or -_TINY, below + 1  # IEEE inf does the rest
             if below > k:  # interlacing: T has at least as many
@@ -205,47 +208,40 @@ def _passes(diag, e2, x: float, k: int) -> bool:
     return False
 
 
-def _converge(mathieu_class: MathieuClass, n_lo: int, n_hi: int, l: float,
-              widen: int):
-    """Values of orders n_lo, n_lo + 2, ..., n_hi, from ``widen`` times the
-    first size; validates every input. Returns them as a list of floats and
-    the ``dstein`` inputs of the accepted size: L's bands, the values and
-    their ``dstebz`` block data (iblock, isplit), or None from a ``dsterf``
-    solve. See the module docstring for the rule.
+def _converge(mathieu_class: MathieuClass, n: int, l: float, widen: int):
+    """Value of order n from ``widen`` times the first size; validates every
+    input. Returns it as a float and the ``dstein`` inputs of the accepted
+    size: L's bands, the value and its ``dstebz`` block data (iblock,
+    isplit). See the module docstring for the rule.
     """
-    k_lo = check_type(mathieu_class, MathieuClass, "family").eigen_index(n_lo)
-    k_hi = mathieu_class.eigen_index(n_hi)
-    if k_hi < k_lo:
-        raise DomainError(f"empty order range {n_lo}..{n_hi}")
+    k = check_type(mathieu_class, MathieuClass, "family").eigen_index(n)
     l = check_real(l, "barrier l", 0.0, False)
-    size = min(widen * initial_truncation(n_hi, l), TRUNCATION_CAP)
+    size = min(widen * initial_truncation(n, l), TRUNCATION_CAP)
     ladder, unit = _BANDS[mathieu_class]
-    weyl = float(ladder[k_hi]) + (1.0 + float(unit[0])) * l  # value k_hi of T is below
-    delta, count = COUNT_ERROR * _EPS * float(unit[0]) * l, k_hi - k_lo + 1
+    weyl = float(ladder[k]) + (1.0 + float(unit[0])) * l  # value k of T is below
+    delta = COUNT_ERROR * _EPS * float(unit[0]) * l
     while True:
         diag, off, norm = _tridiagonal(mathieu_class, l, size)
-        lower, tol, upper = [-math.inf] * count, [1.0] * count, None
+        lower, upper = -math.inf, None
         shift = _tail_shift(edge := mathieu_class.lowest + 2 * size, weyl, l)
-        if shift is None:  # Weyl's t is too high here: take T's top value
-            upper = _kernel(diag, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
-            shift = _tail_shift(edge, upper[-1], l)
+        if shift is None:  # Weyl's t is too high here: take T's value
+            upper = float(_kernel(diag, off, k, mathieu_class, l)[0][0])
+            shift = _tail_shift(edge, upper, l)
         if shift is not None:
             lowered = diag.copy()
             lowered[-1] -= shift
-            values, split = _kernel(lowered, off, k_lo, k_hi, mathieu_class, l)
-            lower, floor = values.tolist(), JITTER_FACTOR * _EPS * (norm + shift)
-            tol = [max(EIGENVALUE_TOL * max(1.0, abs(v)), floor) for v in lower]
-            entries, e2 = diag.tolist(), [0.0] + (off * off).tolist()  # b_{j-1}^2
-            if all(_passes(entries, e2, lower[i] + tol[i] - delta, k_lo + i)
-                   for i in reversed(range(count))):  # the top order fails first
+            values, split = _kernel(lowered, off, k, mathieu_class, l)
+            lower = float(values[0])
+            tol = max(EIGENVALUE_TOL * max(1.0, abs(lower)),
+                      JITTER_FACTOR * _EPS * (norm + shift))
+            if _passes(diag, off, lower + tol - delta, k):
                 return lower, (lowered, off, values, split)
-        if size >= TRUNCATION_CAP:  # solve T for the upper bounds, if not yet solved
-            upper = upper or _kernel(diag, off, k_lo, k_hi, mathieu_class, l)[0].tolist()
-            worst = max(range(count), key=lambda i: (upper[i] - lower[i]) / tol[i])
+        if size >= TRUNCATION_CAP:
+            if upper is None:  # solve T for the upper bound
+                upper = float(_kernel(diag, off, k, mathieu_class, l)[0][0])
             raise ConvergenceError(
                 f"eigenvalue bounds apart at truncation cap {TRUNCATION_CAP} for "
-                f"({mathieu_class.value}, n={n_lo + 2 * worst}, l={l})",
-                last_iterates=(lower[worst], upper[worst]))
+                f"({mathieu_class.value}, n={n}, l={l})", last_iterates=(lower, upper))
         size = min(2 * size, TRUNCATION_CAP)
 
 
@@ -254,30 +250,34 @@ def _converge_grid(mathieu_class: MathieuClass, top: int,
                    barriers: tuple[float, ...]) -> np.ndarray:
     """Values of orders p, p + 2, ..., top as read-only rows, one per barrier
     (checked by the caller; a repeat is solved once), by :func:`_converge`'s
-    rule at the first size; a row it does not certify takes its bits."""
+    rule at the first size; a row not certified there takes
+    :func:`_converge`'s value of each order."""
     k_hi = mathieu_class.eigen_index(top)
-    grid, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
+    q, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
     sizes = np.array([min(initial_truncation(top, l), TRUNCATION_CAP)
-                      for l in grid.tolist()], dtype=int)
+                      for l in q.tolist()], dtype=int)
     ladder, unit = _BANDS[mathieu_class]
-    out = np.full((grid.size, k_hi + 1), np.nan)
     with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
-        q, edge = grid, mathieu_class.lowest + 2 * sizes
+        edge = mathieu_class.lowest + 2 * sizes
         t = ladder[k_hi] + (1.0 + unit[0]) * q  # Weyl: value k_hi of T is below
         a = (edge + 2) ** 2 - t
         gap = edge ** 2 - t - 2.0 * q * q / (a + np.sqrt((a - 2.0 * q) * (a + 2.0 * q)))
-        rows = np.flatnonzero((a > 2.0 * q) & (gap > 0.0))
-        q, size, shift = grid[rows], sizes[rows], (q * q / gap)[rows]
-        diag = np.tile(ladder[:size.max(initial=k_hi + 1)], (q.size, 1))  # widest size
+        shift = np.where((a > 2.0 * q) & (gap > 0.0), q * q / gap, np.nan)
+        diag = np.tile(ladder[:sizes.max(initial=k_hi + 1)], (q.size, 1))  # widest size
         if mathieu_class.lowest == 1:
             diag[:, 0] += q if mathieu_class.is_cosine else -q
-        norm = np.maximum(np.abs(diag[:, 0]), ladder[size - 1]) + 2.0 * q * unit[0]
         off = q[:, None] * unit[:diag.shape[1] - 1]
-        lowered, mu = diag.copy(), np.empty((q.size, k_hi + 1))
-        lowered[np.arange(q.size), size - 1] -= shift
-        for i, (n, l) in enumerate(zip(size.tolist(), q.tolist())):
-            mu[i] = _kernel(lowered[i, :n], off[i, :n - 1], 0, n - 1, mathieu_class,
+        lowered, mu = diag.copy(), np.full((q.size, k_hi + 1), np.nan)
+        lowered[np.arange(q.size), sizes - 1] -= shift
+        for i, (n, l, c) in enumerate(zip(sizes.tolist(), q.tolist(), shift.tolist())):
+            if math.isnan(c):  # the Weyl t is too high here: take T's top value
+                upper = _kernel(diag[i, :n], off[i, :n - 1], None, mathieu_class, l)[0]
+                if (c := _tail_shift(int(edge[i]), upper[k_hi], l)) is None:
+                    continue
+                shift[i], lowered[i, n - 1] = c, diag[i, n - 1] - c
+            mu[i] = _kernel(lowered[i, :n], off[i, :n - 1], None, mathieu_class,
                             l)[0][:k_hi + 1]
+        norm = np.maximum(np.abs(diag[:, 0]), ladder[sizes - 1]) + 2.0 * q * unit[0]
         tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(mu)),
                          JITTER_FACTOR * _EPS * (norm + shift)[:, None])
         x = mu + tol - (COUNT_ERROR * _EPS * unit[0] * q)[:, None]  # less delta
@@ -286,40 +286,36 @@ def _converge_grid(mathieu_class: MathieuClass, top: int,
         for j in range(diag.shape[1]):  # _passes over every row and order at once
             pivot = diag[:, j, None] - x - e2[:, j, None] / pivot
             pivot[pivot == 0.0] = -_TINY
-            below += (pivot < 0.0) & (j < size[:, None])
-        ok = (below > np.arange(k_hi + 1)).all(axis=1)
-    out[rows[ok]] = mu[ok]
-    for i in np.flatnonzero(np.isnan(out[:, 0])).tolist():
-        out[i] = _converge(mathieu_class, mathieu_class.lowest, top, grid[i], 1)[0]
-    out = out[inverse]
+            below += (pivot < 0.0) & (j < sizes[:, None])
+    for i in np.flatnonzero(~(below > np.arange(k_hi + 1)).all(axis=1)).tolist():
+        mu[i] = [_converge(mathieu_class, n, q[i], 1)[0]
+                 for n in range(mathieu_class.lowest, top + 1, 2)]
+    out = mu[inverse]
     out.setflags(write=False)
     return out
 
 
-def characteristic_values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
-                          l: float) -> tuple[float, ...]:
-    """Characteristic values of orders n_lo, n_lo + 2, ..., n_hi in one solve.
+def characteristic_values(mathieu_class: MathieuClass, n: int, l: float) -> float:
+    """Characteristic value of order n, which must belong to the family.
 
-    Both orders must belong to the family. The values cache holds one
-    tuple per exact argument list.
+    The values cache holds one float per exact argument list.
     """
     try:
-        return _values(mathieu_class, n_lo, n_hi, l)
+        return _values(mathieu_class, n, l)
     except TypeError:  # the cache could not hash an argument
-        raise DomainError(f"need a family, integer orders and a real barrier, "
-                          f"got {_shown((mathieu_class, n_lo, n_hi, l))}") from None
+        raise DomainError(f"need a family, an integer order and a real barrier, "
+                          f"got {_shown((mathieu_class, n, l))}") from None
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
-def _values(mathieu_class: MathieuClass, n_lo: int, n_hi: int,
-            l: float) -> tuple[float, ...]:
-    return tuple(_converge(mathieu_class, n_lo, n_hi, l, 1)[0])
+def _values(mathieu_class: MathieuClass, n: int, l: float) -> float:
+    return _converge(mathieu_class, n, l, 1)[0]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     """Read-only basis weights of order n, order-matching harmonic positive."""
-    lowered, off, values, split = _converge(mathieu_class, n, n, l, 2)[1]
+    lowered, off, values, split = _converge(mathieu_class, n, l, 2)[1]
     vecs, info = dstein(lowered, off, values, *split)
     if info:
         raise ConvergenceError(f"dstein info={info} for ({mathieu_class.value}, "
@@ -362,9 +358,9 @@ def se_series(n: int, l: float) -> TrigSeries:
 
 def a_value(n: int, l: float) -> float:
     """Even-family characteristic value a_n(l)."""
-    return characteristic_values(ce_class(n), n, n, l)[0]
+    return characteristic_values(ce_class(n), n, l)
 
 
 def b_value(n: int, l: float) -> float:
     """Odd-family characteristic value b_n(l)."""
-    return characteristic_values(se_class(n), n, n, l)[0]
+    return characteristic_values(se_class(n), n, l)

@@ -114,9 +114,9 @@ def build_bundle() -> ReportBundle:
     """Compute every table and figure dataset in memory.
 
     Tables 3-6 and fig2-fig4 are taken at ``OBSERVABLE_EVAL_POINTS``.
-    Every solve returns the lower of two bounds that meet at one matrix
-    size, doubling the size until they do, at most to the fixed
-    truncation cap, which the metadata records.
+    Every value is the lower bound of the first matrix size whose Sturm
+    count certifies it, doubling the size until one does, at most to the
+    fixed truncation cap, which the metadata records.
     """
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()

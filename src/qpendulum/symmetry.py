@@ -148,19 +148,14 @@ class RegionBoundary:
     measure: GapMeasure
 
 
-def _columns(orders, top: int) -> list[tuple]:
-    """(family, top order of its grid, column) of each (family, order) of
-    ``orders`` in a grid of orders up to ``top``; eigen_index checks the cap."""
-    return [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(n)) for cls, n in orders]
-
-
 def _read(orders, top: int, barriers: tuple[float, ...]) -> np.ndarray:
     """Values of each (family, order) of ``orders``, up to ``top``: a column
-    each, a row per barrier, from one grid lookup per family."""
-    columns = _columns(orders, top)
+    each, a row per barrier, from one grid lookup per family; eigen_index
+    checks the cap."""
+    columns = [(cls, top - (top - cls.lowest) % 2, cls.eigen_index(n)) for cls, n in orders]
     grids = {key: _converge_grid(*key, barriers)
              for key in dict.fromkeys(column[:2] for column in columns)}
-    return np.stack([grids[cls, t][:, k] for cls, t, k in columns], axis=1)
+    return np.array([grids[cls, t][:, k] for cls, t, k in columns]).T
 
 
 def sweep_characteristics(n_max: int, l_grid) -> list[tuple[str, int, float, float]]:
@@ -226,12 +221,10 @@ def find_boundary(
     """
     epsilon = check_real(epsilon, "gap threshold", 0.0, True)
     ce, se = _pair_orders(n, pairing, measure)
-    columns = _columns(((ce_class(ce), ce), (se_class(se), se)), max(REGIONS_N_MAX, se))
+    orders, top = ((ce_class(ce), ce), (se_class(se), se)), max(REGIONS_N_MAX, se)
     rotor = pairing is PairingKind.ROTOR
     for start in range(0, len(_SCAN_POINTS), SCAN_CHUNK):
-        chunk = tuple(_SCAN_POINTS[start:start + SCAN_CHUNK])
-        ea, eb = (_converge_grid(cls, cls_top, chunk)[:, i]
-                  for cls, cls_top, i in columns)
+        ea, eb = _read(orders, top, tuple(_SCAN_POINTS[start:start + SCAN_CHUNK])).T
         flips = np.flatnonzero((_gap(ea, eb, measure) - epsilon < 0) != rotor)
         if flips.size:
             break

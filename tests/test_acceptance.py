@@ -81,7 +81,7 @@ def test_criterion_02_orthonormality_and_residual():
                                           (se_class, se_series, range(1, 11))):
             series = {}
             for n in orders:
-                value = characteristic_values(cls_fn(n), n, n, l)[0]
+                value = characteristic_values(cls_fn(n), n, l)
                 s = series_fn(n, l)
                 series[n] = s
                 # (Hc)_k = k^2 c_k + l (c_{k-2} + c_{k+2}) in plane waves

@@ -1,5 +1,6 @@
 """Every name a module in src/ or tests/ imports is used in that module,
-and every name the package exports has a caller."""
+every name the package exports has a caller, and every name a module in
+src/ defines at its top level has a reader."""
 
 import ast
 import types
@@ -10,11 +11,11 @@ import pytest
 import qpendulum
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 # Where an export's caller may live: the library itself, the benchmark's
 # calls and the acceptance criteria.
-CALLERS = ([path for path in sorted((ROOT / "src").rglob("*.py"))
-            if path.name != "__init__.py"]
+CALLERS = ([path for path in SOURCES if path.name != "__init__.py"]
            + [ROOT / "bench" / "workloads.py", ROOT / "tests" / "test_acceptance.py"])
 
 
@@ -85,3 +86,30 @@ def test_every_export_has_a_caller():
                if not isinstance(getattr(qpendulum, name), types.ModuleType)}
     called = set().union(*(loaded_names(path.read_text()) for path in CALLERS))
     assert sorted(exports - called) == []
+
+
+def defined_names(source: str) -> set[str]:
+    """Every name the module binds at its top level by a function, class or
+    assignment; imports and names bound inside a body are not counted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_scanner_finds_defined_names():
+    source = ("import os\nfrom m import g\n"
+              "A, (B, C) = 1, (2, 3)\nD: int = 4\nE += 1\n"
+              "def f(x):\n    y = x\n    return y\n"
+              "class K:\n    z = 1\n")
+    assert defined_names(source) == {"A", "B", "C", "D", "E", "f", "K"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_module_level_name_has_a_reader(path):
+    read = set().union(*(loaded_names(caller.read_text()) for caller in CALLERS))
+    assert sorted(defined_names(path.read_text()) - read - {"__all__"}) == []

@@ -24,7 +24,7 @@ from qpendulum.mathieu import (
 )
 from qpendulum.series import TrigSeries, eval_series, inner_product
 from qpendulum.states import StateFamily, StateSpec, build_state
-from qpendulum.symmetry import GapMeasure, PairingKind, pair_gap
+from qpendulum.symmetry import GapMeasure, PairingKind, pair_gap, sweep_characteristics
 
 GRID = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
 
@@ -53,13 +53,11 @@ def test_free_rotor_values(n):
 @pytest.mark.parametrize("l", [0.7, 3.42, 11.1, 28.0, 50.84])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
 def test_against_dense_oracle(n, l):
-    cls = ce_class(n)
-    assert characteristic_values(cls, n, n, l)[0] == pytest.approx(
-        dense_oracle(cls, n, l), abs=1e-9)
-    if n >= 1:
-        cls = se_class(n)
-        assert characteristic_values(cls, n, n, l)[0] == pytest.approx(
-            dense_oracle(cls, n, l), abs=1e-9)
+    # single solves, and the grid's row of orders p..n at l
+    for cls in (ce_class(n),) + ((se_class(n),) if n >= 1 else ()):
+        want = dense_oracle(cls, n, l)
+        assert characteristic_values(cls, n, l) == pytest.approx(want, abs=1e-9)
+        assert mathieu._converge_grid(cls, n, (l,))[0, -1] == pytest.approx(want, abs=1e-9)
 
 
 def test_second_order_perturbation_small_l():
@@ -125,15 +123,13 @@ def test_sign_convention():
 
 def test_order_validation():
     with pytest.raises(DomainError):
-        characteristic_values(MathieuClass.CE_EVEN, 3, 3, 1.0)[0]
+        characteristic_values(MathieuClass.CE_EVEN, 3, 1.0)
     with pytest.raises(DomainError):
-        characteristic_values(MathieuClass.SE_EVEN, 0, 0, 1.0)[0]
+        characteristic_values(MathieuClass.SE_EVEN, 0, 1.0)
     with pytest.raises(DomainError):
         a_value(2, -1.0)
     with pytest.raises(DomainError):
         se_class(0)
-    with pytest.raises(DomainError):
-        characteristic_values(MathieuClass.CE_ODD, 5, 1, 1.0)
 
 
 def test_convergence_error_reports_iterates(lapack_calls):
@@ -147,14 +143,14 @@ def test_convergence_error_reports_iterates(lapack_calls):
     the bounds are 8.8e-2 apart."""
     calls = lapack_calls
     with pytest.raises(ConvergenceError) as err:
-        characteristic_values(MathieuClass.CE_EVEN, 0, 0, 1e11)[0]
+        characteristic_values(MathieuClass.CE_EVEN, 0, 1e11)
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
     assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)]
     assert err.value.last_iterates == (-math.inf, calls[0][3][1][0])
     for order, l, upper_first in [(0, 1e9, True), (1018, 1e3, False)]:
         calls.clear()
         with pytest.raises(ConvergenceError) as err:
-            characteristic_values(MathieuClass.CE_EVEN, order, order, l)[0]
+            characteristic_values(MathieuClass.CE_EVEN, order, l)
         assert mathieu.initial_truncation(order, l) > TRUNCATION_CAP
         assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)] * 2
         (_, diag, _, upper), (_, lowered, _, lower) = calls[::1 if upper_first else -1]
@@ -163,38 +159,83 @@ def test_convergence_error_reports_iterates(lapack_calls):
         assert 1e-11 * abs(upper[1][0]) < upper[1][0] - lower[1][0] < 0.1
 
 
-# Every order up to 64 of each family, and the family ranges of a sweep
-# to n_max 7, 8, 12, 16 and 24, at l = 0 and 81 barriers from 1e-3 to 1e5.
-GRID_SOLVES = ([(cls, n, n) for cls in MathieuClass for n in range(cls.lowest, 65, 2)]
-               + [(cls, cls.lowest, n_max - (n_max - cls.lowest) % 2)
-                  for n_max in (7, 8, 12, 16, 24) for cls in MathieuClass])
+# Every order up to 64 of each family, solved alone, and the family grids
+# of a sweep to n_max 7, 8, 12, 16 and 24, at l = 0 and 81 barriers from
+# 1e-3 to 1e5.
+SINGLE_ORDERS = [(cls, n) for cls in MathieuClass for n in range(cls.lowest, 65, 2)]
+GRID_N_MAX = (7, 8, 12, 16, 24)
 GRID_BARRIERS = [0.0] + np.logspace(-3, 5, 81).tolist()
 
 
 def test_one_call_per_solve_at_the_first_size_with_a_valid_c(lapack_calls):
-    """Each grid solve accepts its first size. Where the Weyl t gives a
+    """Each single solve accepts its first size. Where the Weyl t gives a
     valid c there, it makes one LAPACK call, on L, the bands of T with
-    the last diagonal entry lowered. Elsewhere (2,373 solves, all at
-    l >= 316) it first solves T for its top value, then L."""
+    the last diagonal entry lowered. Elsewhere (2,006 solves, all at
+    l >= 316) it first solves T for its value, then L."""
     calls = lapack_calls
     twice = []
     for l in GRID_BARRIERS:
-        for solve in GRID_SOLVES:
+        for cls, n in SINGLE_ORDERS:
             mathieu._values.cache_clear()
             calls.clear()
-            characteristic_values(*solve, l)
-            first = min(mathieu.initial_truncation(solve[2], l), TRUNCATION_CAP)
-            diag, band, _ = mathieu._tridiagonal(solve[0], l, first)
+            characteristic_values(cls, n, l)
+            first = min(mathieu.initial_truncation(n, l), TRUNCATION_CAP)
+            diag, band, _ = mathieu._tridiagonal(cls, l, first)
             *upper, (_, lowered, off, _) = calls
-            assert [len(c[1]) for c in calls] == [first] * len(calls), (*solve, l)
+            assert [(c[0], len(c[1])) for c in calls] == [("dstebz", first)] * len(calls), (
+                cls, n, l)
             assert np.array_equal(diag[:-1], lowered[:-1]) and lowered[-1] <= diag[-1]
             assert np.array_equal(off, band)
             if upper:
                 (_, upper_diag, upper_off, _), = upper
                 assert np.array_equal(upper_diag, diag) and np.array_equal(upper_off, band)
                 twice.append(l)
-    assert len(GRID_SOLVES) == 149 and min(twice) > 316, min(twice)
-    assert len(twice) == 2373
+    assert len(SINGLE_ORDERS) == 129 and min(twice) > 316, min(twice)
+    assert len(twice) == 2006
+
+
+def _check_grid_calls(calls, cls, top, barriers):
+    """The calls of one cold family grid, each checked on its bands: per
+    distinct barrier, ascending, one ``dsterf`` on L at its first size,
+    after one on T where the Weyl t gives no valid c there, whose top
+    value is then t (no call on L where that gives none either). Any later
+    call is a ``dstebz`` of _converge. Returns the barriers that solved T."""
+    rest, on_t = list(calls), []
+    for l in sorted(set(barriers)):
+        size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
+        diag, band, _ = mathieu._tridiagonal(cls, l, size)
+        c = _tail_shift(cls, l, size, _weyl(cls, top, l))
+        if c is None:
+            kernel, upper, off, out = rest.pop(0)
+            assert kernel == "dsterf" and np.array_equal(upper, diag), (cls, top, l)
+            assert np.array_equal(off, band)
+            c = _tail_shift(cls, l, size, float(out[0][cls.eigen_index(top)]))
+            on_t.append(l)
+            if c is None:
+                continue
+        kernel, lowered, off, _ = rest.pop(0)
+        assert kernel == "dsterf" and np.array_equal(off, band), (cls, top, l)
+        assert np.array_equal(diag[:-1], lowered[:-1])
+        assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9, abs=np.spacing(diag[-1]))
+    assert all(kernel == "dstebz" for kernel, *_ in rest), (cls, top)
+    return on_t
+
+
+def test_one_grid_call_per_barrier_at_the_first_size_with_a_valid_c(lapack_calls):
+    """The grid twin: every family grid of GRID_N_MAX certifies each
+    barrier at its first size with one dsterf, on L, or T and then L where
+    the Weyl t gives no valid c (367 barriers, all at l >= 316); no row
+    goes on to _converge."""
+    twice = []
+    for n_max in GRID_N_MAX:
+        for cls in MathieuClass:
+            top = n_max - (n_max - cls.lowest) % 2
+            mathieu._converge_grid.cache_clear()
+            lapack_calls.clear()
+            mathieu._converge_grid(cls, top, tuple(GRID_BARRIERS))
+            assert all(c[0] == "dsterf" for c in lapack_calls), (cls, top)
+            twice += _check_grid_calls(lapack_calls, cls, top, GRID_BARRIERS)
+    assert len(twice) == 367 and min(twice) > 316, min(twice)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,27 +250,33 @@ def _tight_reference(cls, l, count):
 
 
 def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
-    """Solve each family's grid; a row the grid sent on to _converge must
-    equal it bit for bit. Every other row must lie within its tolerance at
-    its first size N, max(1e-11 max(1, |v|), 4 eps ||T_N||), plus 32 eps
-    ||T_N|| of LAPACK jitter, of the size-512 reference and, if
-    ``against_converge``, of _converge's value, and below it by at most
-    that much must lie T_N's own values, which the count certifies.
+    """Solve each family's grid; a row the grid sent on to _converge, one
+    call per order, must equal per-order characteristic_values bit for
+    bit. Every other row must lie within its tolerance at its first size
+    N, max(1e-11 max(1, |v|), 4 eps ||T_N||), plus 32 eps ||T_N|| of
+    LAPACK jitter, of the size-512 reference and, if ``against_converge``,
+    of the per-order values; it must lie below the reference by at most
+    that jitter (L bounds from below), and below it by at most its
+    tolerance must lie T_N's own values, which the count certifies.
     Returns the counts of accepted and sent rows."""
     eps, real, sent, counts = np.finfo(float).eps, mathieu._converge, [], [0, 0]
     monkeypatch.setattr(mathieu, "_converge",
-                        lambda *args: sent.append(args[3]) or real(*args))
+                        lambda *args: sent.append(args[:3]) or real(*args))
     for cls in MathieuClass:
         if cls.lowest > n_max:
             continue
         top = n_max - (n_max - cls.lowest) % 2
-        sent.clear()
+        orders = list(range(cls.lowest, top + 1, 2))
         mathieu._converge_grid.cache_clear()  # a cached grid would send no row
+        sent.clear()
         got = mathieu._converge_grid(cls, top, tuple(barriers))
+        by_row = {l: [n for _, n, x in sent if x == l] for l in barriers}
         for l, row in zip(barriers, got):
-            want = np.array(real(cls, cls.lowest, top, l, 1)[0])
-            counts[l in sent] += 1
-            if l in sent:
+            counts[bool(by_row[l])] += 1
+            if by_row[l] or against_converge:
+                want = np.array([characteristic_values(cls, n, l) for n in orders])
+            if by_row[l]:
+                assert by_row[l] == orders, (cls, top, l)  # one call per order
                 assert row.tobytes() == want.tobytes(), (cls, top, l)
                 continue
             size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
@@ -238,9 +285,10 @@ def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
             tol += 32 * eps * norm
             upper = eigvalsh_tridiagonal(diag, off, select="i",
                                          select_range=(0, row.size - 1))
+            ref = _tight_reference(cls, l, 13)[:row.size]
             assert (upper <= row + tol).all(), (cls, top, l)
-            assert (np.abs(row - _tight_reference(cls, l, 13)[:row.size]) <= tol).all(), (
-                cls, top, l)
+            assert (np.abs(row - ref) <= tol).all(), (cls, top, l)
+            assert (row - 32 * eps * norm <= ref).all(), (cls, top, l)
             assert not against_converge or (np.abs(row - want) <= tol).all(), (cls, top, l)
     return counts
 
@@ -252,16 +300,15 @@ SCHEDULE_BARRIERS = [max(3.0 + 4.0 * math.cos(t), 0.0)
 
 @pytest.mark.parametrize("n_max,barriers", [
     (8, np.linspace(0.0, 55.0, 111).tolist()),
-    *[(n_max, GRID_BARRIERS) for n_max in (0, 1, 2, 4, 8, 12, 24)],
+    *[(n_max, GRID_BARRIERS) for n_max in (0, 1, 2, 4, 7, 8, 12, 16, 24)],
     (8, SCHEDULE_BARRIERS)])
 def test_grid_rows_within_tolerance_of_reference_and_converge(monkeypatch, n_max,
                                                              barriers):
     """The grid's one-call rule on the fig1 grid, the module grid and a
     schedule grid: every row within its tolerance of the tight reference
-    and of _converge, and the rows with no valid tail shift (large
-    barriers only) are _converge's own bits."""
-    accepted, sent = _check_grid_rows(monkeypatch, n_max, barriers, True)
-    assert accepted and (sent > 0) == (barriers is GRID_BARRIERS)
+    and of the single solves, and none sent on to _converge, the large
+    barriers included."""
+    assert _check_grid_rows(monkeypatch, n_max, barriers, True)[1] == 0
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
@@ -269,46 +316,65 @@ def test_grid_undersized_first_size_accepts_no_row_off_the_reference(monkeypatch
                                                                     cut):
     """With a first size ``cut`` rows short, the count must reject every
     row it cannot certify: no accepted row lies farther from the
-    reference than its tolerance. Both outcomes occur."""
+    reference than its tolerance. Both outcomes occur from two rows short;
+    one row short, every row still closes."""
     first = mathieu.initial_truncation
     monkeypatch.setattr(mathieu, "initial_truncation",
                         lambda n, l: max(first(n, l) - cut, n // 2 + 2))
-    for n_max in (0, 1, 2, 4, 8, 12, 24):
-        accepted, sent = _check_grid_rows(monkeypatch, n_max, GRID_BARRIERS, False)
-        assert accepted and sent, n_max
+    counts = [_check_grid_rows(monkeypatch, n_max, GRID_BARRIERS, False)
+              for n_max in (0, 1, 2, 4, 7, 8, 12, 16, 24)]
+    assert all(accepted for accepted, _ in counts)
+    assert any(sent for _, sent in counts) == (cut > 1)
+
+
+LARGE_BARRIERS = np.linspace(1000.0, 10000.0, 100).tolist()
+
+
+def test_large_barrier_sweep_certifies_its_own_rows(monkeypatch, lapack_calls):
+    """Past l ~ 970 the Weyl t leaves the n <= 8 families no valid c at
+    their first size; each grid then solves T there and takes c from its
+    top value. So an n <= 8 sweep over l in [1000, 10000] makes two dsterf
+    calls, T then L, per barrier and family at the first size, one where
+    the Weyl t still gives a valid c (9 of these 400), no dstebz call and
+    no _converge call, and every row lies within its tolerance of the
+    size-512 reference."""
+    real, sent = mathieu._converge, []
+    monkeypatch.setattr(mathieu, "_converge", lambda *args: sent.append(args) or real(*args))
+    sweep_characteristics(8, LARGE_BARRIERS)
+    assert sent == [] and [c[0] for c in lapack_calls] == ["dsterf"] * 791
+    twice = []
+    for cls in MathieuClass:
+        top = 8 - (8 - cls.lowest) % 2
+        mathieu._converge_grid.cache_clear()
+        lapack_calls.clear()
+        mathieu._converge_grid(cls, top, tuple(LARGE_BARRIERS))
+        twice += _check_grid_calls(lapack_calls, cls, top, LARGE_BARRIERS)
+    assert len(twice) == 391
+    assert _check_grid_rows(monkeypatch, 8, LARGE_BARRIERS, False) == [400, 0]
 
 
 def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
                                                            monkeypatch):
     """With a first size too small to close, every barrier but se_even's
-    l = 0.5 (its 6 rows close) goes on to _converge's doubling. Seven rows
-    (l = 55, and l = 28 outside se_even) have no valid c from the Weyl t
-    at the first size and make no grid call. _converge makes one call per
-    size, and one more at such a first size, on T; its top value gives a
-    valid c at l = 28 and se_even's l = 55, whose first size takes two
-    calls. Each of the other 12 rejected rows costs one call more than
-    _converge alone."""
+    l = 0.5 (its 6 rows close) goes on to _converge, one call per order,
+    and its row equals per-order characteristic_values bit for bit. The
+    grid's own calls come first, one dsterf per barrier at its first size,
+    on L, after one on T where the Weyl t gives no valid c there (l = 55,
+    and l = 28 outside se_even); T's top value gives one at l = 28 and
+    se_even's l = 55. Then come _converge's, each order from its own first
+    size."""
     monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
     barriers = [0.5, 3.42, 11.1, 28.0, 55.0]
-    tops = {cls: 8 - (8 - cls.lowest) % 2 for cls in MathieuClass}
-    for cls, top in tops.items():
+    upper, grid_calls = set(), 0
+    for cls in MathieuClass:
+        top = 8 - (8 - cls.lowest) % 2
+        lapack_calls.clear()
         mathieu._converge_grid(cls, top, tuple(barriers))
-    sizes = [len(c[1]) for c in lapack_calls]
-    assert min(sizes) == 5 and {5, 6, 10, 12} < set(sizes)  # n // 2 + 2 rows, then doubled
-    alone, twice = 0, set()
-    for cls, top in tops.items():
-        for l in barriers:
-            lapack_calls.clear()
-            mathieu._converge(cls, cls.lowest, top, l, 1)
-            row_sizes = [len(c[1]) for c in lapack_calls]
-            assert row_sizes == sorted(row_sizes) and len(set(row_sizes[1:])) == len(
-                row_sizes) - 1, (cls, l)
-            if row_sizes[:1] == row_sizes[1:2]:
-                twice.add((cls, l))
-            alone += len(row_sizes)
-    assert len(sizes) == alone + 12 == 61
-    assert twice == {(cls, 28.0) for cls in MathieuClass if cls != MathieuClass.SE_EVEN} | {
-        (MathieuClass.SE_EVEN, 55.0)}
+        upper |= {(cls, l) for l in _check_grid_calls(lapack_calls, cls, top, barriers)}
+        grid_calls += sum(kernel == "dsterf" for kernel, *_ in lapack_calls)
+    assert upper == {(cls, l) for cls in MathieuClass for l in (28.0, 55.0)} - {
+        (MathieuClass.SE_EVEN, 28.0)}
+    assert grid_calls == 24  # 20 on L and 7 on T, less the 3 at l = 55 with no L
     assert _check_grid_rows(monkeypatch, 8, barriers, False) == [1, 19]
 
 
@@ -339,26 +405,25 @@ def _tolerance(values, lowered, l, cls):
 
 
 def test_bounds_enclose_tight_reference():
-    """On every grid solve the value mu of L is below, and the upper bound
-    the count certifies, mu plus its tolerance, above a size-512 dstebz
-    bisection at ABSTOL 1e-300; T's own value at the accepted size lies
-    between them too. All up to LAPACK jitter: each call returns its
-    values to a small multiple of eps ||T|| (up to 16 on this grid), so
-    32 eps ||T|| of the accepted size."""
+    """On every single solve the value mu of L is below, and the upper
+    bound the count certifies, mu plus its tolerance, above a size-512
+    dstebz bisection at ABSTOL 1e-300; T's own value at the accepted size
+    lies between them too. All up to LAPACK jitter: each call returns its
+    value to a small multiple of eps ||T|| (up to 16 on this grid), so
+    32 eps ||T|| of the accepted size. _check_grid_rows checks the grid
+    rows the same way."""
     eps = np.finfo(float).eps
     for l in GRID_BARRIERS:
-        for cls, n_lo, n_hi in GRID_SOLVES:
-            lower, (lowered, off, _, _) = mathieu._converge(cls, n_lo, n_hi, l, 1)
-            k_lo, k_hi = cls.eigen_index(n_lo), cls.eigen_index(n_hi)
-            lower = np.array(lower)
+        for cls, n in SINGLE_ORDERS:
+            lower, (lowered, off, _, _) = mathieu._converge(cls, n, l, 1)
+            k = cls.eigen_index(n)
             tol, norm = _tolerance(lower, lowered, l, cls)
-            upper = eigvalsh_tridiagonal(mathieu._tridiagonal(cls, l, len(lowered))[0], off,
-                                         select="i", select_range=(k_lo, k_hi))
-            ref = _tight_reference(cls, l, 33)[k_lo:k_hi + 1]
+            upper, = eigvalsh_tridiagonal(mathieu._tridiagonal(cls, l, len(lowered))[0], off,
+                                          select="i", select_range=(k, k))
+            ref = _tight_reference(cls, l, 33)[k]
             jitter = 32 * eps * norm
-            assert (lower - jitter <= ref).all(), (cls, n_lo, n_hi, l)
-            assert (ref <= upper + jitter).all(), (cls, n_lo, n_hi, l)
-            assert (upper <= lower + tol + jitter).all(), (cls, n_lo, n_hi, l)
+            assert lower - jitter <= ref <= upper + jitter, (cls, n, l)
+            assert upper <= lower + tol + jitter, (cls, n, l)
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
@@ -374,18 +439,16 @@ def test_undersized_first_size_accepts_no_value_off_the_reference(lapack_calls,
                         lambda n, l: max(first(n, l) - cut, n // 2 + 2))
     eps, outcomes = np.finfo(float).eps, set()
     for l in GRID_BARRIERS:
-        for cls, n_lo, n_hi in GRID_SOLVES:
+        for cls, n in SINGLE_ORDERS:
             mathieu._values.cache_clear()
             lapack_calls.clear()
-            values = np.array(characteristic_values(cls, n_lo, n_hi, l))
+            value = characteristic_values(cls, n, l)
             lowered = lapack_calls[-1][1]
-            outcomes.add(len(lowered) == min(mathieu.initial_truncation(n_hi, l),
+            outcomes.add(len(lowered) == min(mathieu.initial_truncation(n, l),
                                              TRUNCATION_CAP))
-            tol, norm = _tolerance(values, lowered, l, cls)
-            ref = _tight_reference(cls, l, 33)[cls.eigen_index(n_lo):
-                                               cls.eigen_index(n_hi) + 1]
-            assert (np.abs(values - ref) <= tol + 32 * eps * norm).all(), (
-                cls, n_lo, n_hi, l)
+            tol, norm = _tolerance(value, lowered, l, cls)
+            ref = _tight_reference(cls, l, 33)[cls.eigen_index(n)]
+            assert abs(value - ref) <= tol + 32 * eps * norm, (cls, n, l)
     assert outcomes == {True, False}
 
 
@@ -403,10 +466,10 @@ def _beyond_the_cap():
     return {
         "a_value": lambda: a_value(huge, 1.0),
         "b_value": lambda: b_value(huge, 1.0),
-        "characteristic_values-range":
-            lambda: characteristic_values(MathieuClass.CE_EVEN, 0, huge, 1.0),
+        "characteristic_values":
+            lambda: characteristic_values(MathieuClass.CE_EVEN, huge, 1.0),
         "characteristic_values-parity":
-            lambda: characteristic_values(MathieuClass.CE_EVEN, huge + 1, huge + 1, 1.0),
+            lambda: characteristic_values(MathieuClass.CE_EVEN, huge + 1, 1.0),
         "build_state": lambda: build_state(StateSpec(StateFamily.XI, huge, 1.0)),
         "classify_regions": lambda: qp.classify_regions([huge], [1.0], *eps),
         "classify_regions-1e9": lambda: qp.classify_regions([10**9], [1.0], *eps),
@@ -436,7 +499,7 @@ def _huge_integers_elsewhere():
     return {
         "ce_series-list-l": lambda: ce_series(0, [big]),
         "characteristic_values-list-l":
-            lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 0, [big]),
+            lambda: characteristic_values(MathieuClass.CE_EVEN, 0, [big]),
         "pair_gap-list-l": lambda: qp.pair_gap(1, qp.PairingKind.ROTOR, [big],
                                                qp.GapMeasure.RELATIVE),
         "TrigSeries": lambda: TrigSeries([big]),
@@ -480,67 +543,74 @@ def _tail_shift(cls, l, size, t):
     return l * l / gap if gap > 0 else None
 
 
-def _weyl(cls, n_hi, l):
-    """Weyl's bound t = n_hi^2 + ||E||_inf on T's value of order n_hi."""
-    return n_hi ** 2 + (1 + (math.sqrt(2) if cls.lowest == 0 else 1)) * l
+def _weyl(cls, n, l):
+    """Weyl's bound t = n^2 + ||E||_inf on T's value of order n."""
+    return n ** 2 + (1 + (math.sqrt(2) if cls.lowest == 0 else 1)) * l
 
 
-@pytest.mark.parametrize("l", [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4])
-@pytest.mark.parametrize("start,width", [(0, 1), (0, 2), (0, 3), (0, 5), (3, 1),
-                                         (3, 2), (3, 3), (3, 5)])
+LAPACK_BARRIERS = [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4]
+
+
+@pytest.mark.parametrize("l", LAPACK_BARRIERS)
+@pytest.mark.parametrize("k", [0, 1, 3, 4])
 @pytest.mark.parametrize("cls", list(MathieuClass))
-def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, start, width, l,
-                                                         lapack_calls):
-    """Each direct LAPACK call returns exactly what scipy's
-    eigvalsh_tridiagonal gives for the same bands: the bisection of the
-    index range for one or two orders, every value by dsterf for three or
-    more. Sizes double from the first. Each size makes one call on L, the
-    bands with the last diagonal entry lowered by c = l^2 / (d_N - t -
-    2 l^2 / (a + sqrt(a^2 - 4 l^2))), a = d_{N+1} - t, t = n_hi^2 +
-    ||E||_inf (Weyl). Where that t gives no valid c, a call on T comes
-    first and t is its top value; a size with no valid c even then makes
-    no call on L. The values are the last call's. At l = 1e4, where
-    l^(1/4) = 10, the well term sets the first size:
-    3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows for the highest order n."""
+def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, k, l, lapack_calls):
+    """Each direct LAPACK call of a single solve returns exactly what
+    scipy's eigvalsh_tridiagonal gives for the same bands: the dstebz
+    bisection of the order's index k. Sizes double from the first. Each
+    size makes one call on L, the bands with the last diagonal entry
+    lowered by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))),
+    a = d_{N+1} - t, t = n^2 + ||E||_inf (Weyl). Where that t gives no
+    valid c, a call on T comes first and t is its value; a size with no
+    valid c even then makes no call on L. The value is the last call's.
+    At l = 1e4, where l^(1/4) = 10, the well term sets the first size:
+    3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows."""
     calls = lapack_calls
-    n_lo = cls.lowest + 2 * start
-    n_hi = n_lo + 2 * (width - 1)
-    values = characteristic_values(cls, n_lo, n_hi, l)
-    stop = start + width
+    n = cls.lowest + 2 * k
+    value = characteristic_values(cls, n, l)
     for kernel, diag, off, out in calls:
-        if width < 3:
-            assert kernel == "dstebz"
-            got = out[1][:out[0]]
-            ref = eigvalsh_tridiagonal(diag, off, select="i",
-                                       select_range=(start, stop - 1),
-                                       check_finite=False)
-        else:
-            assert kernel == "dsterf" and len(out[0]) == len(diag)
-            ref = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf",
-                                       check_finite=False)
-            got, ref = out[0][start:stop], ref[start:stop]
-        assert len(got) == width and (got == ref).all()
-    assert values == tuple(ref.tolist())
-    first = mathieu.initial_truncation(n_hi, l)
+        ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(k, k),
+                                   check_finite=False)
+        assert kernel == "dstebz" and out[0] == 1 and out[1][0] == ref[0]
+    assert value == ref[0]
+    first = mathieu.initial_truncation(n, l)
     size, rest = min(first, TRUNCATION_CAP), list(calls)
-    assert first > stop
+    assert first > k + 1
     while rest:
         diag, band, _ = mathieu._tridiagonal(cls, l, size)
-        c = _tail_shift(cls, l, size, _weyl(cls, n_hi, l))
+        c = _tail_shift(cls, l, size, _weyl(cls, n, l))
         if c is None:
             _, upper, off, out = rest.pop(0)
             assert np.array_equal(upper, diag) and np.array_equal(off, band)
-            top = float((out[1][:out[0]] if width < 3 else out[0][start:stop])[-1])
-            c = _tail_shift(cls, l, size, top)
+            c = _tail_shift(cls, l, size, float(out[1][0]))
         if c is not None:
             _, lowered, off, _ = rest.pop(0)
             assert np.array_equal(off, band) and np.array_equal(diag[:-1], lowered[:-1])
             assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9,
                                                            abs=np.spacing(diag[-1]))
         size = min(2 * size, TRUNCATION_CAP)
-    assert c is not None  # the last call solved L, whose values these are
+    assert c is not None  # the last call solved L, whose value this is
     if l == 1e4:
-        assert first == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n_hi + 1)))
+        assert first == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n + 1)))
+
+
+@pytest.mark.parametrize("l", LAPACK_BARRIERS)
+@pytest.mark.parametrize("k_hi", [0, 1, 2, 4, 7])
+@pytest.mark.parametrize("cls", list(MathieuClass))
+def test_grid_lapack_equals_scipy_eigvalsh_tridiagonal(cls, k_hi, l, lapack_calls):
+    """The grid twin: each dsterf call of a one-barrier grid returns
+    exactly what eigvalsh_tridiagonal(lapack_driver="sterf") gives for the
+    same bands, and the row of orders p..top is the first k_hi + 1 values
+    of the last call, on L. The calls are those _check_grid_calls walks:
+    one on L with c from the Weyl t, or one on T and then one on L with c
+    from T's top value."""
+    top = cls.lowest + 2 * k_hi
+    row = mathieu._converge_grid(cls, top, (l,))[0]
+    for kernel, diag, off, out in lapack_calls:
+        ref = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf", check_finite=False)
+        assert kernel == "dsterf" and out[0].tobytes() == ref.tobytes()
+    assert row.tobytes() == ref[:k_hi + 1].tobytes()
+    _check_grid_calls(lapack_calls, cls, top, [l])
 
 
 @pytest.mark.parametrize("kernel,fail", [("dstebz", "info"), ("dstebz", "count"),
@@ -559,9 +629,10 @@ def test_lapack_failure_raises_convergence_error(kernel, fail, monkeypatch, tmp_
     with pytest.raises(ConvergenceError):
         if kernel == "dstein":
             ce_series(2, 2.5)
+        elif kernel == "dstebz":
+            characteristic_values(MathieuClass.CE_EVEN, 2, 2.5)
         else:
-            characteristic_values(MathieuClass.CE_EVEN, 0, 2 + 2 * (kernel == "dsterf"),
-                                  2.5)
+            mathieu._converge_grid(MathieuClass.CE_EVEN, 4, (2.5,))
     # the grids of `characteristics` call dsterf only; the Brent roots of
     # `regions` solve single orders by dstebz
     argv = {"dstein": ["density", "--family", "phi+", "-n", "2", "-l", "2.5"],
@@ -585,7 +656,7 @@ def test_grid_converges_and_matches_oracles(l):
     for n in range(21):
         for cls, special in ((ce_class(n), mathieu_a),) + (
                 ((se_class(n), mathieu_b),) if n else ()):
-            value = characteristic_values(cls, n, n, l)[0]
+            value = characteristic_values(cls, n, l)
             ref = special(n, l) if dense is None else dense[cls][cls.eigen_index(n)]
             assert abs(value - ref) <= 1e-10 * max(1.0, abs(value)), (cls, n, l)
 
@@ -597,21 +668,21 @@ ACCURACY_GRID = np.concatenate([np.linspace(0.0, 100.0, 60),
 
 @pytest.mark.parametrize("cls", list(MathieuClass))
 def test_values_match_tight_reference(cls):
-    """Orders up to 20 from one range solve and from single-order solves
+    """Orders up to 20 from the family grid and from single-order solves
     agree to 2e-12 (relative, absolute below 1) with a size-512 dstebz
     bisection at ABSTOL 1e-300. LAPACK's default tolerance is
     eps * ||T||, and ||T|| grows as the squared size, so a needlessly
     large matrix loses absolute accuracy."""
     top = 20 - (20 - cls.lowest) % 2
     orders = range(cls.lowest, top + 1, 2)
-    for l in ACCURACY_GRID:
+    rows = mathieu._converge_grid(cls, top, tuple(ACCURACY_GRID))
+    for l, row in zip(ACCURACY_GRID, rows):
         diag, off, _ = mathieu._tridiagonal(cls, l, TRUNCATION_CAP)
         found, ref, _, _, info = mathieu.dstebz(diag, off, 2, 0.0, 0.0, 1,
                                                 len(orders), 1e-300, "E")
         assert info == 0 and found == len(orders)
         scale = np.maximum(1.0, np.abs(ref[:found]))
-        for values in (characteristic_values(cls, cls.lowest, top, l),
-                       [characteristic_values(cls, n, n, l)[0] for n in orders]):
+        for values in (row, [characteristic_values(cls, n, l) for n in orders]):
             err = np.abs(np.array(values) - ref[:found]) / scale
             assert err.max() <= 2e-12, (cls, l, err.max())
 
@@ -631,13 +702,12 @@ def test_rejects_nonfinite_barriers_and_non_integer_orders(n, l):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 0, [1.0]),
-    lambda: characteristic_values(MathieuClass.CE_EVEN, [0], 0, 1.0),
-    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, [2], 1.0),
-    lambda: characteristic_values([MathieuClass.CE_EVEN], 0, 0, 1.0),
-    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, 4, np.array(1.0)),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, [1.0]),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, [0], 1.0),
+    lambda: characteristic_values([MathieuClass.CE_EVEN], 0, 1.0),
+    lambda: characteristic_values(MathieuClass.CE_EVEN, 0, np.array(1.0)),
     lambda: pair_gap(1, PairingKind.ROTOR, [1.0], GapMeasure.RELATIVE),
-], ids=["barrier", "n_lo", "n_hi", "family", "0-d-array", "pair_gap"])
+], ids=["barrier", "order", "family", "0-d-array", "pair_gap"])
 def test_unhashable_solve_arguments_raise_domain_error(call):
     # each once raised TypeError: unhashable type, from the solve cache
     with pytest.raises(DomainError):

@@ -169,7 +169,7 @@ def _wrong_types():
         "modulation_schedule-int-levels":
             lambda: qp.modulation_schedule(1.0, 0.1, 1.0, [0.0], 3, *eps),
         "characteristic_values-str-family":
-            lambda: qp.characteristic_values("ce_even", 0, 2, 1.0),
+            lambda: qp.characteristic_values("ce_even", 0, 1.0),
         "StateSpec-list-l": lambda: build_state(StateSpec(StateFamily.XI, 1, [1.0])),
         "jump_at_boundary-list-l": lambda: qp.jump_at_boundary(
             1, StateFamily.PHI_PLUS, StateFamily.XI, [1.0]),

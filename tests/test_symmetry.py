@@ -128,7 +128,7 @@ def test_batched_sweep_matches_per_order_values():
     rows = sweep_characteristics(8, [0.0, 0.7, 3.42, 11.1, 28.0, 55.0])
     assert len(rows) == 6 * 17
     for label, n, l, value in rows:
-        assert abs(value - characteristic_values(MathieuClass(label), n, n, l)[0]) <= 1e-10
+        assert abs(value - characteristic_values(MathieuClass(label), n, l)) <= 1e-10
 
 
 def test_sweep_validates_grid():
@@ -638,7 +638,7 @@ def _enum_arguments():
         "calibrate_epsilon": (PairingKind.ROTOR,
                               lambda p: calibrate_epsilon({2: 0.2}, p)),
         "characteristic_values": (MathieuClass.CE_EVEN,
-                                  lambda c: characteristic_values(c, 0, 2, 1.0)),
+                                  lambda c: characteristic_values(c, 0, 1.0)),
         "apply_group_element": (GroupElement.A, lambda g: apply_group_element(s, g)),
     }
 
