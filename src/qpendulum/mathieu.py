@@ -164,11 +164,15 @@ def _tridiagonal(mathieu_class: MathieuClass, q: float, size: int):
     return diag, q * unit, norm
 
 
-def initial_truncation(n: int, l: float) -> int:
-    """First matrix size for orders up to n; see the module docstring."""
-    root = max(l, 0.0) ** 0.25
-    return max(n // 2 + 3 + math.ceil(1.4 * root),
-               3 + math.ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
+def initial_truncation(n: int, l: float | np.ndarray) -> int | np.ndarray:
+    """First matrix size for orders up to n at l >= 0, or float sizes at an
+    array of l (libm's pow, as for a float); see the module docstring."""
+    if isinstance(l, np.ndarray):
+        ceil, larger, root = np.ceil, np.maximum, np.float_power(l, 0.25)
+    else:
+        ceil, larger, root = math.ceil, max, l ** 0.25
+    return larger(n // 2 + 3 + ceil(1.4 * root),
+                  3 + ceil(0.6 * root * (4.5 + math.sqrt(2 * n + 1))))
 
 
 def _kernel(diag, off, k: int | None, mathieu_class: MathieuClass, l: float):
@@ -250,12 +254,11 @@ def _converge_grid(mathieu_class: MathieuClass, top: int,
                    barriers: tuple[float, ...]) -> np.ndarray:
     """Values of orders p, p + 2, ..., top as read-only rows, one per barrier
     (checked by the caller; a repeat is solved once), by :func:`_converge`'s
-    rule at the first size; a row not certified there takes
-    :func:`_converge`'s value of each order."""
+    rule at the first sizes, from one :func:`initial_truncation` call (a scalar
+    serves all); a row not certified there takes :func:`_converge`'s values."""
     k_hi = mathieu_class.eigen_index(top)
     q, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
-    sizes = np.array([min(initial_truncation(top, l), TRUNCATION_CAP)
-                      for l in q.tolist()], dtype=int)
+    sizes = np.full(q.size, np.minimum(initial_truncation(top, q), TRUNCATION_CAP), int)
     ladder, unit = _BANDS[mathieu_class]
     with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
         edge = mathieu_class.lowest + 2 * sizes

@@ -9,6 +9,7 @@ the data files; reruns with identical settings are byte-identical.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,10 +64,21 @@ class ReportBundle:
 
 def format_csv(header, rows) -> str:
     """CSV text with a header line; every cell as str, so a Python float
-    is its repr and a NumPy scalar its value."""
-    line = ",".join(["%s"] * len(header))
-    lines = [",".join(header)]
-    lines += [line % tuple(row) for row in rows]
+    is its repr and a NumPy scalar its value. In the first column whose cell
+    is one object in the first two rows, if any, a cell that is the object
+    above reuses its text, held with % doubled in the row template."""
+    rows = list(rows)
+    j = next((j for j, pair in enumerate(zip(*rows[:2])) if pair[0] is pair[-1]), None)
+    keep = [i for i in range(len(rows[0])) if i != j] if rows else []
+    other = (tuple if j is None else operator.itemgetter(*keep) if keep[1:] else
+             lambda row: tuple(row[i] for i in keep))
+    lines, cells, last = [",".join(header)], ["%s"] * len(header), object()
+    line = ",".join(cells)
+    for row in rows:
+        if j is not None and row[j] is not last:
+            cells[j] = str(last := row[j]).replace("%", "%%")
+            line = ",".join(cells)
+        lines.append(line % other(row))
     return "\n".join(lines) + "\n"
 
 

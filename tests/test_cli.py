@@ -42,6 +42,45 @@ def test_csv_cells_are_str_and_paths_may_be_str(tmp_path):
     assert out.read_text() == "l\n1e-06\n0.3333333333333333\n"
 
 
+def _csv_cases():
+    """Tables whose shared column meets cells that are equal, or print
+    alike, without being the object above them."""
+    zero, minus_zero, one, third, pct = float("0.0"), float("-0.0"), 1, 1 / 3, "5%s%%"
+    nan, other_nan, x = float("nan"), float("nan"), np.float64(0.1)
+    return {
+        "shared % cell": [(pct, 1, 2.5), (pct, 2, 3.5), ("%", 3, "%%"), (pct, 4, 4.5)],
+        "0.0 and -0.0": [(zero, "a", 1), (zero, "b", 2), (minus_zero, "c", 3),
+                         (zero, "d", 4)],
+        "1, 1.0 and True": [("a", one, 0.5), ("b", one, 0.5), ("c", 1.0, 0.5),
+                            ("d", True, 0.5), ("e", one, 0.5)],
+        "distinct NaNs": [("a", nan, 1), ("b", nan, 2), ("c", other_nan, 3),
+                          ("d", np.nan, 4)],
+        "NumPy scalars": [(x, np.int64(3), x), (x, np.int64(3), 0.1),
+                          (np.float64(1e-6), np.int64(-4), np.float64(0.1))],
+        "back after another": [("a", third, 1), ("b", third, 2), ("c", 2 / 3, 3),
+                               ("d", third, 4)],
+        "no shared column": [(1, 0.25, "a"), (2, 0.5, "b"), (3, 0.5, "c")],
+        "one row": [(third, one, "a")],
+        "no rows": [],
+        "one column": [(third,), (third,), (2 / 3,), (third,)],
+        "two columns": [(third, 1), (third, 2), (-0.0, 3)],
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_cases()))
+def test_csv_equals_str_of_every_cell(name):
+    """However the rows share objects, format_csv writes each cell as its
+    own str: from a list of tuples, a list of lists and a generator."""
+    from qpendulum.report import format_csv
+
+    rows = _csv_cases()[name]
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
+    want = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    assert format_csv(header, rows) == want
+    assert format_csv(header, [list(row) for row in rows]) == want
+    assert format_csv(header, (row for row in rows)) == want
+
+
 def test_characteristics_json(tmp_path):
     out = tmp_path / "chars.json"
     code = main(["characteristics", "--n-max", "1", "--l-min", "0",

@@ -167,6 +167,30 @@ GRID_N_MAX = (7, 8, 12, 16, 24)
 GRID_BARRIERS = [0.0] + np.logspace(-3, 5, 81).tolist()
 
 
+# The n <= 8 sweep grids of the benchmark's seeds 1-3 (bench/inputs.py)
+SWEEP_GRIDS = [np.unique(np.random.default_rng([seed, 0]).uniform(0.0, 55.0, 1000))
+               for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("top", range(65))
+def test_first_sizes_of_an_array_equal_the_scalar_rule(top):
+    """A grid sizes its barriers in one initial_truncation call on the
+    array; each size must equal the scalar call's, capped as the grid caps
+    it. numpy's power differs from libm's pow in the last bit for some
+    barriers, which could move a ceiling: checked on the module grid, the
+    sweep grids, 10^4 random barriers in [0, 1e6] and the barriers within
+    20 ulps of each of the first 100 steps of either ceiling."""
+    rng, steps = np.random.default_rng(top), []
+    for factor in (1.4, 0.6 * (4.5 + math.sqrt(2 * top + 1))):
+        step = (np.arange(1, 101) / factor) ** 4  # factor * l^(1/4) is an integer
+        steps.append((step[:, None] + np.arange(-20, 21) * np.spacing(step)[:, None]).ravel())
+    for grid in (GRID_BARRIERS, *SWEEP_GRIDS, rng.uniform(0.0, 1e6, 10**4), *steps):
+        q = np.array(grid, dtype=float)
+        sizes = np.minimum(mathieu.initial_truncation(top, q), TRUNCATION_CAP)
+        want = [min(mathieu.initial_truncation(top, l), TRUNCATION_CAP) for l in q.tolist()]
+        assert sizes.tolist() == want, top
+
+
 def test_one_call_per_solve_at_the_first_size_with_a_valid_c(lapack_calls):
     """Each single solve accepts its first size. Where the Weyl t gives a
     valid c there, it makes one LAPACK call, on L, the bands of T with
@@ -320,7 +344,7 @@ def test_grid_undersized_first_size_accepts_no_row_off_the_reference(monkeypatch
     one row short, every row still closes."""
     first = mathieu.initial_truncation
     monkeypatch.setattr(mathieu, "initial_truncation",
-                        lambda n, l: max(first(n, l) - cut, n // 2 + 2))
+                        lambda n, l: np.maximum(first(n, l) - cut, n // 2 + 2))
     counts = [_check_grid_rows(monkeypatch, n_max, GRID_BARRIERS, False)
               for n_max in (0, 1, 2, 4, 7, 8, 12, 16, 24)]
     assert all(accepted for accepted, _ in counts)
