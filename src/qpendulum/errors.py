@@ -15,9 +15,9 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """Adaptive truncation hit its cap before the requested accuracy.
 
-    ``last_iterates`` carries the order's bounds at the cap, L's value mu
-    (-inf where no tail shift is valid) and T's, so the caller can judge
-    how far off the result was.
+    ``last_iterates`` carries the order's bounds at the cap, L's value
+    (-inf where no tail shift is valid) and T's value mu, so the caller
+    can judge how far off the result was.
     """
 
     def __init__(self, message, last_iterates=None):
@@ -86,11 +86,12 @@ def check_levels(levels) -> list[int]:
     return [int(n) for n in levels]
 
 
-def numeric_array(values, complex_ok: bool, copy: bool) -> np.ndarray | None:
+def numeric_array(values, complex_ok: bool) -> np.ndarray | None:
     """``values`` (an iterator too) as a float array, complex if ``complex_ok``,
-    copied only if ``copy``; None unless every entry is a real number (any
-    number if ``complex_ok``), not None, a bool or a numeric string. NumPy
-    reads a bool as 0 or 1 among numbers; an ndarray's dtype tells without a scan."""
+    not copied where it already is one; None unless every entry is a real
+    number (any number if ``complex_ok``), not None, a bool or a numeric
+    string. NumPy reads a bool as 0 or 1 among numbers; an ndarray's dtype
+    tells without a scan."""
     kinds, number, dtype = (("iufc", numbers.Number, complex) if complex_ok
                             else ("iuf", numbers.Real, float))
     try:
@@ -102,7 +103,7 @@ def numeric_array(values, complex_ok: bool, copy: bool) -> np.ndarray | None:
         array = np.asarray(values)
         if array.dtype.kind in kinds or (array.dtype.kind == "O" and all(
                 isinstance(v, number) and not isinstance(v, bool) for v in array.flat)):
-            return array.astype(dtype, copy=copy)
+            return array.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
     return None
@@ -111,7 +112,7 @@ def numeric_array(values, complex_ok: bool, copy: bool) -> np.ndarray | None:
 def real_array(values, name: str) -> np.ndarray:
     """:func:`numeric_array` of ``values`` as floats; DomainError unless every
     entry is a finite real number."""
-    array = numeric_array(values, False, False)
+    array = numeric_array(values, False)
     if array is None or not np.isfinite(array).all():
         raise DomainError(f"{name} must be finite real numbers, got {_shown(values)}")
     return array

@@ -7,11 +7,10 @@ phi -> phi + pi. Its ladder p, p + 2, ..., spectral index, matrix
 diagonal and series slots follow; only the first matrix row differs. Each
 engine takes one kind of call. :func:`_converge` solves one order of one
 family at one barrier, values only, doubling the matrix size until a
-count certifies the value; each size costs one direct LAPACK call (two
-from l ~ 290), the ``dstebz`` bisection of the order's index.
-:func:`_converge_grid` solves orders p..top over a barrier grid at their
-first sizes, one ``dsterf`` (root-free QR, every value, O(N^2)) per
-barrier (two from l ~ 970 for n <= 8), its other work as array
+count certifies the value; each size costs one direct LAPACK call, the
+``dstebz`` bisection of the order's index. :func:`_converge_grid` solves
+orders p..top over a barrier grid at their first sizes, one ``dsterf``
+(root-free QR, every value, O(N^2)) per barrier, its other work as array
 operations over all rows; a row it cannot certify goes to
 :func:`_converge`, one order per call. A batch of one costs several
 solves. An eigenvector holds the weights of the orthonormal functions
@@ -30,29 +29,29 @@ Deep in the well level n is an oscillator state whose weights spread
 over about sqrt(2n + 1) l^(1/4) harmonics, so
 3 + ceil(0.6 l^(1/4) (4.5 + sqrt(2n + 1))) rows, at most the fixed
 ``TRUNCATION_CAP``. By min-max the first N rows T bound each value from
-above. The tail past them has diagonal d_j = (p + 2j)^2, j >= N, and
-off-diagonal l, so by its Schur complement each value v is one of
-T - l^2 g(v) e_N e_N^T, with g its (1, 1) resolvent entry, increasing.
-By Weyl, value k of T (the top index) is below t = d_k + ||E||_inf, E the
-off-diagonal and p = 1 corner: (1 + sqrt 2) l for p = 0, else 2 l (where
-that t leaves no valid c, from l ~ 290 for order 0, T's value k from
-one call). One fraction level and the constant chain on d_{N+1} below
-the rest bound l^2 g(t) by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 -
+above; one call gives T's values mu. The tail past them has diagonal
+d_j = (p + 2j)^2, j >= N, and off-diagonal l, so by its Schur complement
+each value v is one of T - l^2 g(v) e_N e_N^T, with g its (1, 1)
+resolvent entry, increasing. T's top value (index k) plus its rounding
+floor, t = mu_k + JITTER_FACTOR * eps * ||T||, is above every value
+sought. One fraction level and the constant chain on d_{N+1} below the
+rest bound l^2 g(t) by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 -
 4 l^2))), a = d_{N+1} - t, if a > 2 l and the denominator is positive:
-L, T with its last diagonal entry lowered by c, bounds each value from
-below. One call gives L's values mu; value i passes when a Sturm count
-finds more than i values of T below mu_i + tol_i - delta, tol_i =
-max(EIGENVALUE_TOL * max(1, |mu_i|), JITTER_FACTOR * eps * (||T|| + c)),
-||T|| = max|diag| + 2 max|off|. A size whose value passes returns mu,
-else the size doubles. At the cap :class:`ConvergenceError` carries the
-order's mu and T's value (-inf below without a valid c).
+L, T with its last diagonal entry lowered by c, bounds each value below t
+from below. Value i passes when a Sturm count finds at most i values of
+L below mu_i - tol_i + delta, tol_i = max(EIGENVALUE_TOL * max(1,
+|mu_i|), JITTER_FACTOR * eps * (||T|| + c)), ||T|| = max|diag| +
+2 max|off|; without a valid c, or with a bound that is not finite, none
+passes. A size whose value passes returns mu, else the size doubles. At
+the cap :class:`ConvergenceError` carries L's value (-inf without a
+valid c) and the order's mu.
 
 Caches
 ------
 Two typed caches of 16,384 entries each: ``_values`` keeps the value
 of one (family, order, l), ``_weights`` the read-only eigenvector
 weights of one (family, order, l) from one ``dstein`` inverse iteration
-on L's bisection, started at twice the first size (a complex
+on T's bisection, started at twice the first size (a complex
 plane-wave series would take eight times the memory). Inputs are
 validated inside the cached functions, so a hit is one lookup, hashed in
 C (families hash by identity), and ``True`` or ``2.0`` never hit an
@@ -76,9 +75,9 @@ from .errors import (ConvergenceError, DomainError, _shown, check_count, check_r
 from .series import TrigSeries
 
 EIGENVALUE_TOL = 1e-11  # relative
-# tol >= JITTER_FACTOR eps (||T|| + c): LAPACK's values of L are off by a few eps ||L||
+# t and tol add JITTER_FACTOR eps ||T||: LAPACK's values of T are off by a few eps ||T||
 JITTER_FACTOR = 4.0
-# delta = COUNT_ERROR eps max|b|: a count is exact for T with each off-diagonal b
+# delta = COUNT_ERROR eps max|b|: a count is exact for L with each off-diagonal b
 # moved by <= 2.5 eps |b| (Kahan; Demmel, Applied Numerical Linear Algebra, 5.3.4)
 COUNT_ERROR = 6.0
 TRUNCATION_CAP = 512  # largest matrix size
@@ -202,47 +201,42 @@ def _tail_shift(edge: int, t: float, l: float) -> float | None:
 
 
 def _passes(diag, off, x: float, k: int) -> bool:
-    """Whether T has more than k values below x, within delta: LDL^T pivots."""
+    """Whether the bands have at most k values below x, within delta: LDL^T pivots."""
     below, pivot = 0, 1.0
     for d, b2 in zip(diag.tolist(), [0.0] + (off * off).tolist()):  # b_{j-1}^2
         if (pivot := d - x - b2 / pivot) <= 0.0:  # as LAPACK's pivmin, 0 counts as -tiny
             pivot, below = pivot or -_TINY, below + 1  # IEEE inf does the rest
-            if below > k:  # interlacing: T has at least as many
-                return True
-    return False
+            if below > k:
+                return False
+    return True
 
 
 def _converge(mathieu_class: MathieuClass, n: int, l: float, widen: int):
     """Value of order n from ``widen`` times the first size; validates every
     input. Returns it as a float and the ``dstein`` inputs of the accepted
-    size: L's bands, the value and its ``dstebz`` block data (iblock,
+    size: T's bands, the value and its ``dstebz`` block data (iblock,
     isplit). See the module docstring for the rule.
     """
     k = check_type(mathieu_class, MathieuClass, "family").eigen_index(n)
     l = check_real(l, "barrier l", 0.0, False)
     size = min(widen * initial_truncation(n, l), TRUNCATION_CAP)
-    ladder, unit = _BANDS[mathieu_class]
-    weyl = float(ladder[k]) + (1.0 + float(unit[0])) * l  # value k of T is below
-    delta = COUNT_ERROR * _EPS * float(unit[0]) * l
+    delta = COUNT_ERROR * _EPS * float(_BANDS[mathieu_class][1][0]) * l
     while True:
         diag, off, norm = _tridiagonal(mathieu_class, l, size)
-        lower, upper = -math.inf, None
-        shift = _tail_shift(edge := mathieu_class.lowest + 2 * size, weyl, l)
-        if shift is None:  # Weyl's t is too high here: take T's value
-            upper = float(_kernel(diag, off, k, mathieu_class, l)[0][0])
-            shift = _tail_shift(edge, upper, l)
+        values, split = _kernel(diag, off, k, mathieu_class, l)
+        upper = float(values[0])
+        shift = _tail_shift(mathieu_class.lowest + 2 * size,
+                            upper + JITTER_FACTOR * _EPS * norm, l)
         if shift is not None:
             lowered = diag.copy()
             lowered[-1] -= shift
-            values, split = _kernel(lowered, off, k, mathieu_class, l)
-            lower = float(values[0])
-            tol = max(EIGENVALUE_TOL * max(1.0, abs(lower)),
+            tol = max(EIGENVALUE_TOL * max(1.0, abs(upper)),
                       JITTER_FACTOR * _EPS * (norm + shift))
-            if _passes(diag, off, lower + tol - delta, k):
-                return lower, (lowered, off, values, split)
+            if _passes(lowered, off, upper - tol + delta, k):
+                return upper, (diag, off, values, split)
         if size >= TRUNCATION_CAP:
-            if upper is None:  # solve T for the upper bound
-                upper = float(_kernel(diag, off, k, mathieu_class, l)[0][0])
+            lower = (-math.inf if shift is None else
+                     float(_kernel(lowered, off, k, mathieu_class, l)[0][0]))
             raise ConvergenceError(
                 f"eigenvalue bounds apart at truncation cap {TRUNCATION_CAP} for "
                 f"({mathieu_class.value}, n={n}, l={l})", last_iterates=(lower, upper))
@@ -255,42 +249,39 @@ def _converge_grid(mathieu_class: MathieuClass, top: int,
     """Values of orders p, p + 2, ..., top as read-only rows, one per barrier
     (checked by the caller; a repeat is solved once), by :func:`_converge`'s
     rule at the first sizes, from one :func:`initial_truncation` call (a scalar
-    serves all); a row not certified there takes :func:`_converge`'s values."""
+    serves all) and one ``dsterf`` on T per barrier; a row not certified
+    there, for want of a valid c too, takes :func:`_converge`'s values."""
     k_hi = mathieu_class.eigen_index(top)
     q, inverse = np.unique(np.array(barriers, dtype=float), return_inverse=True)
     sizes = np.full(q.size, np.minimum(initial_truncation(top, q), TRUNCATION_CAP), int)
     ladder, unit = _BANDS[mathieu_class]
     with np.errstate(all="ignore"):  # a row that overflows or has no valid c fails
-        edge = mathieu_class.lowest + 2 * sizes
-        t = ladder[k_hi] + (1.0 + unit[0]) * q  # Weyl: value k_hi of T is below
-        a = (edge + 2) ** 2 - t
-        gap = edge ** 2 - t - 2.0 * q * q / (a + np.sqrt((a - 2.0 * q) * (a + 2.0 * q)))
-        shift = np.where((a > 2.0 * q) & (gap > 0.0), q * q / gap, np.nan)
         diag = np.tile(ladder[:sizes.max(initial=k_hi + 1)], (q.size, 1))  # widest size
         if mathieu_class.lowest == 1:
             diag[:, 0] += q if mathieu_class.is_cosine else -q
         off = q[:, None] * unit[:diag.shape[1] - 1]
-        lowered, mu = diag.copy(), np.full((q.size, k_hi + 1), np.nan)
-        lowered[np.arange(q.size), sizes - 1] -= shift
-        for i, (n, l, c) in enumerate(zip(sizes.tolist(), q.tolist(), shift.tolist())):
-            if math.isnan(c):  # the Weyl t is too high here: take T's top value
-                upper = _kernel(diag[i, :n], off[i, :n - 1], None, mathieu_class, l)[0]
-                if (c := _tail_shift(int(edge[i]), upper[k_hi], l)) is None:
-                    continue
-                shift[i], lowered[i, n - 1] = c, diag[i, n - 1] - c
-            mu[i] = _kernel(lowered[i, :n], off[i, :n - 1], None, mathieu_class,
+        mu = np.empty((q.size, k_hi + 1))
+        for i, (n, l) in enumerate(zip(sizes.tolist(), q.tolist())):  # T, one call each
+            mu[i] = _kernel(diag[i, :n], off[i, :n - 1], None, mathieu_class,
                             l)[0][:k_hi + 1]
         norm = np.maximum(np.abs(diag[:, 0]), ladder[sizes - 1]) + 2.0 * q * unit[0]
+        t = mu[:, -1] + JITTER_FACTOR * _EPS * norm  # above value k_hi of T
+        edge = mathieu_class.lowest + 2 * sizes
+        a = (edge + 2) ** 2 - t
+        gap = edge ** 2 - t - 2.0 * q * q / (a + np.sqrt((a - 2.0 * q) * (a + 2.0 * q)))
+        shift = np.where((a > 2.0 * q) & (gap > 0.0), q * q / gap, np.nan)
+        diag[np.arange(q.size), sizes - 1] -= shift  # L
         tol = np.maximum(EIGENVALUE_TOL * np.maximum(1.0, np.abs(mu)),
                          JITTER_FACTOR * _EPS * (norm + shift)[:, None])
-        x = mu + tol - (COUNT_ERROR * _EPS * unit[0] * q)[:, None]  # less delta
+        x = mu - tol + (COUNT_ERROR * _EPS * unit[0] * q)[:, None]  # plus delta
         e2 = np.pad(off * off, ((0, 0), (1, 0)))  # b_{j-1}^2, 0 at j = 0
         pivot, below = np.ones_like(x), np.zeros(x.shape, dtype=int)
         for j in range(diag.shape[1]):  # _passes over every row and order at once
             pivot = diag[:, j, None] - x - e2[:, j, None] / pivot
             pivot[pivot == 0.0] = -_TINY
             below += (pivot < 0.0) & (j < sizes[:, None])
-    for i in np.flatnonzero(~(below > np.arange(k_hi + 1)).all(axis=1)).tolist():
+    passed = (below <= np.arange(k_hi + 1)).all(axis=1) & np.isfinite(x).all(axis=1)
+    for i in np.flatnonzero(~passed).tolist():
         mu[i] = [_converge(mathieu_class, n, q[i], 1)[0]
                  for n in range(mathieu_class.lowest, top + 1, 2)]
     out = mu[inverse]
@@ -318,8 +309,8 @@ def _values(mathieu_class: MathieuClass, n: int, l: float) -> float:
 @functools.lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _weights(mathieu_class: MathieuClass, n: int, l: float) -> np.ndarray:
     """Read-only basis weights of order n, order-matching harmonic positive."""
-    lowered, off, values, split = _converge(mathieu_class, n, l, 2)[1]
-    vecs, info = dstein(lowered, off, values, *split)
+    diag, off, values, split = _converge(mathieu_class, n, l, 2)[1]
+    vecs, info = dstein(diag, off, values, *split)
     if info:
         raise ConvergenceError(f"dstein info={info} for ({mathieu_class.value}, "
                                f"n={n}, l={l})")

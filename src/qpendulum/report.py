@@ -126,9 +126,9 @@ def build_bundle() -> ReportBundle:
     """Compute every table and figure dataset in memory.
 
     Tables 3-6 and fig2-fig4 are taken at ``OBSERVABLE_EVAL_POINTS``.
-    Every value is the lower bound of the first matrix size whose Sturm
-    count certifies it, doubling the size until one does, at most to the
-    fixed truncation cap, which the metadata records.
+    Every value is that of the first N rows T at the first matrix size N
+    whose Sturm count certifies it, doubling the size until one does, at
+    most to the fixed truncation cap, which the metadata records.
     """
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()

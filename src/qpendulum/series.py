@@ -33,12 +33,13 @@ class TrigSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = numeric_array(self.coeffs, True, True)  # a copy: the series owns it
+        arr = numeric_array(self.coeffs, True)
         if arr is None:
             raise DomainError(f"non-numeric coefficients {_shown(self.coeffs)}")
         if arr.ndim != 1 or len(arr) % 2 == 0:
             raise DomainError(
                 f"coefficients must be 1-D of odd length, got shape {arr.shape}")
+        arr = arr.copy()  # the series owns its coefficients
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

@@ -24,7 +24,7 @@ the pairing only sets the sign of gap - eps the scan starts from. It
 reads cached family grids of ``SCAN_CHUNK`` points and the orders up
 to max(``REGIONS_N_MAX``, se order), shared by levels, pairings and
 thresholds. The first cell where that sign flips goes to ``brentq`` on
-single solves, whose root is l_c. These agree with the grid to 3e-13,
+single solves, whose root is l_c. These agree with the grid to 3.3e-13,
 relative: where they put both cell ends on one side of eps, the end
 nearer eps is l_c. Two limits follow: a stretch narrower than
 ``SCAN_STEP`` on the far side of eps can be stepped over; and a pole of

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpendulum.errors import DomainError, check_real
+from qpendulum.errors import DomainError, check_real, numeric_array
 
 
 @pytest.mark.parametrize("value,low,strict", [
@@ -41,3 +41,11 @@ def test_check_real_rejects(value, low, strict):
 def test_check_real_returns_a_float(value, low, strict, expected):
     result = check_real(value, "x", low, strict)
     assert type(result) is float and result == expected
+
+
+def test_numeric_array_copies_only_to_convert():
+    floats, complexes = np.array([1.0, 2.0]), np.array([1.0j])
+    assert numeric_array(floats, False) is floats
+    assert numeric_array(complexes, True) is complexes
+    assert numeric_array(floats, True).dtype == complex
+    assert numeric_array([1, 2], False).dtype == float

@@ -133,27 +133,26 @@ def test_order_validation():
 
 
 def test_convergence_error_reports_iterates(lapack_calls):
-    """At l = 1e11 the first size is above the cap, so the cap is solved
-    first; its tail diagonal starts less than 2 l above the Weyl t and
-    above T's own top value, so no lower bound holds there: one call, on
-    T, and -inf below. At l = 1e9 T's top value gives the valid c the Weyl
-    t does not: T then L, still 3.6e-2 apart, and no third call. Order
-    1018 at l = 1e3 starts at the cap too, with a valid c from the Weyl t:
-    L is solved, the count rejects it, and the error path solves T once;
-    the bounds are 8.8e-2 apart."""
+    """Each size solves T first. At l = 1e11 the first size is above the
+    cap, so the cap is solved first; its tail diagonal starts less than
+    2 l above T's own top value, so no lower bound holds there: one call,
+    on T, and -inf below. At l = 1e9 T's top value gives a valid c: the
+    count rejects the size, and the error path solves L once; the bounds
+    are still 3.6e-2 apart. Order 1018 at l = 1e3 starts at the cap too,
+    the same way, with the bounds 7.0e-2 apart."""
     calls = lapack_calls
     with pytest.raises(ConvergenceError) as err:
         characteristic_values(MathieuClass.CE_EVEN, 0, 1e11)
     assert mathieu.initial_truncation(0, 1e11) > TRUNCATION_CAP
     assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)]
     assert err.value.last_iterates == (-math.inf, calls[0][3][1][0])
-    for order, l, upper_first in [(0, 1e9, True), (1018, 1e3, False)]:
+    for order, l in [(0, 1e9), (1018, 1e3)]:
         calls.clear()
         with pytest.raises(ConvergenceError) as err:
             characteristic_values(MathieuClass.CE_EVEN, order, l)
         assert mathieu.initial_truncation(order, l) > TRUNCATION_CAP
         assert [(c[0], len(c[1])) for c in calls] == [("dstebz", TRUNCATION_CAP)] * 2
-        (_, diag, _, upper), (_, lowered, _, lower) = calls[::1 if upper_first else -1]
+        (_, diag, _, upper), (_, lowered, _, lower) = calls
         assert np.array_equal(lowered[:-1], diag[:-1]) and lowered[-1] < diag[-1]
         assert err.value.last_iterates == (lower[1][0], upper[1][0])
         assert 1e-11 * abs(upper[1][0]) < upper[1][0] - lower[1][0] < 0.1
@@ -192,74 +191,51 @@ def test_first_sizes_of_an_array_equal_the_scalar_rule(top):
 
 
 def test_one_call_per_solve_at_the_first_size_with_a_valid_c(lapack_calls):
-    """Each single solve accepts its first size. Where the Weyl t gives a
-    valid c there, it makes one LAPACK call, on L, the bands of T with
-    the last diagonal entry lowered. Elsewhere (2,006 solves, all at
-    l >= 316) it first solves T for its value, then L."""
+    """Each single solve accepts its first size, where T's top value gives
+    a valid c, with one LAPACK call, on T, at every barrier."""
     calls = lapack_calls
-    twice = []
     for l in GRID_BARRIERS:
         for cls, n in SINGLE_ORDERS:
             mathieu._values.cache_clear()
             calls.clear()
-            characteristic_values(cls, n, l)
+            value = characteristic_values(cls, n, l)
             first = min(mathieu.initial_truncation(n, l), TRUNCATION_CAP)
-            diag, band, _ = mathieu._tridiagonal(cls, l, first)
-            *upper, (_, lowered, off, _) = calls
-            assert [(c[0], len(c[1])) for c in calls] == [("dstebz", first)] * len(calls), (
-                cls, n, l)
-            assert np.array_equal(diag[:-1], lowered[:-1]) and lowered[-1] <= diag[-1]
-            assert np.array_equal(off, band)
-            if upper:
-                (_, upper_diag, upper_off, _), = upper
-                assert np.array_equal(upper_diag, diag) and np.array_equal(upper_off, band)
-                twice.append(l)
-    assert len(SINGLE_ORDERS) == 129 and min(twice) > 316, min(twice)
-    assert len(twice) == 2006
+            diag, band, norm = mathieu._tridiagonal(cls, l, first)
+            assert [(c[0], len(c[1])) for c in calls] == [("dstebz", first)], (cls, n, l)
+            (_, upper, off, out), = calls
+            assert np.array_equal(upper, diag) and np.array_equal(off, band)
+            assert value == out[1][0]
+            t = value + 4 * np.finfo(float).eps * norm
+            assert _tail_shift(cls, l, first, t) is not None, (cls, n, l)
+    assert len(SINGLE_ORDERS) == 129
 
 
 def _check_grid_calls(calls, cls, top, barriers):
     """The calls of one cold family grid, each checked on its bands: per
-    distinct barrier, ascending, one ``dsterf`` on L at its first size,
-    after one on T where the Weyl t gives no valid c there, whose top
-    value is then t (no call on L where that gives none either). Any later
-    call is a ``dstebz`` of _converge. Returns the barriers that solved T."""
-    rest, on_t = list(calls), []
-    for l in sorted(set(barriers)):
+    distinct barrier, ascending, one ``dsterf`` on T at its first size.
+    Any later call is a ``dstebz`` of _converge."""
+    distinct = sorted(set(barriers))
+    for l, (kernel, diag, off, _) in zip(distinct, calls):
         size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
-        diag, band, _ = mathieu._tridiagonal(cls, l, size)
-        c = _tail_shift(cls, l, size, _weyl(cls, top, l))
-        if c is None:
-            kernel, upper, off, out = rest.pop(0)
-            assert kernel == "dsterf" and np.array_equal(upper, diag), (cls, top, l)
-            assert np.array_equal(off, band)
-            c = _tail_shift(cls, l, size, float(out[0][cls.eigen_index(top)]))
-            on_t.append(l)
-            if c is None:
-                continue
-        kernel, lowered, off, _ = rest.pop(0)
-        assert kernel == "dsterf" and np.array_equal(off, band), (cls, top, l)
-        assert np.array_equal(diag[:-1], lowered[:-1])
-        assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9, abs=np.spacing(diag[-1]))
-    assert all(kernel == "dstebz" for kernel, *_ in rest), (cls, top)
-    return on_t
+        want_diag, want_off, _ = mathieu._tridiagonal(cls, l, size)
+        assert kernel == "dsterf" and np.array_equal(diag, want_diag), (cls, top, l)
+        assert np.array_equal(off, want_off), (cls, top, l)
+    assert len(calls) >= len(distinct), (cls, top)
+    assert all(kernel == "dstebz" for kernel, *_ in calls[len(distinct):]), (cls, top)
 
 
 def test_one_grid_call_per_barrier_at_the_first_size_with_a_valid_c(lapack_calls):
     """The grid twin: every family grid of GRID_N_MAX certifies each
-    barrier at its first size with one dsterf, on L, or T and then L where
-    the Weyl t gives no valid c (367 barriers, all at l >= 316); no row
-    goes on to _converge."""
-    twice = []
+    barrier at its first size with one dsterf, on T, at every barrier; no
+    row goes on to _converge."""
     for n_max in GRID_N_MAX:
         for cls in MathieuClass:
             top = n_max - (n_max - cls.lowest) % 2
             mathieu._converge_grid.cache_clear()
             lapack_calls.clear()
             mathieu._converge_grid(cls, top, tuple(GRID_BARRIERS))
-            assert all(c[0] == "dsterf" for c in lapack_calls), (cls, top)
-            twice += _check_grid_calls(lapack_calls, cls, top, GRID_BARRIERS)
-    assert len(twice) == 367 and min(twice) > 316, min(twice)
+            assert len(lapack_calls) == len(GRID_BARRIERS), (cls, top)
+            _check_grid_calls(lapack_calls, cls, top, GRID_BARRIERS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,12 +252,13 @@ def _tight_reference(cls, l, count):
 def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
     """Solve each family's grid; a row the grid sent on to _converge, one
     call per order, must equal per-order characteristic_values bit for
-    bit. Every other row must lie within its tolerance at its first size
-    N, max(1e-11 max(1, |v|), 4 eps ||T_N||), plus 32 eps ||T_N|| of
-    LAPACK jitter, of the size-512 reference and, if ``against_converge``,
-    of the per-order values; it must lie below the reference by at most
-    that jitter (L bounds from below), and below it by at most its
-    tolerance must lie T_N's own values, which the count certifies.
+    bit, and so must every row whose first size N has no valid c. Every
+    other row must lie within its tolerance at N, max(1e-11 max(1, |v|),
+    4 eps ||T_N||), plus 32 eps ||T_N|| of LAPACK jitter, of the size-512
+    reference and, if ``against_converge``, of the per-order values; it
+    must lie above the reference less that jitter (T_N bounds from above),
+    and above it by at most its tolerance must lie the values of L_N, T_N
+    lowered by the c of T_N's top value, which the count certifies.
     Returns the counts of accepted and sent rows."""
     eps, real, sent, counts = np.finfo(float).eps, mathieu._converge, [], [0, 0]
     monkeypatch.setattr(mathieu, "_converge",
@@ -305,14 +282,18 @@ def _check_grid_rows(monkeypatch, n_max, barriers, against_converge):
                 continue
             size = min(mathieu.initial_truncation(top, l), TRUNCATION_CAP)
             diag, off, norm = mathieu._tridiagonal(cls, l, size)
+            c = _tail_shift(cls, l, size, row[-1] + 4 * eps * norm)
+            assert c is not None, (cls, top, l)  # no NaN count accepts a row
             tol = np.maximum(1e-11 * np.maximum(1.0, np.abs(row)), 4 * eps * norm)
             tol += 32 * eps * norm
-            upper = eigvalsh_tridiagonal(diag, off, select="i",
+            lowered = diag.copy()
+            lowered[-1] -= c
+            lower = eigvalsh_tridiagonal(lowered, off, select="i",
                                          select_range=(0, row.size - 1))
             ref = _tight_reference(cls, l, 13)[:row.size]
-            assert (upper <= row + tol).all(), (cls, top, l)
+            assert (lower >= row - tol).all(), (cls, top, l)
             assert (np.abs(row - ref) <= tol).all(), (cls, top, l)
-            assert (row - 32 * eps * norm <= ref).all(), (cls, top, l)
+            assert (ref - 32 * eps * norm <= row).all(), (cls, top, l)
             assert not against_converge or (np.abs(row - want) <= tol).all(), (cls, top, l)
     return counts
 
@@ -355,25 +336,22 @@ LARGE_BARRIERS = np.linspace(1000.0, 10000.0, 100).tolist()
 
 
 def test_large_barrier_sweep_certifies_its_own_rows(monkeypatch, lapack_calls):
-    """Past l ~ 970 the Weyl t leaves the n <= 8 families no valid c at
-    their first size; each grid then solves T there and takes c from its
-    top value. So an n <= 8 sweep over l in [1000, 10000] makes two dsterf
-    calls, T then L, per barrier and family at the first size, one where
-    the Weyl t still gives a valid c (9 of these 400), no dstebz call and
-    no _converge call, and every row lies within its tolerance of the
-    size-512 reference."""
+    """Each grid takes c from T's top value, so the large barriers follow
+    the one rule: an n <= 8 sweep over l in [1000, 10000] makes one dsterf
+    call, on T, per barrier and family at the first size, 400 for its 400
+    rows, no dstebz call and no _converge call, and every row lies within
+    its tolerance of the size-512 reference."""
     real, sent = mathieu._converge, []
     monkeypatch.setattr(mathieu, "_converge", lambda *args: sent.append(args) or real(*args))
     sweep_characteristics(8, LARGE_BARRIERS)
-    assert sent == [] and [c[0] for c in lapack_calls] == ["dsterf"] * 791
-    twice = []
+    assert sent == [] and [c[0] for c in lapack_calls] == ["dsterf"] * 400
     for cls in MathieuClass:
         top = 8 - (8 - cls.lowest) % 2
         mathieu._converge_grid.cache_clear()
         lapack_calls.clear()
         mathieu._converge_grid(cls, top, tuple(LARGE_BARRIERS))
-        twice += _check_grid_calls(lapack_calls, cls, top, LARGE_BARRIERS)
-    assert len(twice) == 391
+        assert len(lapack_calls) == len(LARGE_BARRIERS)
+        _check_grid_calls(lapack_calls, cls, top, LARGE_BARRIERS)
     assert _check_grid_rows(monkeypatch, 8, LARGE_BARRIERS, False) == [400, 0]
 
 
@@ -383,23 +361,61 @@ def test_grid_solve_rejected_first_size_doubles_as_converge(lapack_calls,
     l = 0.5 (its 6 rows close) goes on to _converge, one call per order,
     and its row equals per-order characteristic_values bit for bit. The
     grid's own calls come first, one dsterf per barrier at its first size,
-    on L, after one on T where the Weyl t gives no valid c there (l = 55,
-    and l = 28 outside se_even); T's top value gives one at l = 28 and
-    se_even's l = 55. Then come _converge's, each order from its own first
-    size."""
+    on T. At l = 55 outside se_even T's top value leaves no valid c, so L
+    is NaN in its corner and a count could come up short: the row is sent
+    on, and the top order's solve doubles its first size. Then come
+    _converge's calls, each order from its own first size."""
     monkeypatch.setattr(mathieu, "initial_truncation", lambda n, l: n // 2 + 2)
     barriers = [0.5, 3.42, 11.1, 28.0, 55.0]
-    upper, grid_calls = set(), 0
+    eps, no_c, grid_calls = np.finfo(float).eps, set(), 0
     for cls in MathieuClass:
         top = 8 - (8 - cls.lowest) % 2
         lapack_calls.clear()
         mathieu._converge_grid(cls, top, tuple(barriers))
-        upper |= {(cls, l) for l in _check_grid_calls(lapack_calls, cls, top, barriers)}
+        _check_grid_calls(lapack_calls, cls, top, barriers)
         grid_calls += sum(kernel == "dsterf" for kernel, *_ in lapack_calls)
-    assert upper == {(cls, l) for cls in MathieuClass for l in (28.0, 55.0)} - {
-        (MathieuClass.SE_EVEN, 28.0)}
-    assert grid_calls == 24  # 20 on L and 7 on T, less the 3 at l = 55 with no L
+        for (_, diag, _, out), l in list(zip(lapack_calls, barriers)):
+            norm = mathieu._tridiagonal(cls, l, len(diag))[2]
+            t = out[0][cls.eigen_index(top)] + 4 * eps * norm
+            if _tail_shift(cls, l, len(diag), t) is None:
+                no_c.add((cls, l))
+                lapack_calls.clear()
+                mathieu._converge(cls, top, l, 1)  # the top order, as the row sent on
+                sizes = [len(c[1]) for c in lapack_calls]
+                assert sizes[:2] == [len(diag), 2 * len(diag)], (cls, l)
+    assert no_c == {(cls, 55.0) for cls in MathieuClass} - {(MathieuClass.SE_EVEN, 55.0)}
+    assert grid_calls == 20  # one on T per barrier and family
     assert _check_grid_rows(monkeypatch, 8, barriers, False) == [1, 19]
+
+
+def test_grid_row_with_non_finite_bands_fails(monkeypatch, lapack_calls):
+    """At l = 1.7e308 the even family's corner sqrt(2) l overflows, and
+    dsterf returns NaN values with info 0: no count accepts the row, which
+    goes on to _converge and raises on its ||T||."""
+    real, sent = mathieu._converge, []
+    monkeypatch.setattr(mathieu, "_converge",
+                        lambda *args: sent.append(args[2]) or real(*args))
+    with pytest.raises(ConvergenceError, match="overflows"):
+        mathieu._converge_grid(MathieuClass.CE_EVEN, 4, (1.0, 1.7e308))
+    assert sent == [1.7e308] and [c[0] for c in lapack_calls] == ["dsterf"] * 2
+    assert np.isnan(lapack_calls[1][3][0]).all()
+
+
+@pytest.mark.parametrize("cls,n,l", [(MathieuClass.CE_EVEN, 0, 0.0),
+                                     (MathieuClass.CE_ODD, 3, 11.1),
+                                     (MathieuClass.SE_EVEN, 4, 1e3)])
+def test_single_size_without_a_valid_c_doubles(monkeypatch, lapack_calls, cls, n, l):
+    """A size whose tail shift is not valid passes no value: with the first
+    size's c taken away, the solve calls T at its first size and again at
+    twice it, and returns the value solved from twice the first size."""
+    want = mathieu._converge(cls, n, l, 2)[0]
+    real, shifts = mathieu._tail_shift, iter([None])
+    monkeypatch.setattr(mathieu, "_tail_shift", lambda *args: next(shifts, real(*args)))
+    lapack_calls.clear()
+    assert characteristic_values(cls, n, l) == want
+    first = min(mathieu.initial_truncation(n, l), TRUNCATION_CAP)
+    assert [(c[0], len(c[1])) for c in lapack_calls] == [("dstebz", first),
+                                                         ("dstebz", 2 * first)]
 
 
 def test_no_grid_outlives_the_test_that_solved_it(pytester):
@@ -420,18 +436,22 @@ def test_no_grid_outlives_the_test_that_solved_it(pytester):
     assert mathieu._converge_grid.cache_info().currsize == 0
 
 
-def _tolerance(values, lowered, l, cls):
-    """The acceptance tolerance of values solved on the lowered bands, and
-    ||T|| of their size: max(1e-11 max(1, |v|), 4 eps (||T|| + c))."""
-    diag, off, norm = mathieu._tridiagonal(cls, l, len(lowered))
-    floor = 4 * np.finfo(float).eps * (norm + diag[-1] - lowered[-1])
-    return np.maximum(1e-11 * np.maximum(1.0, np.abs(values)), floor), norm
+def _lowered(value, size, l, cls):
+    """L's bands at ``size`` for a solve whose top value is ``value``, with
+    the acceptance tolerance max(1e-11 max(1, |v|), 4 eps (||T|| + c)) and
+    ||T||."""
+    diag, off, norm = mathieu._tridiagonal(cls, l, size)
+    c = _tail_shift(cls, l, size, value + 4 * np.finfo(float).eps * norm)
+    lowered = diag.copy()
+    lowered[-1] -= c
+    tol = max(1e-11 * max(1.0, abs(value)), 4 * np.finfo(float).eps * (norm + c))
+    return lowered, off, tol, norm
 
 
 def test_bounds_enclose_tight_reference():
-    """On every single solve the value mu of L is below, and the upper
-    bound the count certifies, mu plus its tolerance, above a size-512
-    dstebz bisection at ABSTOL 1e-300; T's own value at the accepted size
+    """On every single solve the value mu of T is above, and the lower
+    bound the count certifies, mu less its tolerance, below a size-512
+    dstebz bisection at ABSTOL 1e-300; L's own value at the accepted size
     lies between them too. All up to LAPACK jitter: each call returns its
     value to a small multiple of eps ||T|| (up to 16 on this grid), so
     32 eps ||T|| of the accepted size. _check_grid_rows checks the grid
@@ -439,15 +459,14 @@ def test_bounds_enclose_tight_reference():
     eps = np.finfo(float).eps
     for l in GRID_BARRIERS:
         for cls, n in SINGLE_ORDERS:
-            lower, (lowered, off, _, _) = mathieu._converge(cls, n, l, 1)
+            upper, (diag, _, _, _) = mathieu._converge(cls, n, l, 1)
             k = cls.eigen_index(n)
-            tol, norm = _tolerance(lower, lowered, l, cls)
-            upper, = eigvalsh_tridiagonal(mathieu._tridiagonal(cls, l, len(lowered))[0], off,
-                                          select="i", select_range=(k, k))
+            lowered, off, tol, norm = _lowered(upper, len(diag), l, cls)
+            lower, = eigvalsh_tridiagonal(lowered, off, select="i", select_range=(k, k))
             ref = _tight_reference(cls, l, 33)[k]
             jitter = 32 * eps * norm
             assert lower - jitter <= ref <= upper + jitter, (cls, n, l)
-            assert upper <= lower + tol + jitter, (cls, n, l)
+            assert upper - tol - jitter <= lower, (cls, n, l)
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 4, 6, 8])
@@ -456,8 +475,9 @@ def test_undersized_first_size_accepts_no_value_off_the_reference(lapack_calls,
     """The single-solve twin of the grid test above: with a first size
     ``cut`` rows short, the count must reject every size it cannot
     certify, so no value characteristic_values accepts lies farther than
-    its tolerance plus 32 eps ||T|| from the size-512 reference. Both
-    outcomes occur: some solves are accepted at the cut size, some double."""
+    its tolerance plus 32 eps ||T|| from the size-512 reference, nor below
+    it by more than 32 eps ||T|| (T bounds from above). Both outcomes
+    occur: some solves are accepted at the cut size, some double."""
     first = mathieu.initial_truncation
     monkeypatch.setattr(mathieu, "initial_truncation",
                         lambda n, l: max(first(n, l) - cut, n // 2 + 2))
@@ -467,12 +487,12 @@ def test_undersized_first_size_accepts_no_value_off_the_reference(lapack_calls,
             mathieu._values.cache_clear()
             lapack_calls.clear()
             value = characteristic_values(cls, n, l)
-            lowered = lapack_calls[-1][1]
-            outcomes.add(len(lowered) == min(mathieu.initial_truncation(n, l),
-                                             TRUNCATION_CAP))
-            tol, norm = _tolerance(value, lowered, l, cls)
+            size = len(lapack_calls[-1][1])
+            outcomes.add(size == min(mathieu.initial_truncation(n, l), TRUNCATION_CAP))
+            _, _, tol, norm = _lowered(value, size, l, cls)
             ref = _tight_reference(cls, l, 33)[cls.eigen_index(n)]
             assert abs(value - ref) <= tol + 32 * eps * norm, (cls, n, l)
+            assert ref - 32 * eps * norm <= value, (cls, n, l)
     assert outcomes == {True, False}
 
 
@@ -567,11 +587,6 @@ def _tail_shift(cls, l, size, t):
     return l * l / gap if gap > 0 else None
 
 
-def _weyl(cls, n, l):
-    """Weyl's bound t = n^2 + ||E||_inf on T's value of order n."""
-    return n ** 2 + (1 + (math.sqrt(2) if cls.lowest == 0 else 1)) * l
-
-
 LAPACK_BARRIERS = [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4]
 
 
@@ -581,13 +596,9 @@ LAPACK_BARRIERS = [0.0, 1e-6, 3.7, 55.0, 247.5, 1e3, 1e4]
 def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, k, l, lapack_calls):
     """Each direct LAPACK call of a single solve returns exactly what
     scipy's eigvalsh_tridiagonal gives for the same bands: the dstebz
-    bisection of the order's index k. Sizes double from the first. Each
-    size makes one call on L, the bands with the last diagonal entry
-    lowered by c = l^2 / (d_N - t - 2 l^2 / (a + sqrt(a^2 - 4 l^2))),
-    a = d_{N+1} - t, t = n^2 + ||E||_inf (Weyl). Where that t gives no
-    valid c, a call on T comes first and t is its value; a size with no
-    valid c even then makes no call on L. The value is the last call's.
-    At l = 1e4, where l^(1/4) = 10, the well term sets the first size:
+    bisection of the order's index k. Sizes double from the first, and
+    each size makes one call, on T. The value is the last call's. At
+    l = 1e4, where l^(1/4) = 10, the well term sets the first size:
     3 + ceil(6 (4.5 + sqrt(2 n + 1))) rows."""
     calls = lapack_calls
     n = cls.lowest + 2 * k
@@ -598,22 +609,12 @@ def test_direct_lapack_equals_scipy_eigvalsh_tridiagonal(cls, k, l, lapack_calls
         assert kernel == "dstebz" and out[0] == 1 and out[1][0] == ref[0]
     assert value == ref[0]
     first = mathieu.initial_truncation(n, l)
-    size, rest = min(first, TRUNCATION_CAP), list(calls)
+    size = min(first, TRUNCATION_CAP)
     assert first > k + 1
-    while rest:
-        diag, band, _ = mathieu._tridiagonal(cls, l, size)
-        c = _tail_shift(cls, l, size, _weyl(cls, n, l))
-        if c is None:
-            _, upper, off, out = rest.pop(0)
-            assert np.array_equal(upper, diag) and np.array_equal(off, band)
-            c = _tail_shift(cls, l, size, float(out[1][0]))
-        if c is not None:
-            _, lowered, off, _ = rest.pop(0)
-            assert np.array_equal(off, band) and np.array_equal(diag[:-1], lowered[:-1])
-            assert diag[-1] - lowered[-1] == pytest.approx(c, rel=1e-9,
-                                                           abs=np.spacing(diag[-1]))
+    for _, diag, off, _ in calls:
+        want_diag, want_off, _ = mathieu._tridiagonal(cls, l, size)
+        assert np.array_equal(diag, want_diag) and np.array_equal(off, want_off)
         size = min(2 * size, TRUNCATION_CAP)
-    assert c is not None  # the last call solved L, whose value this is
     if l == 1e4:
         assert first == 3 + math.ceil(6 * (4.5 + math.sqrt(2 * n + 1)))
 
@@ -625,15 +626,13 @@ def test_grid_lapack_equals_scipy_eigvalsh_tridiagonal(cls, k_hi, l, lapack_call
     """The grid twin: each dsterf call of a one-barrier grid returns
     exactly what eigvalsh_tridiagonal(lapack_driver="sterf") gives for the
     same bands, and the row of orders p..top is the first k_hi + 1 values
-    of the last call, on L. The calls are those _check_grid_calls walks:
-    one on L with c from the Weyl t, or one on T and then one on L with c
-    from T's top value."""
+    of its one call, on T, as _check_grid_calls walks it."""
     top = cls.lowest + 2 * k_hi
     row = mathieu._converge_grid(cls, top, (l,))[0]
     for kernel, diag, off, out in lapack_calls:
         ref = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf", check_finite=False)
         assert kernel == "dsterf" and out[0].tobytes() == ref.tobytes()
-    assert row.tobytes() == ref[:k_hi + 1].tobytes()
+    assert len(lapack_calls) == 1 and row.tobytes() == ref[:k_hi + 1].tobytes()
     _check_grid_calls(lapack_calls, cls, top, [l])
 
 
@@ -800,26 +799,22 @@ def test_state_families_share_one_eigenvector_solve_per_order(lapack_calls):
 @pytest.mark.parametrize("l", [0.0, 1e-6, 7.514, 55.0, 1e4])
 @pytest.mark.parametrize("cls", list(MathieuClass))
 def test_weights_equal_scipy_eigh_tridiagonal(cls, l, lapack_calls):
-    """An eigenvector is solved at twice the first size: L's values, then
-    one dstein on their bisection, which gives the eigenvector scipy's
-    eigh_tridiagonal gives for L's bands, bit for bit. Where the Weyl t
-    gives no valid c (10 of the 25 orders at l = 1e4), a call on T comes
-    first. At l = 0 the matrix splits into 1x1 blocks."""
+    """An eigenvector is solved at twice the first size: T's value, then
+    one dstein on its bisection, which gives the eigenvector scipy's
+    eigh_tridiagonal gives for T's bands, bit for bit. At l = 0 the
+    matrix splits into 1x1 blocks."""
     for n in range(cls.lowest, 13, 2):
         k = cls.eigen_index(n)
         size = min(2 * mathieu.initial_truncation(n, l), TRUNCATION_CAP)
         diag, band, _ = mathieu._tridiagonal(cls, l, size)
         lapack_calls.clear()
         weights = mathieu._weights(cls, n, l)
-        *upper, (_, lowered, off, _), (_, stein_diag, stein_off, _) = lapack_calls
-        assert [(c[0], len(c[1])) for c in lapack_calls] == [
-            ("dstebz", size)] * (1 + len(upper)) + [("dstein", size)]
-        assert len(upper) == (_tail_shift(cls, l, size, _weyl(cls, n, l)) is None)
-        assert not upper or np.array_equal(upper[0][1], diag)
-        assert np.array_equal(lowered, stein_diag) and np.array_equal(off, stein_off)
-        assert np.array_equal(diag[:-1], lowered[:-1]) and np.array_equal(off, band)
-        assert lowered[-1] <= diag[-1]
-        _, vecs = eigh_tridiagonal(lowered, off, select="i", select_range=(k, k))
+        (_, upper, off, _), (_, stein_diag, stein_off, _) = lapack_calls
+        assert [(c[0], len(c[1])) for c in lapack_calls] == [("dstebz", size),
+                                                             ("dstein", size)]
+        assert np.array_equal(upper, stein_diag) and np.array_equal(off, stein_off)
+        assert np.array_equal(upper, diag) and np.array_equal(off, band)
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
         want = -vecs[:, 0] if vecs[k, 0] < 0 else vecs[:, 0]
         assert np.array_equal(weights, want), (n, l)
 
@@ -926,8 +921,8 @@ def test_family_ladders_match_per_family_reference(cls):
 
 
 def test_cold_bundle_lapack_budget(lapack_calls):
-    # 992 direct calls on 14,149 rows: 700 dsterf calls, one per grid
-    # barrier and family, 276 dstebz calls, one per single solve, and one
+    # 990 direct calls on 14,119 rows: 700 dsterf calls, one per grid
+    # barrier and family, 274 dstebz calls, one per single solve, and one
     # dstein per eigenvector of tables 3-6 (ce_1..8, se_1..8); two calls
     # per single solve made 1,268 on 17,360
     from qpendulum.report import build_bundle

@@ -51,6 +51,19 @@ def test_inner_product_matches_quadrature():
         assert inner_product(s1, s2) == pytest.approx(quad_inner(s1, s2), abs=1e-10)
 
 
+@pytest.mark.parametrize("coeffs", [np.array([1.0, 2.0j, 3.0]), np.array([1.0, 2.0, 3.0]),
+                                    [1.0, 2.0j, 3.0]], ids=["complex", "float", "list"])
+def test_series_owns_its_coefficients(coeffs):
+    # the complex ndarray of _eigen_series and build_state passes the input
+    # check uncopied; the series copies it once
+    coeffs, want = coeffs.copy(), np.array(coeffs, dtype=complex)  # the case stays intact
+    series = TrigSeries(coeffs)
+    assert not np.shares_memory(series.coeffs, np.asarray(coeffs))
+    assert not series.coeffs.flags.writeable
+    coeffs[1] = 7.0
+    assert np.array_equal(series.coeffs, want)
+
+
 def test_arithmetic():
     # a series has no operators; a superposition adds padded coefficient vectors
     s1, s2 = random_series(), random_series(4)

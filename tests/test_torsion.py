@@ -117,9 +117,9 @@ def test_modulation_schedule_matches_direct_recomputation():
 
 def test_modulation_schedule_solves_once_per_family_and_time(lapack_calls):
     # levels 1-8 need ce_0..8 and se_1..8: four families, each one dsterf
-    # call per distinct barrier on its lowered bands (the last diagonal
-    # entry below the ladder's (p + 2(N - 1))^2, p read off entry 1); the
-    # time grid runs forward and back, so each barrier comes twice, and an
+    # call per distinct barrier on its unlowered bands (the last diagonal
+    # entry the ladder's (p + 2(N - 1))^2, p read off entry 1); the time
+    # grid runs forward and back, so each barrier comes twice, and an
     # identical repeat is one cache hit
     t = np.linspace(0.0, 3.0, 40)  # omega t < pi: distinct barriers
     args = (25.0, 10.0, 1.0, np.concatenate([t, t[::-1]]), list(range(1, 9)),
@@ -130,7 +130,7 @@ def test_modulation_schedule_solves_once_per_family_and_time(lapack_calls):
     assert {c[0] for c in lapack_calls} == {"dsterf"}
     for _, diag, _, _ in lapack_calls:
         lowest = round(math.sqrt(diag[1])) - 2
-        assert diag[-1] < (lowest + 2 * (len(diag) - 1)) ** 2
+        assert diag[-1] == (lowest + 2 * (len(diag) - 1)) ** 2
     lapack_calls.clear()
     assert modulation_schedule(*args) == sched and lapack_calls == []
 
