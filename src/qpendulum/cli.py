@@ -21,6 +21,7 @@ from . import reference as ref
 from .classical import ArgConvention, ClassicalParams, trajectory
 from .errors import ConvergenceError, DomainError, check_count, check_real
 from .report import (
+    BOUNDARY_TABLES,
     HEADERS,
     build_bundle,
     format_csv,
@@ -32,7 +33,6 @@ from .states import StateFamily, StateSpec, build_state, density
 from .symmetry import (
     REGIONS_N_MAX,
     GapMeasure,
-    PairingKind,
     boundary_table,
     classify_regions,
     sweep_characteristics,
@@ -96,9 +96,7 @@ def cmd_regions(args) -> int:
         raise DomainError(f"n_max must be in 1..{REGIONS_N_MAX}, got {args.n_max}")
     levels = range(1, args.n_max + 1)
     tables = []
-    for pairing, eps, reference in (
-            (PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
-            (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS)):
+    for pairing, eps, reference in BOUNDARY_TABLES.values():
         if args.epsilon is not None:
             eps, reference = args.epsilon, {}
         tables.append((pairing, eps, boundary_table(levels, pairing, eps, reference)))

@@ -42,6 +42,11 @@ HEADERS = {
 
 DATA_FILES = tuple(f"{name}.csv" for name in HEADERS)
 
+BOUNDARY_TABLES = {  # name: (pairing, calibrated relative threshold, reference table)
+    "table1": (PairingKind.ROTOR, ref.CALIBRATED_EPS_ROTOR, ref.SPLITTING_POINTS),
+    "table2": (PairingKind.WELL, ref.CALIBRATED_EPS_WELL, ref.MERGING_POINTS),
+}
+
 # Residual gates applied by the report command (absolute, on the cells
 # each table actually emits).
 GATES = {
@@ -133,9 +138,7 @@ def build_bundle() -> ReportBundle:
     points = dict(ref.OBSERVABLE_EVAL_POINTS)
     bundle = ReportBundle()
     data = bundle.data
-    for name, pairing, table, eps in (
-            ("table1", PairingKind.ROTOR, ref.SPLITTING_POINTS, ref.CALIBRATED_EPS_ROTOR),
-            ("table2", PairingKind.WELL, ref.MERGING_POINTS, ref.CALIBRATED_EPS_WELL)):
+    for name, (pairing, eps, table) in BOUNDARY_TABLES.items():
         data[name] = [(n, "not-found", table[n], "not-found") if b is None else
                       (n, b.l_c, table[n], abs(b.l_c - table[n])) for n, b in
                       boundary_table(ref.LEVELS, pairing, eps, table).items()]

@@ -23,13 +23,13 @@ above it. Both scan upward over l = ``PROBE_DELTA`` + k ``SCAN_STEP``;
 the pairing only sets the sign of gap - eps the scan starts from. It
 reads cached family grids of ``SCAN_CHUNK`` points and the orders up
 to max(``REGIONS_N_MAX``, se order), shared by levels, pairings and
-thresholds. The first cell where that sign flips goes to ``brentq`` on
-single solves, whose root is l_c. These agree with the grid to 3.3e-13,
-relative: where they put both cell ends on one side of eps, the end
-nearer eps is l_c. Two limits follow: a stretch narrower than
-``SCAN_STEP`` on the far side of eps can be stepped over; and a pole of
-the relative gap, where the pair mean crosses zero, is +inf on both
-sides, so it is no sign change of gap - eps and brentq cannot return it.
+thresholds. The first cell where that sign flips goes to ``brentq``,
+whose root is l_c: it reads the scan's own gap - eps at the cell ends,
+so it always gets their opposite signs, and single solves inside. Two
+limits follow: a stretch narrower than ``SCAN_STEP`` on the far side of
+eps can be stepped over; and a pole of the relative gap, where the pair
+mean crosses zero, is +inf on both sides, so it is no sign change of
+gap - eps and brentq cannot return it.
 
 Degeneracy criterion
 --------------------
@@ -205,27 +205,25 @@ def _gap(ea, eb, measure: GapMeasure):
     return np.divide(gap, scale, out=np.full_like(scale, math.inf), where=scale > 0)
 
 
-def find_boundary(
-    n: int,
-    pairing: PairingKind,
-    epsilon: float,
-    measure: GapMeasure,
-) -> RegionBoundary:
+def find_boundary(n: int, pairing: PairingKind, epsilon: float,
+                  measure: GapMeasure) -> RegionBoundary:
     """Locate the barrier value where the pair's degeneracy switches.
 
     ROTOR: largest l with gap < eps, or l_c = 0 when the gap already
-    exceeds eps at the probe point. WELL: smallest l with gap < eps
-    (the tunneling doublet forms as the barrier grows), or
-    ``PROBE_DELTA`` when the probe is already below eps. The module
-    docstring describes the scan, the Brent root and their limits.
+    exceeds eps at the probe point. WELL: smallest l with gap < eps (the
+    tunneling doublet forms as the barrier grows), or ``PROBE_DELTA`` when
+    the probe is already below eps. The module docstring describes the
+    scan, the Brent root on the scan's own end signs, and their limits.
     """
     epsilon = check_real(epsilon, "gap threshold", 0.0, True)
     ce, se = _pair_orders(n, pairing, measure)
     orders, top = ((ce_class(ce), ce), (se_class(se), se)), max(REGIONS_N_MAX, se)
-    rotor = pairing is PairingKind.ROTOR
+    rotor, scanned = pairing is PairingKind.ROTOR, {}  # gap - eps at each scan point read
     for start in range(0, len(_SCAN_POINTS), SCAN_CHUNK):
-        ea, eb = _read(orders, top, tuple(_SCAN_POINTS[start:start + SCAN_CHUNK])).T
-        flips = np.flatnonzero((_gap(ea, eb, measure) - epsilon < 0) != rotor)
+        points = _SCAN_POINTS[start:start + SCAN_CHUNK]
+        excess = _gap(*_read(orders, top, tuple(points)).T, measure) - epsilon
+        scanned.update(zip(points, excess.tolist()))
+        flips = np.flatnonzero((excess < 0) != rotor)
         if flips.size:
             break
     else:
@@ -236,9 +234,8 @@ def find_boundary(
         return RegionBoundary(n, pairing, 0.0 if rotor else PROBE_DELTA, epsilon,
                               (0.0, PROBE_DELTA), measure)
     lo, hi = _SCAN_POINTS[k - 1], _SCAN_POINTS[k]
-    excess = lambda l: pair_gap(n, pairing, l, measure) - epsilon
-    l_c = (brentq(excess, lo, hi, xtol=ROOT_XTOL) if (excess(lo) < 0) != (excess(hi) < 0)
-           else min((lo, hi), key=lambda l: abs(excess(l))))
+    l_c = brentq(lambda l: scanned[l] if l in scanned else
+                 pair_gap(n, pairing, l, measure) - epsilon, lo, hi, xtol=ROOT_XTOL)
     return RegionBoundary(n, pairing, l_c, epsilon, (lo, hi), measure)
 
 
@@ -256,8 +253,8 @@ def boundary_table(levels, pairing: PairingKind, epsilon: float,
     A row that misses its ``reference`` barrier by more than
     ``ROW_TOLERANCE`` is searched again at the absolute gap pinned there
     (monotone through each boundary). A row is None where no crossing lies
-    below ``SEARCH_CEILING``, or where that pinned gap is 0.0, which no
-    threshold reproduces. Every row is checked before any solve."""
+    below ``SEARCH_CEILING``, or where the pinned gap is 0.0 or its search
+    misses the barrier too. Every row is checked before any solve."""
     rows = {n: check_type(reference, Mapping, "reference table").get(n)
             for n in check_levels(levels)}
     targets = {n: check_real(target, "reference barrier", 0.0, False)
@@ -269,8 +266,9 @@ def boundary_table(levels, pairing: PairingKind, epsilon: float,
             table[n] = find_boundary(pair, pairing, epsilon, GapMeasure.RELATIVE)
             if n in targets and abs(table[n].l_c - targets[n]) > ROW_TOLERANCE:
                 pinned = pair_gap(pair, pairing, targets[n], GapMeasure.ABSOLUTE)
-                table[n] = (find_boundary(pair, pairing, pinned, GapMeasure.ABSOLUTE)
-                            if pinned > 0.0 else None)
+                row = (find_boundary(pair, pairing, pinned, GapMeasure.ABSOLUTE)
+                       if pinned > 0.0 else None)
+                table[n] = row if row and abs(row.l_c - targets[n]) <= ROW_TOLERANCE else None
         except BoundaryNotFoundError:
             table[n] = None
     return table

@@ -1,8 +1,10 @@
 import functools
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qpendulum.errors import AmbiguityError, BoundaryNotFoundError, DomainError
@@ -14,6 +16,7 @@ from qpendulum.classical import ArgConvention, ClassicalParams, trajectory
 from qpendulum.symmetry import (
     PROBE_DELTA,
     REGIONS_N_MAX,
+    ROOT_XTOL,
     SCAN_STEP,
     SEARCH_CEILING,
     GapMeasure,
@@ -211,9 +214,12 @@ def test_a_row_degenerate_at_its_target_is_not_found():
     assert pair_gap(5, PairingKind.ROTOR, 0.0, GapMeasure.ABSOLUTE) == 0.0
     assert boundary_table([5], PairingKind.ROTOR, 4.989e-3, {5: 0.0}) == {5: None}
     # deep in the well the doublet is degenerate within the values'
-    # tolerance, 1e-11 |a_0| each, though its computed gap is not 0.0
+    # tolerance, 1e-11 |a_0| each, though its computed gap is not 0.0: the
+    # search pinned there crosses near l = 53, and a row it misses is None
     assert pair_gap(0, PairingKind.WELL, 1000.0, GapMeasure.ABSOLUTE) <= (
         2e-11 * abs(mathieu.a_value(0, 1000.0)))
+    assert boundary_table([1], PairingKind.WELL, ref.CALIBRATED_EPS_WELL,
+                          {1: 1000.0}) == {1: None}
 
 
 def test_calibration_names_the_rows_it_cannot_reproduce():
@@ -417,12 +423,76 @@ def test_threshold_at_a_scan_point_gap_gives_a_boundary(pairing, measure):
 
 @pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
 def test_a_tiny_threshold_compares_signs_not_a_product(epsilon):
-    # both single solves put the gap at 0.0, so both ends' excesses are
-    # -eps, whose product underflows to 0.0: that once sent brentq two ends
-    # of one sign, and it raised ValueError; the end nearer eps is l_c
+    # the single solves put the gap at 0.0 on both cell ends, so both
+    # excesses would be -eps, whose product underflows to 0.0: that once
+    # sent brentq two ends of one sign, and it raised ValueError. brentq
+    # reads the scan's ends instead (gap 0.0 only at the upper one); the
+    # single solves' rounding inside the cell puts l_c at that end
     b = find_boundary(4, PairingKind.WELL, epsilon, GapMeasure.RELATIVE)
     assert b.bracket == (193.000001, 194.000001)
-    assert b.l_c == 193.000001
+    assert b.l_c == 194.000001
+
+
+CALIBRATED_EPS = {PairingKind.ROTOR: ref.CALIBRATED_EPS_ROTOR,
+                  PairingKind.WELL: ref.CALIBRATED_EPS_WELL}
+
+
+@pytest.mark.parametrize("pairing", list(PairingKind))
+def test_no_single_solve_at_the_cell_ends(pairing, monkeypatch):
+    # brentq reads gap - eps at both cell ends from the scan itself
+    real, seen = symmetry.pair_gap, []
+    monkeypatch.setattr(symmetry, "pair_gap",
+                        lambda n, p, l, m: seen.append(l) or real(n, p, l, m))
+    for n in (level_pair(m, pairing) for m in (2, 3, 5, 8)):
+        seen.clear()
+        lo, hi = find_boundary(n, pairing, CALIBRATED_EPS[pairing],
+                               GapMeasure.RELATIVE).bracket
+        assert lo > 0.0 and seen  # a Brent root, on single solves inside
+        assert all(lo < l < hi for l in seen)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("pairing", list(PairingKind))
+def test_single_solves_on_one_side_of_eps_keep_the_scan_cell(pairing, side,
+                                                             monkeypatch):
+    # single solves that put the whole cell on one side of eps change no
+    # sign at its ends: the root closes on the end the scan put on the other
+    n, eps = level_pair(3, pairing), CALIBRATED_EPS[pairing]
+    lo, hi = find_boundary(n, pairing, eps, GapMeasure.RELATIVE).bracket
+    monkeypatch.setattr(symmetry, "pair_gap", lambda *args: eps * (1.0 + side * 1e-3))
+    b = find_boundary(n, pairing, eps, GapMeasure.RELATIVE)
+    assert b.bracket == (lo, hi)
+    # the scan puts a rotor cell's lower end below eps, a well cell's above
+    end = lo if (side > 0) == (pairing is PairingKind.ROTOR) else hi
+    assert abs(b.l_c - end) <= ROOT_XTOL
+
+
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# a failing example makes hypothesis's pytest plugin import libcst, which
+# warns on import: as an error that warning would abort the whole session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pairing=st.sampled_from(PairingKind), data=st.data(),
+       measure=st.sampled_from(GapMeasure),
+       k=st.integers(0, symmetry.SCAN_CHUNK - 1), ulps=st.integers(-4, 4))
+def test_a_threshold_near_a_scan_gap_gives_a_root_in_its_cell(pairing, data, measure,
+                                                              k, ulps):
+    # eps within a few ulps of a grid gap at a scan point: either end of a
+    # cell may then sit on eps, and brentq still gets the scan's signs
+    n = data.draw(st.integers(int(pairing is PairingKind.ROTOR), 8), label="n")
+    epsilon = nudged(first_chunk_gaps(n, pairing, measure)[k], ulps)
+    assume(0.0 < epsilon < math.inf)  # the input rule refuses any other
+    try:
+        b = find_boundary(n, pairing, epsilon, measure)
+    except BoundaryNotFoundError:
+        return
+    lo, hi = b.bracket
+    assert lo <= b.l_c <= hi
 
 
 @pytest.mark.parametrize("run,budget", [
@@ -434,8 +504,9 @@ def test_a_tiny_threshold_compares_signs_not_a_product(epsilon):
 def test_cold_solver_call_budget(run, budget, lapack_calls):
     # the scan cells come from grids shared across levels, pairings and
     # thresholds; a finer scan or a tighter brentq xtol breaks these budgets.
-    # 390, 268 and 404 calls: one per size in every solve (524, 408 and 552
-    # with an upper and a lower solve per size in single solves)
+    # 354, 234 and 368 calls: one per size in every solve (390, 266 and 404
+    # with single solves at both ends of each scan cell, 524, 408 and 552
+    # with an upper and a lower solve per size in single solves as well)
     run()
     assert 0 < len(lapack_calls) <= budget
 
